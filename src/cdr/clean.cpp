@@ -5,7 +5,6 @@ namespace ccms::cdr {
 Dataset clean(const Dataset& input, const CleanOptions& options,
               CleanReport& report) {
   report = CleanReport{};
-  report.input_records = input.size();
 
   Dataset output;
   output.reserve(input.size());
@@ -13,21 +12,7 @@ Dataset clean(const Dataset& input, const CleanOptions& options,
   output.set_study_days(input.study_days());
 
   for (const Connection& c : input.all()) {
-    if (c.duration_s <= 0) {
-      ++report.nonpositive_removed;
-      continue;
-    }
-    if (options.artifact_duration_s > 0 &&
-        c.duration_s == options.artifact_duration_s) {
-      ++report.hour_artifacts_removed;
-      continue;
-    }
-    if (options.max_plausible_duration_s > 0 &&
-        c.duration_s > options.max_plausible_duration_s) {
-      ++report.implausible_removed;
-      continue;
-    }
-    output.add(c);
+    if (survives_clean(c, options, report)) output.add(c);
   }
   output.finalize();
   return output;

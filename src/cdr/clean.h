@@ -42,6 +42,30 @@ struct CleanReport {
   }
 };
 
+/// The §3 screen for one record, shared by clean() and the batch study's
+/// fold: counts `c` into `report` (input_records, and its removal reason if
+/// any) and returns true if the record survives.
+[[nodiscard]] inline bool survives_clean(const Connection& c,
+                                         const CleanOptions& options,
+                                         CleanReport& report) {
+  ++report.input_records;
+  if (c.duration_s <= 0) {
+    ++report.nonpositive_removed;
+    return false;
+  }
+  if (options.artifact_duration_s > 0 &&
+      c.duration_s == options.artifact_duration_s) {
+    ++report.hour_artifacts_removed;
+    return false;
+  }
+  if (options.max_plausible_duration_s > 0 &&
+      c.duration_s > options.max_plausible_duration_s) {
+    ++report.implausible_removed;
+    return false;
+  }
+  return true;
+}
+
 /// Returns a cleaned copy of `input` (finalized) and fills `report`.
 [[nodiscard]] Dataset clean(const Dataset& input, const CleanOptions& options,
                             CleanReport& report);

@@ -107,23 +107,6 @@ void ColumnBlock::clear() {
   duration.clear();
 }
 
-void for_each_car(const ColumnBlock& block,
-                  const std::function<void(const ColumnCarView&)>& fn) {
-  const std::size_t n = block.size();
-  std::size_t i = 0;
-  while (i < n) {
-    const std::uint32_t car = block.car[i];
-    std::size_t j = i + 1;
-    while (j < n && block.car[j] == car) ++j;
-    fn(ColumnCarView{
-        car,
-        std::span<const std::uint32_t>(block.cell).subspan(i, j - i),
-        std::span<const std::int64_t>(block.start).subspan(i, j - i),
-        std::span<const std::int32_t>(block.duration).subspan(i, j - i)});
-    i = j;
-  }
-}
-
 // --- Writer ----------------------------------------------------------------
 
 ColumnarWriter::ColumnarWriter(std::ostream& out, std::uint32_t fleet_size,
@@ -574,6 +557,23 @@ void RecordScreen::fault(FaultClass fault, std::uint64_t offset,
   }
 }
 
+bool RecordScreen::enter_block(const ColumnarFile& file, std::size_t b,
+                               ColumnBlock& out) {
+  have_previous_ = false;
+  const ColumnarFile::DecodeStatus status = file.decode_block(b, out);
+  if (status == ColumnarFile::DecodeStatus::kOk) return true;
+  const ColumnarBlockDesc& desc = file.blocks()[b];
+  const bool crc = status == ColumnarFile::DecodeStatus::kChecksumMismatch;
+  fault(crc ? FaultClass::kChecksumMismatch : FaultClass::kTruncatedPayload,
+        desc.offset,
+        "block " + std::to_string(b) +
+            (crc ? " payload CRC32 does not match"
+                 : " column stream is malformed"));
+  report_.rows_read += desc.records;
+  report_.records_dropped += desc.records;
+  return false;
+}
+
 bool RecordScreen::screen(const Connection& c, std::uint64_t offset) {
   ++report_.rows_read;
   if (c.duration_s < 0) {
@@ -635,29 +635,12 @@ Dataset materialize_columnar(const ColumnarFile& file,
   RecordScreen screen(options, report, label);
   ColumnBlock block;
   for (std::size_t b = 0; b < file.blocks().size(); ++b) {
-    screen.reset_boundary();
-    const ColumnarBlockDesc& desc = file.blocks()[b];
-    const ColumnarFile::DecodeStatus status = file.decode_block(b, block);
-    if (status != ColumnarFile::DecodeStatus::kOk) {
-      // The whole block is lost but stays counted: its declared records
-      // enter rows_read and records_dropped so the ingest partition
-      // invariant (rows == accepted + dropped + deduped) still tiles.
-      screen.fault(status == ColumnarFile::DecodeStatus::kChecksumMismatch
-                       ? FaultClass::kChecksumMismatch
-                       : FaultClass::kTruncatedPayload,
-                   desc.offset,
-                   "block " + std::to_string(b) +
-                       (status == ColumnarFile::DecodeStatus::kChecksumMismatch
-                            ? " payload CRC32 does not match"
-                            : " column stream is malformed"));
-      report.rows_read += desc.records;
-      report.records_dropped += desc.records;
-      continue;
-    }
+    if (!screen.enter_block(file, b, block)) continue;
+    const std::uint64_t offset = file.blocks()[b].offset;
     for (std::size_t i = 0; i < block.size(); ++i) {
       const Connection c{CarId{block.car[i]}, CellId{block.cell[i]},
                          block.start[i], block.duration[i]};
-      if (screen.screen(c, desc.offset)) dataset.add(c);
+      if (screen.screen(c, offset)) dataset.add(c);
     }
   }
   dataset.finalize();

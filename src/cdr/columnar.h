@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -92,22 +91,6 @@ struct ColumnBlock {
   [[nodiscard]] std::size_t size() const { return car.size(); }
   void clear();
 };
-
-/// One car's rows inside a decoded block: parallel column spans, the shape
-/// the pass accumulators' SIMD-friendly loops iterate.
-struct ColumnCarView {
-  std::uint32_t car = 0;
-  std::span<const std::uint32_t> cell;
-  std::span<const std::int64_t> start;
-  std::span<const std::int32_t> duration;
-
-  [[nodiscard]] std::size_t size() const { return cell.size(); }
-};
-
-/// Calls fn(ColumnCarView) for every car in the block, in ascending car
-/// order (rows are already grouped: the block holds sorted records).
-void for_each_car(const ColumnBlock& block,
-                  const std::function<void(const ColumnCarView&)>& fn);
 
 /// Streaming CCDR2 writer. Feed records in (car, start, cell, duration)
 /// order — Dataset::finalize's order — via add(); finish() writes the index
@@ -233,10 +216,11 @@ class ColumnarFile {
 /// (negative duration, overflow, clock skew, unknown cell), then duplicate /
 /// out-of-order checks against the previous surviving record. Shared by
 /// read_columnar's materializer and run_study_columnar's streaming sweep.
-/// Both reset the sequence state at every block boundary (blocks are
-/// car-aligned, so neither a duplicate pair nor a same-car order inversion
-/// can span one), which is what lets block chunks screen independently and
-/// still merge to exactly the sequential accounting.
+/// Both enter every block through enter_block, which resets the sequence
+/// state at the block boundary (blocks are car-aligned, so neither a
+/// duplicate pair nor a same-car order inversion can span one). That is
+/// what lets block chunks screen independently and still merge to exactly
+/// the sequential accounting.
 class RecordScreen {
  public:
   RecordScreen(const IngestOptions& options, IngestReport& report,
@@ -247,11 +231,17 @@ class RecordScreen {
   /// quarantine; throws util::CsvError in strict mode.
   void fault(FaultClass fault, std::uint64_t offset, std::string reason);
 
+  /// Enters block `b` of `file`: forgets the previous record and decodes
+  /// the block into `out`. A block that fails its CRC or its decode is lost
+  /// whole but stays counted — its declared records enter rows_read and
+  /// records_dropped, so the ingest partition (rows == accepted + dropped +
+  /// deduped) still tiles — and the fault is booked (strict mode throws).
+  /// Returns false for a lost block.
+  [[nodiscard]] bool enter_block(const ColumnarFile& file, std::size_t b,
+                                 ColumnBlock& out);
+
   /// Screens one record. Returns true if it survives; updates the report.
   [[nodiscard]] bool screen(const Connection& c, std::uint64_t offset);
-
-  /// Forgets the previous record (call when entering a new block).
-  void reset_boundary() { have_previous_ = false; }
 
  private:
   const IngestOptions& options_;
@@ -276,8 +266,8 @@ class RecordScreen {
 
 /// The tail of read_columnar over an already-open file: screens every block
 /// through `options` / `report` and returns the finalized Dataset. For
-/// callers (run_study_columnar's degenerate fallback) that hold the
-/// ColumnarFile and its open-time report themselves.
+/// callers (run_study_columnar on a header without a day count) that hold
+/// the ColumnarFile and its open-time report themselves.
 [[nodiscard]] Dataset materialize_columnar(const ColumnarFile& file,
                                            const IngestOptions& options,
                                            IngestReport& report,

@@ -160,22 +160,6 @@ void Dataset::set_fleet_size(std::uint32_t n) {
   finalized_ = false;
 }
 
-std::vector<Dataset::CarSpan> Dataset::car_spans() const {
-  std::vector<CarSpan> spans;
-  for_each_car([&spans](CarId car, std::span<const Connection> records) {
-    spans.push_back({car, records});
-  });
-  return spans;
-}
-
-std::vector<Dataset::CellSpan> Dataset::cell_spans() const {
-  std::vector<CellSpan> spans;
-  for_each_cell([&spans](CellId cell, std::span<const std::uint32_t> indices) {
-    spans.push_back({cell, indices});
-  });
-  return spans;
-}
-
 std::size_t Dataset::distinct_cells() const {
   if (finalized_) return distinct_cells_;
   std::size_t count = 0;

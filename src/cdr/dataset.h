@@ -100,28 +100,6 @@ class Dataset {
     return records_[index];
   }
 
-  /// One car's span of records (the unit of the car-grouped passes).
-  struct CarSpan {
-    CarId car;
-    std::span<const Connection> records;  ///< start order
-  };
-
-  /// One cell's span of by-cell indices into all().
-  struct CellSpan {
-    CellId cell;
-    std::span<const std::uint32_t> indices;  ///< start order within the cell
-  };
-
-  /// Materialised list of every car's span, ascending by car id — the same
-  /// groups for_each_car visits, but randomly indexable so a parallel
-  /// executor can chunk them. Requires finalize(). Cars with no records do
-  /// not appear.
-  [[nodiscard]] std::vector<CarSpan> car_spans() const;
-
-  /// Materialised list of every cell's index span, ascending by cell id —
-  /// the random-access counterpart of for_each_cell. Requires finalize().
-  [[nodiscard]] std::vector<CellSpan> cell_spans() const;
-
   /// Visits every car that has records, ascending, passing
   /// (car, span of its records).
   template <typename F>

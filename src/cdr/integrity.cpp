@@ -1,5 +1,7 @@
 #include "cdr/integrity.h"
 
+#include <iterator>
+
 namespace ccms::cdr {
 
 const char* name(FaultClass fault) {
@@ -40,6 +42,25 @@ std::uint64_t IngestReport::total_faults() const {
   std::uint64_t total = 0;
   for (const std::uint64_t c : counters) total += c;
   return total;
+}
+
+void IngestReport::merge(IngestReport&& later, std::size_t quarantine_cap) {
+  rows_read += later.rows_read;
+  records_accepted += later.records_accepted;
+  records_dropped += later.records_dropped;
+  records_repaired += later.records_repaired;
+  bom_stripped = bom_stripped || later.bom_stripped;
+  for (std::size_t i = 0; i < kFaultClassCount; ++i) {
+    counters[i] += later.counters[i];
+  }
+  quarantine.insert(quarantine.end(),
+                    std::make_move_iterator(later.quarantine.begin()),
+                    std::make_move_iterator(later.quarantine.end()));
+  quarantine_overflow += later.quarantine_overflow;
+  if (quarantine.size() > quarantine_cap) {
+    quarantine_overflow += quarantine.size() - quarantine_cap;
+    quarantine.resize(quarantine_cap);
+  }
 }
 
 }  // namespace ccms::cdr

@@ -131,6 +131,15 @@ struct IngestReport {
   }
   [[nodiscard]] std::uint64_t total_faults() const;
   [[nodiscard]] bool clean() const { return total_faults() == 0; }
+
+  /// Folds in the report of the input that directly follows this one's
+  /// (the next chunk, block or stage): counters add, quarantines
+  /// concatenate in input order, then the global cap is re-applied. Each
+  /// side retained a prefix of its own entries, so the first
+  /// `quarantine_cap` of the concatenation are exactly the set a single
+  /// sequential pass retains, and the overflow count stays exact. `mode`
+  /// and `bytes_consumed` describe the whole input and are left alone.
+  void merge(IngestReport&& later, std::size_t quarantine_cap);
 };
 
 }  // namespace ccms::cdr

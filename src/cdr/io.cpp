@@ -307,21 +307,6 @@ class CsvIngester {
   bool first_line_;
 };
 
-void merge_report(IngestReport& into, IngestReport& from) {
-  into.rows_read += from.rows_read;
-  into.records_accepted += from.records_accepted;
-  into.records_dropped += from.records_dropped;
-  into.records_repaired += from.records_repaired;
-  into.bom_stripped = into.bom_stripped || from.bom_stripped;
-  for (std::size_t i = 0; i < kFaultClassCount; ++i) {
-    into.counters[i] += from.counters[i];
-  }
-  into.quarantine.insert(into.quarantine.end(),
-                         std::make_move_iterator(from.quarantine.begin()),
-                         std::make_move_iterator(from.quarantine.end()));
-  into.quarantine_overflow += from.quarantine_overflow;
-}
-
 void apply_meta(Dataset& dataset, const ChunkOutcome& part) {
   if (part.meta_fleet_size) dataset.set_fleet_size(*part.meta_fleet_size);
   if (part.meta_study_days) dataset.set_study_days(*part.meta_study_days);
@@ -330,10 +315,10 @@ void apply_meta(Dataset& dataset, const ChunkOutcome& part) {
 /// Stitches chunk outcomes back into one Dataset + IngestReport, in chunk
 /// (= byte) order. `report` arrives pre-seeded with mode/bytes_consumed
 /// (and, for binary inputs, the header-stage accounting). Re-applies the
-/// order/duplicate screen across chunk seams, merges quarantines in offset
-/// order, re-applies the global quarantine cap, and — in strict mode —
-/// throws the earliest fault with a report state identical to where the
-/// sequential pass would have stopped.
+/// order/duplicate screen across chunk seams, merges the chunk reports in
+/// offset order (IngestReport::merge re-applies the global quarantine cap),
+/// and — in strict mode — throws the earliest fault with a report state
+/// identical to where the sequential pass would have stopped.
 Dataset merge_outcomes(std::vector<ChunkOutcome>& parts,
                        const IngestOptions& options, IngestReport& report,
                        const std::string& label, Dataset dataset,
@@ -394,24 +379,14 @@ Dataset merge_outcomes(std::vector<ChunkOutcome>& parts,
     if (strict && part.has_fault) {
       // Chunks before this one merged fault-free; this chunk's slice stops
       // at its first fault — exactly the sequential pass's state.
-      merge_report(report, part.report);
+      report.merge(std::move(part.report), options.quarantine_cap);
       throw util::CsvError(part.fault_message);
     }
 
-    merge_report(report, part.report);
+    report.merge(std::move(part.report), options.quarantine_cap);
     apply_meta(dataset, part);
     total_accepted += part.accepted.size();
     if (part.has_seen) prev = &part;
-  }
-
-  // Global quarantine cap: each chunk kept at most its first `cap` entries,
-  // and any globally-top-`cap` entry ranks at least as high within its own
-  // chunk, so truncating the offset-ordered concatenation reproduces the
-  // sequential retained set; the arithmetic keeps overflow exact.
-  if (report.quarantine.size() > options.quarantine_cap) {
-    report.quarantine_overflow +=
-        report.quarantine.size() - options.quarantine_cap;
-    report.quarantine.resize(options.quarantine_cap);
   }
 
   dataset.reserve(dataset.size() + total_accepted);
@@ -610,7 +585,7 @@ Dataset read_binary_buffer(std::string_view bytes,
     }
   }
   if (header_part.has_fault) {  // strict-mode header fault: fail fast
-    merge_report(report, header_part.report);
+    report.merge(std::move(header_part.report), options.quarantine_cap);
     throw util::CsvError(header_part.fault_message);
   }
   if (header_fatal) record_count = 0;

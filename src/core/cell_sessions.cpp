@@ -12,7 +12,9 @@ namespace ccms::core {
 CellSessionStats analyze_cell_sessions(const cdr::Dataset& dataset,
                                        std::int32_t truncation_cap) {
   CellSessionsAccumulator acc(truncation_cap);
-  for (const cdr::Connection& c : dataset.all()) acc.add(c);
+  dataset.for_each_car([&](CarId car, std::span<const cdr::Connection> conns) {
+    acc.add_car(car, conns);
+  });
   return std::move(acc).finalize();
 }
 

@@ -27,30 +27,14 @@ std::vector<int> bin_occurrences(int study_days) {
 
 ConcurrencyGrid ConcurrencyGrid::build(const cdr::Dataset& dataset,
                                        time::Seconds session_gap) {
-  // Pass 1: per car, the distinct (cell, absolute 15-minute bin) pairs its
-  // session legs straddle. Deduplicated per car, then accumulated globally.
-  ConcurrencyPairsAccumulator acc(dataset.study_days(), session_gap);
+  // Per car, the distinct (cell, absolute 15-minute bin) pairs its session
+  // legs straddle; deduplicated per car, then counted globally.
+  ConcurrencyCountsAccumulator acc(dataset.study_days(), session_gap);
   dataset.for_each_car([&](CarId car, std::span<const cdr::Connection> conns) {
     acc.add_car(car, conns);
   });
-  return from_pairs(std::move(acc).take_pairs(), dataset.study_days());
-}
-
-ConcurrencyGrid ConcurrencyGrid::from_pairs(std::vector<std::uint64_t> pairs,
-                                            int study_days) {
-  // Sort, run-length encode and delegate: multiplicity aggregation is the
-  // same whether the multiset arrives flat or as runs.
-  std::sort(pairs.begin(), pairs.end());
-  std::vector<std::uint64_t> keys;
-  std::vector<std::uint64_t> counts;
-  for (std::size_t i = 0; i < pairs.size();) {
-    std::size_t j = i + 1;
-    while (j < pairs.size() && pairs[j] == pairs[i]) ++j;
-    keys.push_back(pairs[i]);
-    counts.push_back(j - i);
-    i = j;
-  }
-  return from_bin_counts(keys, counts, study_days);
+  const auto [keys, counts] = std::move(acc).take_counts();
+  return from_bin_counts(keys, counts, dataset.study_days());
 }
 
 ConcurrencyGrid ConcurrencyGrid::from_bin_counts(

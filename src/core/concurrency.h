@@ -44,19 +44,11 @@ class ConcurrencyGrid {
   [[nodiscard]] static ConcurrencyGrid build(
       const cdr::Dataset& dataset, time::Seconds session_gap = cdr::kSessionGap);
 
-  /// Builds the grid from per-car (cell << 24) | absolute_bin observation
-  /// pairs (each car's pairs deduplicated, any car order — the list is
-  /// sorted globally, so the result depends only on the multiset). This is
-  /// the aggregation step behind `build` and the parallel executor's
-  /// ConcurrencyPairsAccumulator.
-  [[nodiscard]] static ConcurrencyGrid from_pairs(
-      std::vector<std::uint64_t> pairs, int study_days);
-
-  /// Same aggregation from the run-length form: strictly ascending unique
+  /// Builds the grid from the run-length form of the per-car deduplicated
+  /// (cell << 24) | absolute_bin observations: strictly ascending unique
   /// keys and a multiplicity per key (ConcurrencyCountsAccumulator's
-  /// output). from_pairs delegates here after sorting + run-length encoding
-  /// its flat list, so both entry points produce identical grids for the
-  /// same observation multiset.
+  /// output). The result depends only on the observation multiset. This is
+  /// the aggregation step behind `build` and run_study's fold.
   [[nodiscard]] static ConcurrencyGrid from_bin_counts(
       std::span<const std::uint64_t> keys,
       std::span<const std::uint64_t> counts, int study_days);

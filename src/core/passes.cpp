@@ -137,21 +137,6 @@ void PresenceAccumulator::add_car(CarId /*car*/,
   }
 }
 
-void PresenceAccumulator::add_car(const cdr::ColumnCarView& view) {
-  scratch_.reset();
-  const std::size_t n = view.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const time::Seconds start = view.start[i];
-    const DayRange range =
-        study_day_range(start, start + view.duration[i], days_);
-    DayBits& cell_bits = cell_days_[view.cell[i]];
-    for (std::int64_t d = range.first; d <= range.last; ++d) {
-      if (scratch_.set(d)) ++cars_per_day_[static_cast<std::size_t>(d)];
-      cell_bits.set(d);
-    }
-  }
-}
-
 void PresenceAccumulator::merge(PresenceAccumulator&& other) {
   for (std::size_t d = 0; d < cars_per_day_.size(); ++d) {
     cars_per_day_[d] += other.cars_per_day_[d];
@@ -202,25 +187,18 @@ ConnectedTimeAccumulator::ConnectedTimeAccumulator(int study_days,
 void ConnectedTimeAccumulator::add_car(
     CarId /*car*/, std::span<const cdr::Connection> records) {
   if (study_seconds_ <= 0) return;
-  const auto t_full = cdr::union_connected_time(records);
-  const auto t_trunc = cdr::union_connected_time_truncated(records, cap_);
-  full_.push_back(static_cast<double>(t_full) / study_seconds_);
-  truncated_.push_back(static_cast<double>(t_trunc) / study_seconds_);
-}
-
-void ConnectedTimeAccumulator::add_car(const cdr::ColumnCarView& view) {
-  if (study_seconds_ <= 0) return;
-  // Starts are ascending within a car, so feeding IntervalUnionRun directly
-  // performs the same add() sequence union_connected_time[_truncated] makes
-  // after its (no-op) sort — identical integer totals, no interval vector.
+  // Records are start-ordered within a car, and a union of start-ordered
+  // intervals does not depend on how equal starts are ordered, so feeding
+  // IntervalUnionRun directly yields the integer totals
+  // union_connected_time[_truncated] compute after their sort, without an
+  // interval vector. add() skips empty intervals, which is those
+  // functions' duration > 0 filter.
   cdr::IntervalUnionRun full;
   cdr::IntervalUnionRun truncated;
-  const std::size_t n = view.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const time::Seconds start = view.start[i];
-    const std::int32_t d = view.duration[i];
-    full.add(start, start + d);
-    truncated.add(start, start + cdr::truncated_duration(d, cap_));
+  for (const cdr::Connection& c : records) {
+    full.add(c.start, c.end());
+    truncated.add(c.start,
+                  c.start + cdr::truncated_duration(c.duration_s, cap_));
   }
   full_.push_back(static_cast<double>(full.total()) / study_seconds_);
   truncated_.push_back(static_cast<double>(truncated.total()) /
@@ -262,23 +240,6 @@ void DaysAccumulator::add_car(CarId car,
   days_per_car_.push_back(count);
 }
 
-void DaysAccumulator::add_car(const cdr::ColumnCarView& view) {
-  scratch_.reset();
-  int count = 0;
-  const int horizon = std::max(1, study_days_);
-  const std::size_t n = view.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const time::Seconds start = view.start[i];
-    const DayRange range =
-        study_day_range(start, start + view.duration[i], horizon);
-    for (std::int64_t d = range.first; d <= range.last; ++d) {
-      if (scratch_.set(d)) ++count;
-    }
-  }
-  cars_.push_back(CarId{view.car});
-  days_per_car_.push_back(count);
-}
-
 void DaysAccumulator::merge(DaysAccumulator&& other) {
   cars_.insert(cars_.end(), other.cars_.begin(), other.cars_.end());
   days_per_car_.insert(days_per_car_.end(), other.days_per_car_.begin(),
@@ -317,34 +278,6 @@ void BusyTimeAccumulator::add_car(CarId car,
   }
   CarBusyShare entry;
   entry.car = car;
-  entry.connected = total;
-  entry.share =
-      total > 0 ? static_cast<double>(busy) / static_cast<double>(total) : 0.0;
-  per_car_.push_back(entry);
-}
-
-void BusyTimeAccumulator::add_car(const cdr::ColumnCarView& view) {
-  time::Seconds busy = 0;
-  time::Seconds total = 0;
-  const std::size_t n = view.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    time::Seconds t = view.start[i];
-    const time::Seconds end = t + view.duration[i];
-    const CellId cell{view.cell[i]};
-    while (t < end) {
-      const time::Seconds next_bin =
-          (t / time::kSecondsPerBin15 + 1) * time::kSecondsPerBin15;
-      const time::Seconds slice_end = std::min(next_bin, end);
-      const time::Seconds slice = slice_end - t;
-      total += slice;
-      if (load_->busy(cell, time::bin15_of_week(t), threshold_)) {
-        busy += slice;
-      }
-      t = slice_end;
-    }
-  }
-  CarBusyShare entry;
-  entry.car = CarId{view.car};
   entry.connected = total;
   entry.share =
       total > 0 ? static_cast<double>(busy) / static_cast<double>(total) : 0.0;
@@ -460,20 +393,6 @@ void CarrierUsageAccumulator::add_car(
   }
 }
 
-void CarrierUsageAccumulator::add_car(const cdr::ColumnCarView& view) {
-  ++car_count_;
-  std::array<bool, net::kCarrierCount> used{};
-  const std::size_t n = view.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const CarrierId carrier = cells_->info(CellId{view.cell[i]}).carrier;
-    used[carrier.value] = true;
-    seconds_[carrier.value] += view.duration[i];
-  }
-  for (std::size_t k = 0; k < net::kCarrierCount; ++k) {
-    if (used[k]) ++car_counts_[k];
-  }
-}
-
 void CarrierUsageAccumulator::merge(const CarrierUsageAccumulator& other) {
   car_count_ += other.car_count_;
   for (std::size_t k = 0; k < net::kCarrierCount; ++k) {
@@ -503,45 +422,6 @@ CarrierUsage CarrierUsageAccumulator::finalize() const {
   return result;
 }
 
-// --- Concurrency pairs ------------------------------------------------------
-
-ConcurrencyPairsAccumulator::ConcurrencyPairsAccumulator(
-    int study_days, time::Seconds session_gap)
-    : total_bins_(static_cast<std::int64_t>(std::max(1, study_days)) *
-                  time::kBins15PerDay),
-      session_gap_(session_gap) {}
-
-void ConcurrencyPairsAccumulator::add_car(
-    CarId /*car*/, std::span<const cdr::Connection> records) {
-  scratch_.clear();
-  const auto sessions = cdr::aggregate_sessions(records, session_gap_);
-  for (const cdr::Session& s : sessions) {
-    for (const cdr::SessionLeg& leg : s.legs) {
-      const std::int64_t b0 = std::clamp<std::int64_t>(
-          leg.when.start / time::kSecondsPerBin15, 0, total_bins_ - 1);
-      const std::int64_t b1 = std::clamp<std::int64_t>(
-          (leg.when.end - 1) / time::kSecondsPerBin15, 0, total_bins_ - 1);
-      for (std::int64_t b = b0; b <= b1; ++b) {
-        scratch_.push_back(
-            (static_cast<std::uint64_t>(leg.cell.value) << 24) |
-            static_cast<std::uint64_t>(b));
-      }
-    }
-  }
-  std::sort(scratch_.begin(), scratch_.end());
-  scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                 scratch_.end());
-  pairs_.insert(pairs_.end(), scratch_.begin(), scratch_.end());
-}
-
-void ConcurrencyPairsAccumulator::merge(ConcurrencyPairsAccumulator&& other) {
-  pairs_.insert(pairs_.end(), other.pairs_.begin(), other.pairs_.end());
-}
-
-std::vector<std::uint64_t> ConcurrencyPairsAccumulator::take_pairs() && {
-  return std::move(pairs_);
-}
-
 // --- Concurrency counts -----------------------------------------------------
 
 ConcurrencyCountsAccumulator::ConcurrencyCountsAccumulator(
@@ -552,8 +432,6 @@ ConcurrencyCountsAccumulator::ConcurrencyCountsAccumulator(
 
 void ConcurrencyCountsAccumulator::add_car(
     CarId /*car*/, std::span<const cdr::Connection> records) {
-  // Identical per-car dedup to ConcurrencyPairsAccumulator::add_car; the
-  // deduped keys then feed the run store instead of a flat list.
   scratch_.clear();
   const auto sessions = cdr::aggregate_sessions(records, session_gap_);
   for (const cdr::Session& s : sessions) {
@@ -618,18 +496,9 @@ void CellSessionsAccumulator::flush_pending() {
   pending_.clear();
 }
 
-void CellSessionsAccumulator::add(const cdr::Connection& c) {
-  add_duration(c.duration_s);
-}
-
-void CellSessionsAccumulator::add_cell(
-    const cdr::Dataset& dataset, CellId /*cell*/,
-    std::span<const std::uint32_t> indices) {
-  for (const std::uint32_t idx : indices) add(dataset.at(idx));
-}
-
-void CellSessionsAccumulator::add_car(const cdr::ColumnCarView& view) {
-  for (const std::int32_t d : view.duration) add_duration(d);
+void CellSessionsAccumulator::add_car(
+    CarId /*car*/, std::span<const cdr::Connection> records) {
+  for (const cdr::Connection& c : records) add_duration(c.duration_s);
 }
 
 void CellSessionsAccumulator::merge(CellSessionsAccumulator&& other) {

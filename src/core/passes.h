@@ -1,23 +1,24 @@
-// The pass form of every §4 analysis: accumulate over one car-span or
-// cell-span, merge order-independently, finalize into the figure struct.
+// The pass form of every §4 analysis: accumulate over one car's records,
+// merge order-independently, finalize into the figure struct.
 //
 // The paper's pipeline reads the trace "repeatedly from two directions";
 // the batch driver used to reproduce that literally with ~10 independent
-// full passes. Each analysis is really a fold over group spans though —
-// cars for Figs 2/3/6/7, Tables 1-3 and §4.5, cells for Fig 9 — so this
-// header factors each one into an explicit accumulator with:
+// full passes. Each analysis is really a fold over car spans though — the
+// cell-grouped figures only need multisets that any car order yields (Fig 9
+// durations, Fig 10/11 (cell, bin) observations) — so this header factors
+// each one into an explicit accumulator with:
 //
-//   add_car(car, records) / add_cell(...)   fold one group span
-//   merge(other)                            combine adjacent range results
-//                                           (other's ids strictly after ours)
-//   finalize(...)                           derive the figure struct
+//   add_car(car, records)   fold one car's records, in start order
+//   merge(other)            combine adjacent range results
+//                           (other's car ids strictly after ours)
+//   finalize(...)           derive the figure struct
 //
-// Every merge is either integer addition, bitset OR, or concatenation in
-// ascending id order, so folding chunks on N threads and merging them in
-// chunk order is bitwise identical to the sequential fold for any N — the
-// property exec::parallel_over_spans exploits and the determinism suite
-// asserts. The sequential analyze_* entry points and the ccms::stream
-// operators are thin shells over these same cores.
+// Every merge is either integer addition, bitset OR, concatenation in
+// ascending car order or a merge of canonical run-length multisets, so
+// folding chunks on N threads and merging them in chunk order is bitwise
+// identical to the sequential fold for any N — the property run_study's
+// fold (core/study.cpp) exploits and the determinism suite asserts. The
+// sequential analyze_* entry points are thin shells over these same cores.
 #pragma once
 
 #include <array>
@@ -27,8 +28,7 @@
 #include <utility>
 #include <vector>
 
-#include "cdr/columnar.h"
-#include "cdr/dataset.h"
+#include "cdr/record.h"
 #include "cdr/session.h"
 #include "core/busy_time.h"
 #include "core/carrier_usage.h"
@@ -52,17 +52,11 @@ inline constexpr std::size_t kPassFlushRecords = std::size_t{1} << 16;
 /// Fig 2 / Table 1 pass: per-day distinct-car counts (cars partition across
 /// chunks, so counts add) and per-cell day bitsets (cells span chunks, so
 /// sets OR together).
-///
-/// Every accumulator below that takes a cdr::ColumnCarView overload consumes
-/// one car's decoded column spans directly — the out-of-core sweep's path.
-/// Each overload performs the exact arithmetic of its record-span twin, so
-/// the two paths are bitwise interchangeable.
 class PresenceAccumulator {
  public:
   explicit PresenceAccumulator(int study_days);
 
   void add_car(CarId car, std::span<const cdr::Connection> records);
-  void add_car(const cdr::ColumnCarView& view);
   void merge(PresenceAccumulator&& other);
   [[nodiscard]] DailyPresence finalize(std::uint32_t fleet_size) const;
 
@@ -80,7 +74,6 @@ class ConnectedTimeAccumulator {
   ConnectedTimeAccumulator(int study_days, std::int32_t truncation_cap);
 
   void add_car(CarId car, std::span<const cdr::Connection> records);
-  void add_car(const cdr::ColumnCarView& view);
   void merge(ConnectedTimeAccumulator&& other);
   [[nodiscard]] ConnectedTime finalize() &&;
 
@@ -98,7 +91,6 @@ class DaysAccumulator {
   explicit DaysAccumulator(int study_days);
 
   void add_car(CarId car, std::span<const cdr::Connection> records);
-  void add_car(const cdr::ColumnCarView& view);
   void merge(DaysAccumulator&& other);
   [[nodiscard]] DaysOnNetwork finalize() &&;
 
@@ -115,7 +107,6 @@ class BusyTimeAccumulator {
   BusyTimeAccumulator(const CellLoad* load, double threshold);
 
   void add_car(CarId car, std::span<const cdr::Connection> records);
-  void add_car(const cdr::ColumnCarView& view);
   void merge(BusyTimeAccumulator&& other);
   [[nodiscard]] BusyTime finalize() &&;
 
@@ -158,7 +149,6 @@ class CarrierUsageAccumulator {
   explicit CarrierUsageAccumulator(const net::CellTable* cells);
 
   void add_car(CarId car, std::span<const cdr::Connection> records);
-  void add_car(const cdr::ColumnCarView& view);
   void merge(const CarrierUsageAccumulator& other);
   [[nodiscard]] CarrierUsage finalize() const;
 
@@ -169,34 +159,15 @@ class CarrierUsageAccumulator {
   std::array<std::int64_t, net::kCarrierCount> seconds_{};
 };
 
-/// Fig 10/11 pass, car side: each car's deduplicated
-/// (cell, absolute 15-min bin) observations, appended in ascending car
-/// order. ConcurrencyGrid::from_pairs turns the merged list into per-cell
-/// profiles (it sorts globally, so the result only depends on the multiset).
-class ConcurrencyPairsAccumulator {
- public:
-  ConcurrencyPairsAccumulator(int study_days, time::Seconds session_gap);
-
-  void add_car(CarId car, std::span<const cdr::Connection> records);
-  void merge(ConcurrencyPairsAccumulator&& other);
-  [[nodiscard]] std::vector<std::uint64_t> take_pairs() &&;
-
- private:
-  std::int64_t total_bins_ = 0;
-  time::Seconds session_gap_ = cdr::kSessionGap;
-  std::vector<std::uint64_t> pairs_;       // (cell << 24) | absolute_bin
-  std::vector<std::uint64_t> scratch_;
-};
-
-/// Fig 10/11 pass, out-of-core car side: the same per-car deduplicated
-/// (cell << 24) | absolute_bin observations, but aggregated into sorted
-/// (key, multiplicity) runs instead of a flat pair list — O(distinct pairs)
-/// memory instead of O(observations), which is the difference between fitting
-/// and not fitting a 1M-car sweep. Raw per-car keys buffer in `pending_` and
-/// are sorted + merge-joined into the run store every kPassFlushRecords.
-/// The runs are a canonical encoding of the observation multiset, so merges
-/// commute and ConcurrencyGrid::from_bin_counts sees exactly the multiset
-/// ConcurrencyPairsAccumulator would have produced.
+/// Fig 10/11 pass, car side: each car's deduplicated (cell << 24) |
+/// absolute 15-min bin observations, aggregated into sorted (key,
+/// multiplicity) runs — O(distinct pairs) memory instead of O(observations),
+/// which is the difference between fitting and not fitting a 1M-car sweep.
+/// Raw per-car keys buffer in `pending_` and are sorted + merge-joined into
+/// the run store every kPassFlushRecords. The runs are a canonical encoding
+/// of the observation multiset, so merges commute and
+/// ConcurrencyGrid::from_bin_counts sees the same multiset for any car
+/// order or chunk partition.
 class ConcurrencyCountsAccumulator {
  public:
   ConcurrencyCountsAccumulator(int study_days, time::Seconds session_gap);
@@ -220,7 +191,7 @@ class ConcurrencyCountsAccumulator {
   std::vector<std::uint64_t> scratch_;
 };
 
-/// Fig 9 pass, cell side: connection durations and the truncated-duration
+/// Fig 9 pass: connection durations and the truncated-duration
 /// sum, exact as integers. Durations are kept run-length encoded (sorted
 /// unique values + multiplicities, with a pending buffer flushed every
 /// kPassFlushRecords), so the accumulator holds O(distinct durations), not
@@ -230,14 +201,9 @@ class CellSessionsAccumulator {
  public:
   explicit CellSessionsAccumulator(std::int32_t truncation_cap);
 
-  /// Folds one record (sequential whole-dataset path).
-  void add(const cdr::Connection& c);
-  /// Folds one cell's span of by-cell indices.
-  void add_cell(const cdr::Dataset& dataset, CellId cell,
-                std::span<const std::uint32_t> indices);
-  /// Folds one car's duration column (the out-of-core sweep is cell-blind
-  /// here: the duration multiset is all Fig 9 needs).
-  void add_car(const cdr::ColumnCarView& view);
+  /// Folds one car's durations (cell-blind: the duration multiset is all
+  /// Fig 9 needs, and any car order yields the same multiset).
+  void add_car(CarId car, std::span<const cdr::Connection> records);
   void merge(CellSessionsAccumulator&& other);
   [[nodiscard]] CellSessionStats finalize() &&;
 

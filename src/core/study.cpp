@@ -1,50 +1,94 @@
+// The batch study driver: one fold, two record sources.
+//
+// run_study (an in-memory Dataset) and run_study_columnar* (a CCDR2 file
+// that is never materialized) run the same fold: fixed chunks of
+// car-aligned records, each folded through the §3 clean and then every §4
+// pass accumulator, merged in ascending chunk order. Determinism and
+// exactness rest on three properties, argued in DESIGN.md §13:
+//
+//   1. Every chunk boundary is a car boundary — CCDR2 blocks are
+//      car-aligned, and Dataset windows are cut forward to the next car — so
+//      the accumulators' "other's ids strictly after ours" merge contract
+//      holds for the fixed chunk partition.
+//   2. The chunk partition is a function of the input alone (never of the
+//      thread count), and chunks merge in ascending order — so every pool
+//      width folds and merges the identical operation sequence.
+//   3. CCDR2 record screening (§7) resets its previous-record state at every
+//      block boundary on the sequential path too (see cdr::RecordScreen), so
+//      the per-chunk ingest accounting tiles exactly. Dataset records were
+//      screened when they were ingested, so that source skips the screen.
+//
+// Memory: chunks are folded in waves of a few per thread; each wave's
+// partials merge into the running total before the next wave starts, so at
+// most O(threads) chunk partials are ever alive, each holding run-length
+// state sized by distinct values, not records. A CCDR2 file's consumed
+// blocks are dropped from the page cache as the sweep passes them.
+
 #include "core/study.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "cdr/columnar.h"
 #include "cdr/io.h"
 #include "core/passes.h"
-#include "exec/parallel.h"
 #include "exec/thread_pool.h"
 
 namespace ccms::core {
 
 namespace {
 
-/// Every car-grouped §4 pass fused into one sweep state: a single traversal
-/// of each car span feeds all seven accumulators, replacing the seven
-/// independent full passes the batch driver used to make.
-struct CarSweep {
+/// CCDR2 blocks per chunk, and Dataset records per chunk before the cut
+/// moves forward to the next car boundary. Both fixed — never derived from
+/// the thread count — so the merge sequence (and with it every figure) is
+/// identical for every pool width.
+constexpr std::size_t kBlocksPerChunk = 4;
+constexpr std::size_t kRecordsPerChunk = std::size_t{1} << 16;
+
+/// All per-chunk sweep state: ingest + clean accounting and every pass
+/// accumulator.
+struct StudySweep {
+  cdr::IngestReport ingest;
+  cdr::CleanReport clean;
+  std::uint32_t max_car = 0;
+  bool any_accepted = false;
+
   PresenceAccumulator presence;
   ConnectedTimeAccumulator connected;
   DaysAccumulator days;
   BusyTimeAccumulator busy;
   HandoverAccumulator handovers;
   CarrierUsageAccumulator carriers;
-  ConcurrencyPairsAccumulator concurrency;
+  ConcurrencyCountsAccumulator concurrency;
+  CellSessionsAccumulator cell_sessions;
 
-  CarSweep(const cdr::Dataset& dataset, const net::CellTable& cells,
-           const CellLoad& load, const StudyOptions& options)
-      : presence(dataset.study_days()),
-        connected(dataset.study_days(), options.truncation_cap),
-        days(dataset.study_days()),
+  StudySweep(int study_days, const net::CellTable& cells, const CellLoad& load,
+             const StudyOptions& options)
+      : presence(study_days),
+        connected(study_days, options.truncation_cap),
+        days(study_days),
         busy(&load, options.busy_prb_threshold),
         handovers(&cells, cdr::kJourneyGap),
         carriers(&cells),
-        concurrency(dataset.study_days(), cdr::kSessionGap) {}
-
-  void add_car(const cdr::Dataset::CarSpan& span) {
-    presence.add_car(span.car, span.records);
-    connected.add_car(span.car, span.records);
-    days.add_car(span.car, span.records);
-    busy.add_car(span.car, span.records);
-    handovers.add_car(span.car, span.records);
-    carriers.add_car(span.car, span.records);
-    concurrency.add_car(span.car, span.records);
-  }
+        concurrency(study_days, cdr::kSessionGap),
+        cell_sessions(options.truncation_cap) {}
 
   /// Merges a sweep whose cars are strictly after this one's.
-  void merge(CarSweep&& other) {
+  /// `quarantine_cap` is the global quarantine bound.
+  void merge(StudySweep&& other, std::size_t quarantine_cap) {
+    ingest.merge(std::move(other.ingest), quarantine_cap);
+    clean.input_records += other.clean.input_records;
+    clean.hour_artifacts_removed += other.clean.hour_artifacts_removed;
+    clean.nonpositive_removed += other.clean.nonpositive_removed;
+    clean.implausible_removed += other.clean.implausible_removed;
+    max_car = std::max(max_car, other.max_car);
+    any_accepted = any_accepted || other.any_accepted;
     presence.merge(std::move(other.presence));
     connected.merge(std::move(other.connected));
     days.merge(std::move(other.days));
@@ -52,58 +96,240 @@ struct CarSweep {
     handovers.merge(std::move(other.handovers));
     carriers.merge(other.carriers);
     concurrency.merge(std::move(other.concurrency));
+    cell_sessions.merge(std::move(other.cell_sessions));
   }
 };
+
+/// Per-thread staging: the decoded CCDR2 block and the current car's
+/// cleaned records. Kept thread_local rather than inside the chunk
+/// accumulators so scratch capacity scales with the thread count, not the
+/// chunk count.
+struct SweepScratch {
+  cdr::ColumnBlock block;
+  std::vector<cdr::Connection> car;
+};
+
+SweepScratch& scratch_for_thread() {
+  thread_local SweepScratch scratch;
+  return scratch;
+}
+
+/// Feeds the staged car's records to every accumulator and clears the
+/// stage.
+void flush_car(StudySweep& acc, std::vector<cdr::Connection>& car) {
+  if (car.empty()) return;
+  const CarId id = car.front().car;
+  acc.presence.add_car(id, car);
+  acc.connected.add_car(id, car);
+  acc.days.add_car(id, car);
+  acc.busy.add_car(id, car);
+  acc.handovers.add_car(id, car);
+  acc.carriers.add_car(id, car);
+  acc.concurrency.add_car(id, car);
+  acc.cell_sessions.add_car(id, car);
+  car.clear();
+}
+
+/// Folds one ingested record: clean (§3), then stage it with its car. The
+/// accounting mirrors cdr::clean record for record.
+void fold_record(StudySweep& acc, std::vector<cdr::Connection>& car,
+                 const cdr::Connection& c, const cdr::CleanOptions& clean) {
+  acc.any_accepted = true;
+  acc.max_car = std::max(acc.max_car, c.car.value);
+  if (!cdr::survives_clean(c, clean, acc.clean)) return;
+  if (!car.empty() && car.back().car != c.car) flush_car(acc, car);
+  car.push_back(c);
+}
+
+/// In-memory source: windows of kRecordsPerChunk records of a finalized
+/// Dataset, each end cut forward to the next car boundary (a car with more
+/// records than a window leaves the following windows empty).
+class DatasetSource {
+ public:
+  DatasetSource(const cdr::Dataset& dataset, const StudyOptions& options)
+      : records_(dataset.all()), clean_(options.clean) {}
+
+  [[nodiscard]] std::size_t chunks() const {
+    return (records_.size() + kRecordsPerChunk - 1) / kRecordsPerChunk;
+  }
+
+  void fold(StudySweep& acc, std::size_t chunk, SweepScratch& s) const {
+    const std::size_t end = cut((chunk + 1) * kRecordsPerChunk);
+    for (std::size_t i = cut(chunk * kRecordsPerChunk); i < end; ++i) {
+      fold_record(acc, s.car, records_[i], clean_);
+    }
+  }
+
+  void release(std::size_t /*first*/, std::size_t /*last*/) const {}
+
+ private:
+  /// The first car boundary at or after record `i`.
+  [[nodiscard]] std::size_t cut(std::size_t i) const {
+    i = std::min(i, records_.size());
+    while (i > 0 && i < records_.size() &&
+           records_[i].car == records_[i - 1].car) {
+      ++i;
+    }
+    return i;
+  }
+
+  std::span<const cdr::Connection> records_;
+  const cdr::CleanOptions& clean_;
+};
+
+/// CCDR2 source: kBlocksPerChunk car-aligned blocks per chunk, each
+/// decoded and screened (§7) before the clean; the screen/clean order and
+/// accounting mirror read_columnar + cdr::clean record for record.
+class ColumnarSource {
+ public:
+  ColumnarSource(const cdr::ColumnarFile& file, const StudyOptions& options,
+                 const std::string& label)
+      : file_(file), options_(options), label_(label) {
+    file_.advise_sequential();
+  }
+
+  [[nodiscard]] std::size_t chunks() const {
+    return (file_.blocks().size() + kBlocksPerChunk - 1) / kBlocksPerChunk;
+  }
+
+  void fold(StudySweep& acc, std::size_t chunk, SweepScratch& s) const {
+    cdr::RecordScreen screen(options_.ingest, acc.ingest, label_);
+    const std::size_t lo = chunk * kBlocksPerChunk;
+    const std::size_t hi =
+        std::min(file_.blocks().size(), lo + kBlocksPerChunk);
+    for (std::size_t b = lo; b < hi; ++b) {
+      if (!screen.enter_block(file_, b, s.block)) continue;
+      const std::uint64_t offset = file_.blocks()[b].offset;
+      const cdr::ColumnBlock& block = s.block;
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        const cdr::Connection c{CarId{block.car[i]}, CellId{block.cell[i]},
+                                block.start[i], block.duration[i]};
+        if (screen.screen(c, offset)) {
+          fold_record(acc, s.car, c, options_.clean);
+        }
+      }
+    }
+  }
+
+  /// Drops the page-cache pages of chunks [first, last).
+  void release(std::size_t first, std::size_t last) const {
+    const std::size_t n = file_.blocks().size();
+    file_.drop_consumed(std::min(n, first * kBlocksPerChunk),
+                        std::min(n, last * kBlocksPerChunk));
+  }
+
+ private:
+  const cdr::ColumnarFile& file_;
+  const StudyOptions& options_;
+  const std::string& label_;
+};
+
+/// The one fold: every chunk of `source`, in waves, merged in ascending
+/// order into one sweep, then finalized into the report. `study_days` and
+/// `fleet_size` are the input's declared geometry; `ingest` is the
+/// accounting of the stages before the fold (open-time faults for CCDR2,
+/// empty for a Dataset).
+template <typename Source>
+StudyReport run_fold(const Source& source, int study_days,
+                     std::uint32_t fleet_size, const net::CellTable& cells,
+                     const CellLoad& load, const StudyOptions& options,
+                     cdr::IngestReport ingest) {
+  exec::ThreadPool pool(options.threads);
+  const std::size_t chunks = source.chunks();
+  const std::size_t cap = options.ingest.quarantine_cap;
+
+  StudySweep total(study_days, cells, load, options);
+  // Fold in waves of a few chunks per thread; merge each wave (ascending)
+  // into the running total before the next starts. The wave width only
+  // schedules work — the fold/merge sequence, hence the result, is the
+  // same for every width.
+  const std::size_t wave =
+      std::max<std::size_t>(std::size_t{2} * static_cast<std::size_t>(
+                                                 std::max(1, pool.size())),
+                            2);
+  std::vector<std::optional<StudySweep>> partials(std::min(wave, chunks));
+  for (std::size_t first = 0; first < chunks; first += wave) {
+    const std::size_t count = std::min(wave, chunks - first);
+    pool.parallel_for(count, [&](std::size_t i) {
+      StudySweep acc(study_days, cells, load, options);
+      SweepScratch& s = scratch_for_thread();
+      s.car.clear();  // a strict-mode throw can leave a car staged
+      source.fold(acc, first + i, s);
+      flush_car(acc, s.car);
+      partials[i].emplace(std::move(acc));
+    });
+    for (std::size_t i = 0; i < count; ++i) {
+      total.merge(std::move(*partials[i]), cap);
+      partials[i].reset();
+    }
+    source.release(first, first + count);
+  }
+
+  // The fleet-size bump Dataset::finalize applies: accepted records can
+  // name cars beyond the header's declared fleet (a finalized Dataset
+  // already covers its own cars, so this never fires for that source).
+  if (total.any_accepted && fleet_size < total.max_car + 1) {
+    fleet_size = total.max_car + 1;
+  }
+
+  StudyReport report;
+  ingest.merge(std::move(total.ingest), cap);
+  report.ingest = std::move(ingest);
+  report.clean = total.clean;
+  report.presence = total.presence.finalize(fleet_size);
+  report.connected_time = std::move(total.connected).finalize();
+  report.days = std::move(total.days).finalize();
+  report.busy_time = std::move(total.busy).finalize();
+  report.segmentation =
+      segment_cars(report.days, report.busy_time, options.segmentation);
+  report.cell_sessions = std::move(total.cell_sessions).finalize();
+  report.handovers = std::move(total.handovers).finalize();
+  report.carriers = total.carriers.finalize();
+
+  const auto [keys, counts] = std::move(total.concurrency).take_counts();
+  const ConcurrencyGrid grid =
+      ConcurrencyGrid::from_bin_counts(keys, counts, study_days);
+  report.clusters =
+      cluster_busy_cells(grid, load, options.cluster_load_threshold,
+                         options.cluster_k, options.cluster_seed);
+  return report;
+}
+
+StudyReport run_dataset(const cdr::Dataset& raw, const net::CellTable& cells,
+                        const CellLoad& load, const StudyOptions& options,
+                        cdr::IngestReport ingest) {
+  return run_fold(DatasetSource(raw, options), raw.study_days(),
+                  raw.fleet_size(), cells, load, options, std::move(ingest));
+}
+
+StudyReport run_columnar_impl(const cdr::ColumnarFile& file,
+                              const net::CellTable& cells, const CellLoad& load,
+                              const StudyOptions& options,
+                              cdr::IngestReport base,
+                              const std::string& label) {
+  base.mode = options.ingest.mode;
+  if (file.study_days() <= 0) {
+    // A header without a day count (hand-built or zeroed) leaves the study
+    // geometry unknown until every record is seen, which is exactly what
+    // streaming cannot do. Such a file is degenerate — materialize it (its
+    // finalize() derives study_days) and fold the Dataset instead.
+    const cdr::Dataset raw =
+        cdr::materialize_columnar(file, options.ingest, base, label);
+    return run_dataset(raw, cells, load, options, std::move(base));
+  }
+  return run_fold(ColumnarSource(file, options, label), file.study_days(),
+                  file.fleet_size(), cells, load, options, std::move(base));
+}
 
 }  // namespace
 
 StudyReport run_study(const cdr::Dataset& raw, const net::CellTable& cells,
                       const CellLoad& load, const StudyOptions& options) {
-  StudyReport report;
-  const cdr::Dataset cleaned = cdr::clean(raw, options.clean, report.clean);
-
-  exec::ThreadPool pool(options.threads);
-
-  // Sweep 1: one pass over car spans feeds every car-grouped analysis.
-  // Fixed-size chunks folded sequentially and merged in ascending car order
-  // make the result bitwise identical for any pool size.
-  const auto car_spans = cleaned.car_spans();
-  CarSweep sweep = exec::parallel_over_spans(
-      pool, car_spans,
-      [&] { return CarSweep(cleaned, cells, load, options); },
-      [](CarSweep& acc, const cdr::Dataset::CarSpan& span) {
-        acc.add_car(span);
-      },
-      [](CarSweep& into, CarSweep&& from) { into.merge(std::move(from)); });
-
-  // Sweep 2: one pass over cell spans for the cell-grouped analysis.
-  const auto cell_spans = cleaned.cell_spans();
-  CellSessionsAccumulator cell_acc = exec::parallel_over_spans(
-      pool, cell_spans,
-      [&] { return CellSessionsAccumulator(options.truncation_cap); },
-      [&](CellSessionsAccumulator& acc, const cdr::Dataset::CellSpan& span) {
-        acc.add_cell(cleaned, span.cell, span.indices);
-      },
-      [](CellSessionsAccumulator& into, CellSessionsAccumulator&& from) {
-        into.merge(std::move(from));
-      });
-
-  report.presence = sweep.presence.finalize(cleaned.fleet_size());
-  report.connected_time = std::move(sweep.connected).finalize();
-  report.days = std::move(sweep.days).finalize();
-  report.busy_time = std::move(sweep.busy).finalize();
-  report.segmentation =
-      segment_cars(report.days, report.busy_time, options.segmentation);
-  report.cell_sessions = std::move(cell_acc).finalize();
-  report.handovers = std::move(sweep.handovers).finalize();
-  report.carriers = sweep.carriers.finalize();
-
-  const ConcurrencyGrid grid = ConcurrencyGrid::from_pairs(
-      std::move(sweep.concurrency).take_pairs(), cleaned.study_days());
-  report.clusters =
-      cluster_busy_cells(grid, load, options.cluster_load_threshold,
-                         options.cluster_k, options.cluster_seed);
-  return report;
+  if (!raw.finalized()) {
+    throw std::invalid_argument(
+        "run_study: the dataset is not finalized (call Dataset::finalize())");
+  }
+  return run_dataset(raw, cells, load, options, {});
 }
 
 StudyReport run_study_csv(const std::string& path, const net::CellTable& cells,
@@ -123,6 +349,249 @@ StudyReport run_study_binary(const std::string& path,
   StudyReport report = run_study(raw, cells, load, options);
   report.ingest = std::move(ingest);
   return report;
+}
+
+StudyReport run_study_columnar(const cdr::ColumnarFile& file,
+                               const net::CellTable& cells,
+                               const CellLoad& load,
+                               const StudyOptions& options,
+                               cdr::IngestReport open_report) {
+  return run_columnar_impl(file, cells, load, options, std::move(open_report),
+                           "<columnar>");
+}
+
+StudyReport run_study_columnar(const std::string& path,
+                               const net::CellTable& cells,
+                               const CellLoad& load,
+                               const StudyOptions& options) {
+  cdr::IngestReport base;
+  const cdr::ColumnarFile file =
+      cdr::ColumnarFile::open(path, options.ingest, base);
+  return run_columnar_impl(file, cells, load, options, std::move(base), path);
+}
+
+StudyReport run_study_columnar_buffer(std::string_view bytes,
+                                      const net::CellTable& cells,
+                                      const CellLoad& load,
+                                      const StudyOptions& options,
+                                      const std::string& label) {
+  cdr::IngestReport base;
+  const cdr::ColumnarFile file =
+      cdr::ColumnarFile::from_buffer(bytes, options.ingest, base, label);
+  return run_columnar_impl(file, cells, load, options, std::move(base), label);
+}
+
+// --- Report identity --------------------------------------------------------
+
+namespace {
+
+/// First-difference recorder (mirrors stream/report.cpp's comparator).
+struct IdentityCheck {
+  std::string* why;
+  bool ok = true;
+  bool check(bool equal, const char* field) {
+    if (!equal && ok) {
+      ok = false;
+      if (why != nullptr) *why = field;
+    }
+    return equal;
+  }
+};
+
+bool distributions_equal(const stats::EmpiricalDistribution& a,
+                         const stats::EmpiricalDistribution& b) {
+  return a.values() == b.values() && a.counts() == b.counts();
+}
+
+bool stats_equal(const PresenceStat& a, const PresenceStat& b) {
+  return a.mean == b.mean && a.stdev == b.stdev;
+}
+
+bool fits_equal(const stats::LinearFit& a, const stats::LinearFit& b) {
+  return a.slope == b.slope && a.intercept == b.intercept &&
+         a.r_squared == b.r_squared && a.n == b.n;
+}
+
+bool rows_equal(const SegmentRow& a, const SegmentRow& b) {
+  return a.busy == b.busy && a.non_busy == b.non_busy && a.both == b.both;
+}
+
+}  // namespace
+
+bool study_reports_identical(const StudyReport& a, const StudyReport& b,
+                             std::string* why) {
+  IdentityCheck id{why};
+
+  // Ingest + clean accounting.
+  id.check(a.ingest.mode == b.ingest.mode, "ingest.mode");
+  id.check(a.ingest.bytes_consumed == b.ingest.bytes_consumed,
+           "ingest.bytes_consumed");
+  id.check(a.ingest.rows_read == b.ingest.rows_read, "ingest.rows_read");
+  id.check(a.ingest.records_accepted == b.ingest.records_accepted,
+           "ingest.records_accepted");
+  id.check(a.ingest.records_dropped == b.ingest.records_dropped,
+           "ingest.records_dropped");
+  id.check(a.ingest.records_repaired == b.ingest.records_repaired,
+           "ingest.records_repaired");
+  id.check(a.ingest.bom_stripped == b.ingest.bom_stripped,
+           "ingest.bom_stripped");
+  id.check(a.ingest.counters == b.ingest.counters, "ingest.counters");
+  id.check(a.ingest.quarantine_overflow == b.ingest.quarantine_overflow,
+           "ingest.quarantine_overflow");
+  {
+    bool equal = a.ingest.quarantine.size() == b.ingest.quarantine.size();
+    for (std::size_t i = 0; equal && i < a.ingest.quarantine.size(); ++i) {
+      const auto& qa = a.ingest.quarantine[i];
+      const auto& qb = b.ingest.quarantine[i];
+      equal = qa.fault == qb.fault && qa.byte_offset == qb.byte_offset &&
+              qa.reason == qb.reason && qa.raw == qb.raw;
+    }
+    id.check(equal, "ingest.quarantine");
+  }
+  id.check(a.clean.input_records == b.clean.input_records,
+           "clean.input_records");
+  id.check(a.clean.hour_artifacts_removed == b.clean.hour_artifacts_removed,
+           "clean.hour_artifacts_removed");
+  id.check(a.clean.nonpositive_removed == b.clean.nonpositive_removed,
+           "clean.nonpositive_removed");
+  id.check(a.clean.implausible_removed == b.clean.implausible_removed,
+           "clean.implausible_removed");
+
+  // Presence (Fig 2, Table 1).
+  id.check(a.presence.cars_fraction == b.presence.cars_fraction,
+           "presence.cars_fraction");
+  id.check(a.presence.cells_fraction == b.presence.cells_fraction,
+           "presence.cells_fraction");
+  id.check(fits_equal(a.presence.cars_trend, b.presence.cars_trend),
+           "presence.cars_trend");
+  id.check(fits_equal(a.presence.cells_trend, b.presence.cells_trend),
+           "presence.cells_trend");
+  for (std::size_t d = 0; d < 7; ++d) {
+    id.check(stats_equal(a.presence.cars_by_weekday[d],
+                         b.presence.cars_by_weekday[d]),
+             "presence.cars_by_weekday");
+    id.check(stats_equal(a.presence.cells_by_weekday[d],
+                         b.presence.cells_by_weekday[d]),
+             "presence.cells_by_weekday");
+  }
+  id.check(stats_equal(a.presence.cars_overall, b.presence.cars_overall),
+           "presence.cars_overall");
+  id.check(stats_equal(a.presence.cells_overall, b.presence.cells_overall),
+           "presence.cells_overall");
+  id.check(a.presence.fleet_size == b.presence.fleet_size,
+           "presence.fleet_size");
+  id.check(a.presence.ever_touched_cells == b.presence.ever_touched_cells,
+           "presence.ever_touched_cells");
+
+  // Connected time (Fig 3).
+  id.check(distributions_equal(a.connected_time.full, b.connected_time.full),
+           "connected_time.full");
+  id.check(distributions_equal(a.connected_time.truncated,
+                               b.connected_time.truncated),
+           "connected_time.truncated");
+  id.check(a.connected_time.mean_full == b.connected_time.mean_full,
+           "connected_time.mean_full");
+  id.check(a.connected_time.mean_truncated == b.connected_time.mean_truncated,
+           "connected_time.mean_truncated");
+  id.check(a.connected_time.p995_full == b.connected_time.p995_full,
+           "connected_time.p995_full");
+  id.check(a.connected_time.p995_truncated == b.connected_time.p995_truncated,
+           "connected_time.p995_truncated");
+  id.check(a.connected_time.study_days == b.connected_time.study_days,
+           "connected_time.study_days");
+
+  // Days on network (Fig 6).
+  id.check(a.days.cars == b.days.cars, "days.cars");
+  id.check(a.days.days_per_car == b.days.days_per_car, "days.days_per_car");
+  id.check(a.days.histogram.counts() == b.days.histogram.counts(),
+           "days.histogram");
+  id.check(a.days.knee_days == b.days.knee_days, "days.knee_days");
+
+  // Busy time (Fig 7).
+  {
+    bool equal = a.busy_time.per_car.size() == b.busy_time.per_car.size();
+    for (std::size_t i = 0; equal && i < a.busy_time.per_car.size(); ++i) {
+      const auto& ca = a.busy_time.per_car[i];
+      const auto& cb = b.busy_time.per_car[i];
+      equal = ca.car == cb.car && ca.share == cb.share &&
+              ca.connected == cb.connected;
+    }
+    id.check(equal, "busy_time.per_car");
+  }
+  id.check(distributions_equal(a.busy_time.shares, b.busy_time.shares),
+           "busy_time.shares");
+  id.check(a.busy_time.fraction_over_half == b.busy_time.fraction_over_half,
+           "busy_time.fraction_over_half");
+  id.check(a.busy_time.fraction_all == b.busy_time.fraction_all,
+           "busy_time.fraction_all");
+
+  // Segmentation (Table 2).
+  id.check(rows_equal(a.segmentation.rare_a, b.segmentation.rare_a),
+           "segmentation.rare_a");
+  id.check(rows_equal(a.segmentation.common_a, b.segmentation.common_a),
+           "segmentation.common_a");
+  id.check(rows_equal(a.segmentation.rare_b, b.segmentation.rare_b),
+           "segmentation.rare_b");
+  id.check(rows_equal(a.segmentation.common_b, b.segmentation.common_b),
+           "segmentation.common_b");
+  id.check(a.segmentation.car_count == b.segmentation.car_count,
+           "segmentation.car_count");
+
+  // Cell sessions (Fig 9).
+  id.check(distributions_equal(a.cell_sessions.durations,
+                               b.cell_sessions.durations),
+           "cell_sessions.durations");
+  id.check(a.cell_sessions.median == b.cell_sessions.median,
+           "cell_sessions.median");
+  id.check(a.cell_sessions.mean_full == b.cell_sessions.mean_full,
+           "cell_sessions.mean_full");
+  id.check(a.cell_sessions.mean_truncated == b.cell_sessions.mean_truncated,
+           "cell_sessions.mean_truncated");
+  id.check(a.cell_sessions.cdf_at_cap == b.cell_sessions.cdf_at_cap,
+           "cell_sessions.cdf_at_cap");
+  id.check(a.cell_sessions.cap == b.cell_sessions.cap, "cell_sessions.cap");
+
+  // Handovers (§4.5).
+  id.check(a.handovers.counts == b.handovers.counts, "handovers.counts");
+  id.check(
+      distributions_equal(a.handovers.per_session, b.handovers.per_session),
+      "handovers.per_session");
+  id.check(a.handovers.median == b.handovers.median, "handovers.median");
+  id.check(a.handovers.p70 == b.handovers.p70, "handovers.p70");
+  id.check(a.handovers.p90 == b.handovers.p90, "handovers.p90");
+  id.check(distributions_equal(a.handovers.stations_per_session,
+                               b.handovers.stations_per_session),
+           "handovers.stations_per_session");
+  id.check(a.handovers.session_count == b.handovers.session_count,
+           "handovers.session_count");
+
+  // Carriers (Table 3).
+  id.check(a.carriers.cars_fraction == b.carriers.cars_fraction,
+           "carriers.cars_fraction");
+  id.check(a.carriers.time_fraction == b.carriers.time_fraction,
+           "carriers.time_fraction");
+  id.check(a.carriers.seconds == b.carriers.seconds, "carriers.seconds");
+  id.check(a.carriers.car_count == b.carriers.car_count, "carriers.car_count");
+
+  // Clusters (Fig 11).
+  id.check(a.clusters.busy_cells == b.clusters.busy_cells,
+           "clusters.busy_cells");
+  id.check(a.clusters.assignment == b.clusters.assignment,
+           "clusters.assignment");
+  {
+    bool equal = a.clusters.clusters.size() == b.clusters.clusters.size();
+    for (std::size_t i = 0; equal && i < a.clusters.clusters.size(); ++i) {
+      const auto& ka = a.clusters.clusters[i];
+      const auto& kb = b.clusters.clusters[i];
+      equal = ka.centroid == kb.centroid && ka.cell_count == kb.cell_count &&
+              ka.mean_cars == kb.mean_cars && ka.peak_cars == kb.peak_cars;
+    }
+    id.check(equal, "clusters.clusters");
+  }
+  id.check(a.clusters.load_threshold == b.clusters.load_threshold,
+           "clusters.load_threshold");
+
+  return id.ok;
 }
 
 }  // namespace ccms::core

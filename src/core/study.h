@@ -38,7 +38,7 @@ struct StudyOptions {
   double cluster_load_threshold = 0.70;  ///< Fig 11 busy-radio filter
   int cluster_k = 2;                     ///< Fig 11 k
   std::uint64_t cluster_seed = 1;
-  /// Executor width for the two span sweeps (see exec::ThreadPool):
+  /// Executor width for the study's fold (see exec::ThreadPool):
   /// 1 = sequential (default), 0 = hardware_concurrency, N = N threads.
   /// The report is bitwise identical for every value.
   int threads = 1;
@@ -60,8 +60,12 @@ struct StudyReport {
   ConcurrencyClusters clusters;   // Fig 11
 };
 
-/// Runs cleaning + every analysis. `raw` may contain artifacts; it is
-/// cleaned per `options.clean` first (§3), then analysed.
+/// Runs cleaning + every analysis. `raw` may contain artifacts; each record
+/// is cleaned per `options.clean` (§3) on its way into the analyses, without
+/// copying the dataset. `raw` must be finalized (every producer — simulate,
+/// the cdr readers, anonymize — returns it so); throws std::invalid_argument
+/// otherwise. The report's ingest accounting stays default-constructed: the
+/// records were screened when they were ingested.
 [[nodiscard]] StudyReport run_study(const cdr::Dataset& raw,
                                     const net::CellTable& cells,
                                     const CellLoad& load,
@@ -81,12 +85,14 @@ struct StudyReport {
                                            const CellLoad& load,
                                            const StudyOptions& options = {});
 
-/// The out-of-core pipeline: streams an open CCDR2 file block by block,
-/// never materializing a Dataset. Peak memory is bounded by the decode
-/// window (a few blocks per executor thread) plus the pass accumulators'
-/// run-length state — independent of the record count. The report is
-/// bitwise identical to read_columnar + run_study, at every thread width
-/// (see DESIGN.md §13 for the argument). `open_report` is the ingest
+/// The out-of-core pipeline: streams an open CCDR2 file block by block
+/// through run_study's fold, never materializing a Dataset. Peak memory is
+/// bounded by the decode window (a few blocks per executor thread) plus the
+/// pass accumulators' run-length state — independent of the record count.
+/// The report is bitwise identical to read_columnar + run_study, at every
+/// thread width (see DESIGN.md §13 for the argument). A header without a
+/// day count (study_days <= 0) is materialized first, since its geometry is
+/// unknown until every record is seen. `open_report` is the ingest
 /// report ColumnarFile::open/from_buffer filled (structural faults, bytes
 /// consumed); record-level accounting is merged into it.
 [[nodiscard]] StudyReport run_study_columnar(const cdr::ColumnarFile& file,

@@ -1,6 +1,7 @@
-// Deterministic parallel reduction over indexed items (e.g. Dataset spans).
+// Deterministic parallel reduction over indexed items (Dataset::finalize's
+// maxima and distinct-cell count).
 //
-// The contract that makes run_study bitwise identical for any thread count:
+// The contract that makes the result bitwise identical for any thread count:
 //
 //   1. Items [0, n) are cut into fixed-size chunks. Chunk boundaries depend
 //      only on n and chunk_size — never on how many threads execute them.
@@ -21,11 +22,6 @@
 #include "exec/thread_pool.h"
 
 namespace ccms::exec {
-
-/// Default chunk width for span sweeps: small enough to load-balance a
-/// skewed fleet across 8+ threads, large enough to amortise the per-chunk
-/// accumulator setup.
-inline constexpr std::size_t kDefaultChunk = 64;
 
 /// Folds items [0, n) into one accumulator. `make()` builds an empty
 /// accumulator, `fold(acc, i)` integrates item i, `merge(into, from)`
@@ -58,19 +54,6 @@ auto parallel_reduce(ThreadPool& pool, std::size_t n, std::size_t chunk_size,
     merge(result, std::move(*parts[c]));
   }
   return result;
-}
-
-/// parallel_reduce over a materialised span list (Dataset::car_spans() /
-/// cell_spans()): fold(acc, span) is called for every span, chunked and
-/// merged deterministically as above.
-template <typename Span, typename MakeFn, typename FoldFn, typename MergeFn>
-auto parallel_over_spans(ThreadPool& pool, const std::vector<Span>& spans,
-                         const MakeFn& make, const FoldFn& fold,
-                         const MergeFn& merge,
-                         std::size_t chunk_size = kDefaultChunk) {
-  return parallel_reduce(
-      pool, spans.size(), chunk_size, make,
-      [&](auto& acc, std::size_t i) { fold(acc, spans[i]); }, merge);
 }
 
 }  // namespace ccms::exec

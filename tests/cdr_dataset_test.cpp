@@ -114,53 +114,6 @@ TEST(DatasetTest, ForEachCarVisitsAscending) {
   EXPECT_EQ(cars, (std::vector<std::uint32_t>{1, 3}));
 }
 
-TEST(DatasetTest, CarSpansMatchForEachCar) {
-  const Dataset d = make_dataset({
-      conn(3, 0, 0, 10),
-      conn(1, 0, 0, 10),
-      conn(3, 0, 100, 10),
-      conn(7, 2, 50, 10),
-  });
-  const auto spans = d.car_spans();
-
-  std::size_t visit = 0;
-  d.for_each_car([&](CarId car, std::span<const Connection> records) {
-    ASSERT_LT(visit, spans.size());
-    EXPECT_EQ(spans[visit].car, car);
-    ASSERT_EQ(spans[visit].records.size(), records.size());
-    EXPECT_EQ(spans[visit].records.data(), records.data());
-    ++visit;
-  });
-  EXPECT_EQ(visit, spans.size());
-}
-
-TEST(DatasetTest, CellSpansMatchForEachCell) {
-  const Dataset d = make_dataset({
-      conn(0, 9, 0, 10),
-      conn(1, 5, 200, 10),
-      conn(2, 5, 100, 10),
-      conn(3, 5, 50, 10),
-  });
-  const auto spans = d.cell_spans();
-
-  std::size_t visit = 0;
-  d.for_each_cell([&](CellId cell, std::span<const std::uint32_t> indices) {
-    ASSERT_LT(visit, spans.size());
-    EXPECT_EQ(spans[visit].cell, cell);
-    ASSERT_EQ(spans[visit].indices.size(), indices.size());
-    EXPECT_EQ(spans[visit].indices.data(), indices.data());
-    ++visit;
-  });
-  EXPECT_EQ(visit, spans.size());
-}
-
-TEST(DatasetTest, SpansOfEmptyDatasetAreEmpty) {
-  Dataset d;
-  d.finalize();
-  EXPECT_TRUE(d.car_spans().empty());
-  EXPECT_TRUE(d.cell_spans().empty());
-}
-
 TEST(DatasetTest, BulkAdd) {
   std::vector<Connection> records = {conn(0, 0, 0, 10), conn(1, 1, 5, 10)};
   Dataset d;

@@ -17,8 +17,13 @@ using test::make_dataset;
 
 class IoTest : public ::testing::Test {
  protected:
+  /// Per-test file: ctest runs this binary's cases in parallel processes,
+  /// and a shared name would race with another case's TearDown.
   std::string path(const char* name) {
-    return (std::filesystem::temp_directory_path() / name).string();
+    const std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    return (std::filesystem::temp_directory_path() / (test + "_" + name))
+        .string();
   }
   void TearDown() override {
     std::remove(path("ccms_io.csv").c_str());

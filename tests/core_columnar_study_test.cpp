@@ -193,6 +193,41 @@ TEST(ColumnarStudyTest, StrictModeThrowsOnCorruptBlock) {
                util::CsvError);
 }
 
+TEST(ColumnarStudyTest, HeaderWithoutStudyDaysMatchesMaterializedStudy) {
+  // A CCDR2 header with study_days = 0 leaves the geometry unknown until
+  // every record is seen: the sweep materializes the file and folds the
+  // Dataset instead, which must equal read_columnar + run_study.
+  const sim::Study& study = fixture_study();
+  const CellLoad load = CellLoad::from_background(study.background);
+  const StudyOptions options = columnar_options();
+  std::ostringstream out(std::ios::binary);
+  cdr::ColumnarWriter writer(out, study.raw.fleet_size(), /*study_days=*/0,
+                             /*block_records=*/512);
+  for (const cdr::Connection& c : study.raw.all()) writer.add(c);
+  writer.finish();
+  const std::string bytes = out.str();
+
+  cdr::IngestReport ingest;
+  const cdr::Dataset round =
+      cdr::read_columnar_buffer(bytes, options.ingest, ingest);
+  ASSERT_GT(round.study_days(), 0);
+  StudyReport materialized =
+      run_study(round, study.topology.cells(), load, options);
+  materialized.ingest = ingest;
+  ASSERT_GT(materialized.clean.total_removed(), 0u);
+
+  for (const int width : {1, 8}) {
+    StudyOptions wide = options;
+    wide.threads = width;
+    const StudyReport swept = run_study_columnar_buffer(
+        bytes, study.topology.cells(), load, wide);
+    std::string why;
+    EXPECT_TRUE(study_reports_identical(materialized, swept, &why))
+        << "width " << width << ": " << why;
+    EXPECT_EQ(swept.connected_time.study_days, round.study_days());
+  }
+}
+
 TEST(ColumnarStudyTest, ComparatorReportsFirstDivergence) {
   const sim::Study& study = fixture_study();
   const CellLoad load = CellLoad::from_background(study.background);

@@ -7,8 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <span>
-#include <vector>
+#include <string>
 
 #include "fleet/archetype.h"
 #include "fleet/car.h"
@@ -16,130 +15,6 @@
 
 namespace ccms::core {
 namespace {
-
-void expect_span_equal(std::span<const double> a, std::span<const double> b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]) << i;
-}
-
-void expect_fit_equal(const stats::LinearFit& a, const stats::LinearFit& b) {
-  EXPECT_EQ(a.slope, b.slope);
-  EXPECT_EQ(a.intercept, b.intercept);
-  EXPECT_EQ(a.r_squared, b.r_squared);
-  EXPECT_EQ(a.n, b.n);
-}
-
-void expect_row_equal(const SegmentRow& a, const SegmentRow& b) {
-  EXPECT_EQ(a.busy, b.busy);
-  EXPECT_EQ(a.non_busy, b.non_busy);
-  EXPECT_EQ(a.both, b.both);
-}
-
-void expect_report_equal(const StudyReport& a, const StudyReport& b) {
-  EXPECT_EQ(a.clean.input_records, b.clean.input_records);
-  EXPECT_EQ(a.clean.total_removed(), b.clean.total_removed());
-
-  // Presence (Fig 2 / Table 1).
-  expect_span_equal(a.presence.cars_fraction, b.presence.cars_fraction);
-  expect_span_equal(a.presence.cells_fraction, b.presence.cells_fraction);
-  expect_fit_equal(a.presence.cars_trend, b.presence.cars_trend);
-  expect_fit_equal(a.presence.cells_trend, b.presence.cells_trend);
-  for (int w = 0; w < 7; ++w) {
-    const auto i = static_cast<std::size_t>(w);
-    EXPECT_EQ(a.presence.cars_by_weekday[i].mean,
-              b.presence.cars_by_weekday[i].mean);
-    EXPECT_EQ(a.presence.cars_by_weekday[i].stdev,
-              b.presence.cars_by_weekday[i].stdev);
-    EXPECT_EQ(a.presence.cells_by_weekday[i].mean,
-              b.presence.cells_by_weekday[i].mean);
-    EXPECT_EQ(a.presence.cells_by_weekday[i].stdev,
-              b.presence.cells_by_weekday[i].stdev);
-  }
-  EXPECT_EQ(a.presence.cars_overall.mean, b.presence.cars_overall.mean);
-  EXPECT_EQ(a.presence.cars_overall.stdev, b.presence.cars_overall.stdev);
-  EXPECT_EQ(a.presence.fleet_size, b.presence.fleet_size);
-  EXPECT_EQ(a.presence.ever_touched_cells, b.presence.ever_touched_cells);
-
-  // Connected time (Fig 3).
-  expect_span_equal(a.connected_time.full.sorted(),
-                    b.connected_time.full.sorted());
-  expect_span_equal(a.connected_time.truncated.sorted(),
-                    b.connected_time.truncated.sorted());
-  EXPECT_EQ(a.connected_time.mean_full, b.connected_time.mean_full);
-  EXPECT_EQ(a.connected_time.mean_truncated, b.connected_time.mean_truncated);
-  EXPECT_EQ(a.connected_time.p995_full, b.connected_time.p995_full);
-  EXPECT_EQ(a.connected_time.p995_truncated, b.connected_time.p995_truncated);
-
-  // Days on network (Fig 6).
-  ASSERT_EQ(a.days.cars.size(), b.days.cars.size());
-  for (std::size_t i = 0; i < a.days.cars.size(); ++i) {
-    ASSERT_EQ(a.days.cars[i], b.days.cars[i]);
-    ASSERT_EQ(a.days.days_per_car[i], b.days.days_per_car[i]);
-  }
-  expect_span_equal(a.days.histogram.counts(), b.days.histogram.counts());
-  EXPECT_EQ(a.days.knee_days, b.days.knee_days);
-
-  // Busy time (Fig 7).
-  ASSERT_EQ(a.busy_time.per_car.size(), b.busy_time.per_car.size());
-  for (std::size_t i = 0; i < a.busy_time.per_car.size(); ++i) {
-    ASSERT_EQ(a.busy_time.per_car[i].car, b.busy_time.per_car[i].car);
-    ASSERT_EQ(a.busy_time.per_car[i].share, b.busy_time.per_car[i].share);
-    ASSERT_EQ(a.busy_time.per_car[i].connected,
-              b.busy_time.per_car[i].connected);
-  }
-  EXPECT_EQ(a.busy_time.fraction_over_half, b.busy_time.fraction_over_half);
-  EXPECT_EQ(a.busy_time.fraction_all, b.busy_time.fraction_all);
-
-  // Segmentation (Table 2).
-  expect_row_equal(a.segmentation.rare_a, b.segmentation.rare_a);
-  expect_row_equal(a.segmentation.common_a, b.segmentation.common_a);
-  expect_row_equal(a.segmentation.rare_b, b.segmentation.rare_b);
-  expect_row_equal(a.segmentation.common_b, b.segmentation.common_b);
-  EXPECT_EQ(a.segmentation.car_count, b.segmentation.car_count);
-
-  // Cell sessions (Fig 9).
-  expect_span_equal(a.cell_sessions.durations.sorted(),
-                    b.cell_sessions.durations.sorted());
-  EXPECT_EQ(a.cell_sessions.median, b.cell_sessions.median);
-  EXPECT_EQ(a.cell_sessions.mean_full, b.cell_sessions.mean_full);
-  EXPECT_EQ(a.cell_sessions.mean_truncated, b.cell_sessions.mean_truncated);
-  EXPECT_EQ(a.cell_sessions.cdf_at_cap, b.cell_sessions.cdf_at_cap);
-
-  // Handovers (§4.5).
-  EXPECT_EQ(a.handovers.counts, b.handovers.counts);
-  EXPECT_EQ(a.handovers.session_count, b.handovers.session_count);
-  expect_span_equal(a.handovers.per_session.sorted(),
-                    b.handovers.per_session.sorted());
-  expect_span_equal(a.handovers.stations_per_session.sorted(),
-                    b.handovers.stations_per_session.sorted());
-  EXPECT_EQ(a.handovers.median, b.handovers.median);
-  EXPECT_EQ(a.handovers.p70, b.handovers.p70);
-  EXPECT_EQ(a.handovers.p90, b.handovers.p90);
-
-  // Carriers (Table 3).
-  EXPECT_EQ(a.carriers.car_count, b.carriers.car_count);
-  EXPECT_EQ(a.carriers.cars_fraction, b.carriers.cars_fraction);
-  EXPECT_EQ(a.carriers.time_fraction, b.carriers.time_fraction);
-  EXPECT_EQ(a.carriers.seconds, b.carriers.seconds);
-
-  // Clusters (Fig 11).
-  ASSERT_EQ(a.clusters.busy_cells.size(), b.clusters.busy_cells.size());
-  for (std::size_t i = 0; i < a.clusters.busy_cells.size(); ++i) {
-    ASSERT_EQ(a.clusters.busy_cells[i], b.clusters.busy_cells[i]);
-  }
-  EXPECT_EQ(a.clusters.assignment, b.clusters.assignment);
-  ASSERT_EQ(a.clusters.clusters.size(), b.clusters.clusters.size());
-  for (std::size_t i = 0; i < a.clusters.clusters.size(); ++i) {
-    expect_span_equal(a.clusters.clusters[i].centroid,
-                      b.clusters.clusters[i].centroid);
-    EXPECT_EQ(a.clusters.clusters[i].cell_count,
-              b.clusters.clusters[i].cell_count);
-    EXPECT_EQ(a.clusters.clusters[i].mean_cars,
-              b.clusters.clusters[i].mean_cars);
-    EXPECT_EQ(a.clusters.clusters[i].peak_cars,
-              b.clusters.clusters[i].peak_cars);
-  }
-}
 
 void expect_thread_invariant(const sim::Study& study) {
   const auto load = CellLoad::from_background(study.background);
@@ -151,8 +26,9 @@ void expect_thread_invariant(const sim::Study& study) {
     options.threads = threads;
     const StudyReport r =
         run_study(study.raw, study.topology.cells(), load, options);
-    SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    expect_report_equal(base, r);
+    std::string why;
+    EXPECT_TRUE(study_reports_identical(base, r, &why))
+        << "threads=" << threads << ": " << why;
   }
 }
 
@@ -213,9 +89,11 @@ TEST(DeterminismTest, HardwareWidthMatchesSequential) {
   sequential.threads = 1;
   StudyOptions hardware;
   hardware.threads = 0;
-  expect_report_equal(
+  std::string why;
+  EXPECT_TRUE(study_reports_identical(
       run_study(study.raw, study.topology.cells(), load, sequential),
-      run_study(study.raw, study.topology.cells(), load, hardware));
+      run_study(study.raw, study.topology.cells(), load, hardware), &why))
+      << why;
 }
 
 }  // namespace

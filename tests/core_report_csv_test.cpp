@@ -26,8 +26,14 @@ class ReportCsvTest : public ::testing::Test {
     return r;
   }
 
+  // Per-test directory: ctest runs this binary's cases in parallel
+  // processes, and TearDown removes the whole directory.
   std::string dir_ =
-      (std::filesystem::temp_directory_path() / "ccms_report_csv").string();
+      (std::filesystem::temp_directory_path() /
+       (std::string(
+            ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+        "_ccms_report_csv"))
+          .string();
 
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

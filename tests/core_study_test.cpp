@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "core/report.h"
 #include "sim/simulator.h"
@@ -156,6 +157,24 @@ TEST_F(StudyTest, OptionsArePluggable) {
   EXPECT_LT(tight.cell_sessions.mean_truncated,
             report().cell_sessions.mean_truncated);
   EXPECT_EQ(tight.cell_sessions.cap, 120);
+}
+
+TEST_F(StudyTest, RequiresFinalizedDataset) {
+  // The fold reads records in finalize() order and takes the study
+  // geometry from the dataset, so an unfinalized one is refused.
+  const auto load = CellLoad::from_background(study().background);
+  cdr::Dataset raw;
+  raw.add(cdr::Connection{CarId{1}, CellId{0}, 100, 60});
+  raw.add(cdr::Connection{CarId{0}, CellId{0}, 50, 60});
+  EXPECT_THROW((void)run_study(raw, study().topology.cells(), load),
+               std::invalid_argument);
+
+  raw.finalize();
+  EXPECT_NO_THROW((void)run_study(raw, study().topology.cells(), load));
+
+  raw.add(cdr::Connection{CarId{2}, CellId{0}, 10, 60});  // unfinalizes
+  EXPECT_THROW((void)run_study(raw, study().topology.cells(), load),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -116,15 +116,5 @@ TEST(ParallelReduceTest, ZeroItemsReturnsEmptyAccumulator) {
   EXPECT_EQ(acc, 42);
 }
 
-TEST(ParallelOverSpansTest, FoldsEverySpan) {
-  const std::vector<int> spans = {3, 1, 4, 1, 5, 9, 2, 6};
-  ThreadPool pool(2);
-  const int total = parallel_over_spans(
-      pool, spans, [] { return 0; }, [](int& acc, int s) { acc += s; },
-      [](int& into, int from) { into += from; },
-      /*chunk_size=*/2);
-  EXPECT_EQ(total, 31);
-}
-
 }  // namespace
 }  // namespace ccms::exec

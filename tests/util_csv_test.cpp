@@ -72,9 +72,13 @@ TEST(CsvEscapeTest, RoundTripThroughSplit) {
 
 class CsvFileTest : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "ccms_csv_test.csv")
-                          .string();
+  // Per-test file: ctest runs this binary's cases in parallel processes.
+  std::string path_ =
+      (std::filesystem::temp_directory_path() /
+       (std::string(
+            ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+        "_ccms_csv_test.csv"))
+          .string();
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
