@@ -365,10 +365,14 @@ bool write_batch_json_out_of_core(int max_threads, int cars, int days,
       return false;
     }
     cdr::ColumnarWriter writer(out, static_cast<std::uint32_t>(cars), days);
-    sorter.merge([&](const cdr::Connection& c) { writer.add(c); });
+    // merge() spills the tail run before it emits and deletes every run
+    // file before it returns, so the run count is read while it emits.
+    sorter.merge([&](const cdr::Connection& c) {
+      spill_runs = sorter.run_count();
+      writer.add(c);
+    });
     records = writer.finish();
     bytes_spilled = sorter.bytes_spilled();
-    spill_runs = sorter.run_count();
   }
   const double gen_s = gen_timer.seconds();
   const auto columnar_bytes =

@@ -40,6 +40,8 @@ struct CleanReport {
   [[nodiscard]] std::size_t total_removed() const {
     return hour_artifacts_removed + nonpositive_removed + implausible_removed;
   }
+
+  friend bool operator==(const CleanReport&, const CleanReport&) = default;
 };
 
 /// The §3 screen for one record, shared by clean() and the batch study's

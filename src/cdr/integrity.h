@@ -105,6 +105,9 @@ struct QuarantineEntry {
   std::uint64_t byte_offset = 0;  ///< offset of the row/record in the input
   std::string reason;             ///< human-readable diagnosis
   std::string raw;                ///< raw CSV row / binary record hex prefix
+
+  friend bool operator==(const QuarantineEntry&,
+                         const QuarantineEntry&) = default;
 };
 
 /// Per-ingest integrity accounting. Invariant after a lenient read:
@@ -140,6 +143,8 @@ struct IngestReport {
   /// sequential pass retains, and the overflow count stays exact. `mode`
   /// and `bytes_consumed` describe the whole input and are left alone.
   void merge(IngestReport&& later, std::size_t quarantine_cap);
+
+  friend bool operator==(const IngestReport&, const IngestReport&) = default;
 };
 
 }  // namespace ccms::cdr

@@ -19,6 +19,8 @@ struct CarBusyShare {
   CarId car;
   double share = 0;                ///< busy seconds / connected seconds, [0,1]
   time::Seconds connected = 0;     ///< total connected seconds (full durations)
+
+  friend bool operator==(const CarBusyShare&, const CarBusyShare&) = default;
 };
 
 /// Output of the busy-time analysis.
@@ -31,6 +33,8 @@ struct BusyTime {
   /// Fraction of cars with share >= 0.95 (paper: ~1% "all their time";
   /// Fig 7b's top bucket).
   double fraction_all = 0;
+
+  friend bool operator==(const BusyTime&, const BusyTime&) = default;
 };
 
 /// Computes each car's busy share. Connections are split across 15-minute

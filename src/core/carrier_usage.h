@@ -23,6 +23,8 @@ struct CarrierUsage {
   /// Absolute connected seconds per carrier.
   std::array<double, net::kCarrierCount> seconds{};
   std::size_t car_count = 0;
+
+  friend bool operator==(const CarrierUsage&, const CarrierUsage&) = default;
 };
 
 /// Runs the analysis; the carrier of each record comes from joining the

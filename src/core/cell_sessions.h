@@ -25,6 +25,9 @@ struct CellSessionStats {
   /// 600 s" means this is ~0.73).
   double cdf_at_cap = 0;
   std::int32_t cap = 600;
+
+  friend bool operator==(const CellSessionStats&,
+                         const CellSessionStats&) = default;
 };
 
 /// Runs the duration analysis on a finalized (cleaned) dataset.

@@ -25,6 +25,9 @@ struct ConcurrencyCluster {
   std::size_t cell_count = 0;
   double mean_cars = 0;           ///< average of the centroid
   double peak_cars = 0;           ///< peak of the centroid
+
+  friend bool operator==(const ConcurrencyCluster&,
+                         const ConcurrencyCluster&) = default;
 };
 
 /// Output of the Fig 11 analysis.
@@ -37,6 +40,9 @@ struct ConcurrencyClusters {
   /// concurrency majority, matching the paper's "Cluster 1").
   std::vector<ConcurrencyCluster> clusters;
   double load_threshold = 0;
+
+  friend bool operator==(const ConcurrencyClusters&,
+                         const ConcurrencyClusters&) = default;
 };
 
 /// Runs the clustering. `load_threshold` is the weekly-average U_PRB filter

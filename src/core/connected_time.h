@@ -29,6 +29,8 @@ struct ConnectedTime {
     return fraction * study_days * 24.0;
   }
   int study_days = 0;
+
+  friend bool operator==(const ConnectedTime&, const ConnectedTime&) = default;
 };
 
 /// Runs the analysis over a finalized (already cleaned) dataset.

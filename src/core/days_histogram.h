@@ -25,6 +25,8 @@ struct DaysOnNetwork {
   /// Detected drop-off knee (bin index ~ number of days), -1 if none: the
   /// data-derived counterpart of the paper's eyeballed 10-day boundary.
   int knee_days = -1;
+
+  friend bool operator==(const DaysOnNetwork&, const DaysOnNetwork&) = default;
 };
 
 /// Runs the analysis over a finalized dataset. A car is "on the network" on

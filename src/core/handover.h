@@ -53,6 +53,8 @@ struct HandoverStats {
                            static_cast<double>(total)
                      : 0.0;
   }
+
+  friend bool operator==(const HandoverStats&, const HandoverStats&) = default;
 };
 
 /// Runs the analysis. `journey_gap` is the session gap (§4.5: 600 s).

@@ -21,6 +21,8 @@ namespace ccms::core {
 struct PresenceStat {
   double mean = 0;
   double stdev = 0;
+
+  friend bool operator==(const PresenceStat&, const PresenceStat&) = default;
 };
 
 /// Output of the presence analysis.
@@ -43,6 +45,8 @@ struct DailyPresence {
   /// Denominators.
   std::uint32_t fleet_size = 0;
   std::size_t ever_touched_cells = 0;
+
+  friend bool operator==(const DailyPresence&, const DailyPresence&) = default;
 };
 
 /// Runs the analysis. A car/cell counts as present on every day its

@@ -33,6 +33,9 @@ struct SegmentationConfig {
   int rare_days_b = 30;   ///< second boundary (rows 3-4)
   double hi_share = 0.65; ///< busy-typical threshold
   double lo_share = 0.35; ///< non-busy-typical threshold
+
+  friend bool operator==(const SegmentationConfig&,
+                         const SegmentationConfig&) = default;
 };
 
 /// One row of Table 2: fractions of the car population (sum = total).
@@ -41,6 +44,8 @@ struct SegmentRow {
   double non_busy = 0;
   double both = 0;
   [[nodiscard]] double total() const { return busy + non_busy + both; }
+
+  friend bool operator==(const SegmentRow&, const SegmentRow&) = default;
 };
 
 /// The four Table 2 rows.
@@ -51,6 +56,8 @@ struct Segmentation {
   SegmentRow common_b;
   std::size_t car_count = 0;
   SegmentationConfig config;
+
+  friend bool operator==(const Segmentation&, const Segmentation&) = default;
 };
 
 /// Classifies one busy share.

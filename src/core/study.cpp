@@ -383,215 +383,25 @@ StudyReport run_study_columnar_buffer(std::string_view bytes,
 
 // --- Report identity --------------------------------------------------------
 
-namespace {
-
-/// First-difference recorder (mirrors stream/report.cpp's comparator).
-struct IdentityCheck {
-  std::string* why;
-  bool ok = true;
-  bool check(bool equal, const char* field) {
-    if (!equal && ok) {
-      ok = false;
-      if (why != nullptr) *why = field;
-    }
-    return equal;
-  }
-};
-
-bool distributions_equal(const stats::EmpiricalDistribution& a,
-                         const stats::EmpiricalDistribution& b) {
-  return a.values() == b.values() && a.counts() == b.counts();
-}
-
-bool stats_equal(const PresenceStat& a, const PresenceStat& b) {
-  return a.mean == b.mean && a.stdev == b.stdev;
-}
-
-bool fits_equal(const stats::LinearFit& a, const stats::LinearFit& b) {
-  return a.slope == b.slope && a.intercept == b.intercept &&
-         a.r_squared == b.r_squared && a.n == b.n;
-}
-
-bool rows_equal(const SegmentRow& a, const SegmentRow& b) {
-  return a.busy == b.busy && a.non_busy == b.non_busy && a.both == b.both;
-}
-
-}  // namespace
-
 bool study_reports_identical(const StudyReport& a, const StudyReport& b,
                              std::string* why) {
-  IdentityCheck id{why};
-
-  // Ingest + clean accounting.
-  id.check(a.ingest.mode == b.ingest.mode, "ingest.mode");
-  id.check(a.ingest.bytes_consumed == b.ingest.bytes_consumed,
-           "ingest.bytes_consumed");
-  id.check(a.ingest.rows_read == b.ingest.rows_read, "ingest.rows_read");
-  id.check(a.ingest.records_accepted == b.ingest.records_accepted,
-           "ingest.records_accepted");
-  id.check(a.ingest.records_dropped == b.ingest.records_dropped,
-           "ingest.records_dropped");
-  id.check(a.ingest.records_repaired == b.ingest.records_repaired,
-           "ingest.records_repaired");
-  id.check(a.ingest.bom_stripped == b.ingest.bom_stripped,
-           "ingest.bom_stripped");
-  id.check(a.ingest.counters == b.ingest.counters, "ingest.counters");
-  id.check(a.ingest.quarantine_overflow == b.ingest.quarantine_overflow,
-           "ingest.quarantine_overflow");
-  {
-    bool equal = a.ingest.quarantine.size() == b.ingest.quarantine.size();
-    for (std::size_t i = 0; equal && i < a.ingest.quarantine.size(); ++i) {
-      const auto& qa = a.ingest.quarantine[i];
-      const auto& qb = b.ingest.quarantine[i];
-      equal = qa.fault == qb.fault && qa.byte_offset == qb.byte_offset &&
-              qa.reason == qb.reason && qa.raw == qb.raw;
-    }
-    id.check(equal, "ingest.quarantine");
-  }
-  id.check(a.clean.input_records == b.clean.input_records,
-           "clean.input_records");
-  id.check(a.clean.hour_artifacts_removed == b.clean.hour_artifacts_removed,
-           "clean.hour_artifacts_removed");
-  id.check(a.clean.nonpositive_removed == b.clean.nonpositive_removed,
-           "clean.nonpositive_removed");
-  id.check(a.clean.implausible_removed == b.clean.implausible_removed,
-           "clean.implausible_removed");
-
-  // Presence (Fig 2, Table 1).
-  id.check(a.presence.cars_fraction == b.presence.cars_fraction,
-           "presence.cars_fraction");
-  id.check(a.presence.cells_fraction == b.presence.cells_fraction,
-           "presence.cells_fraction");
-  id.check(fits_equal(a.presence.cars_trend, b.presence.cars_trend),
-           "presence.cars_trend");
-  id.check(fits_equal(a.presence.cells_trend, b.presence.cells_trend),
-           "presence.cells_trend");
-  for (std::size_t d = 0; d < 7; ++d) {
-    id.check(stats_equal(a.presence.cars_by_weekday[d],
-                         b.presence.cars_by_weekday[d]),
-             "presence.cars_by_weekday");
-    id.check(stats_equal(a.presence.cells_by_weekday[d],
-                         b.presence.cells_by_weekday[d]),
-             "presence.cells_by_weekday");
-  }
-  id.check(stats_equal(a.presence.cars_overall, b.presence.cars_overall),
-           "presence.cars_overall");
-  id.check(stats_equal(a.presence.cells_overall, b.presence.cells_overall),
-           "presence.cells_overall");
-  id.check(a.presence.fleet_size == b.presence.fleet_size,
-           "presence.fleet_size");
-  id.check(a.presence.ever_touched_cells == b.presence.ever_touched_cells,
-           "presence.ever_touched_cells");
-
-  // Connected time (Fig 3).
-  id.check(distributions_equal(a.connected_time.full, b.connected_time.full),
-           "connected_time.full");
-  id.check(distributions_equal(a.connected_time.truncated,
-                               b.connected_time.truncated),
-           "connected_time.truncated");
-  id.check(a.connected_time.mean_full == b.connected_time.mean_full,
-           "connected_time.mean_full");
-  id.check(a.connected_time.mean_truncated == b.connected_time.mean_truncated,
-           "connected_time.mean_truncated");
-  id.check(a.connected_time.p995_full == b.connected_time.p995_full,
-           "connected_time.p995_full");
-  id.check(a.connected_time.p995_truncated == b.connected_time.p995_truncated,
-           "connected_time.p995_truncated");
-  id.check(a.connected_time.study_days == b.connected_time.study_days,
-           "connected_time.study_days");
-
-  // Days on network (Fig 6).
-  id.check(a.days.cars == b.days.cars, "days.cars");
-  id.check(a.days.days_per_car == b.days.days_per_car, "days.days_per_car");
-  id.check(a.days.histogram.counts() == b.days.histogram.counts(),
-           "days.histogram");
-  id.check(a.days.knee_days == b.days.knee_days, "days.knee_days");
-
-  // Busy time (Fig 7).
-  {
-    bool equal = a.busy_time.per_car.size() == b.busy_time.per_car.size();
-    for (std::size_t i = 0; equal && i < a.busy_time.per_car.size(); ++i) {
-      const auto& ca = a.busy_time.per_car[i];
-      const auto& cb = b.busy_time.per_car[i];
-      equal = ca.car == cb.car && ca.share == cb.share &&
-              ca.connected == cb.connected;
-    }
-    id.check(equal, "busy_time.per_car");
-  }
-  id.check(distributions_equal(a.busy_time.shares, b.busy_time.shares),
-           "busy_time.shares");
-  id.check(a.busy_time.fraction_over_half == b.busy_time.fraction_over_half,
-           "busy_time.fraction_over_half");
-  id.check(a.busy_time.fraction_all == b.busy_time.fraction_all,
-           "busy_time.fraction_all");
-
-  // Segmentation (Table 2).
-  id.check(rows_equal(a.segmentation.rare_a, b.segmentation.rare_a),
-           "segmentation.rare_a");
-  id.check(rows_equal(a.segmentation.common_a, b.segmentation.common_a),
-           "segmentation.common_a");
-  id.check(rows_equal(a.segmentation.rare_b, b.segmentation.rare_b),
-           "segmentation.rare_b");
-  id.check(rows_equal(a.segmentation.common_b, b.segmentation.common_b),
-           "segmentation.common_b");
-  id.check(a.segmentation.car_count == b.segmentation.car_count,
-           "segmentation.car_count");
-
-  // Cell sessions (Fig 9).
-  id.check(distributions_equal(a.cell_sessions.durations,
-                               b.cell_sessions.durations),
-           "cell_sessions.durations");
-  id.check(a.cell_sessions.median == b.cell_sessions.median,
-           "cell_sessions.median");
-  id.check(a.cell_sessions.mean_full == b.cell_sessions.mean_full,
-           "cell_sessions.mean_full");
-  id.check(a.cell_sessions.mean_truncated == b.cell_sessions.mean_truncated,
-           "cell_sessions.mean_truncated");
-  id.check(a.cell_sessions.cdf_at_cap == b.cell_sessions.cdf_at_cap,
-           "cell_sessions.cdf_at_cap");
-  id.check(a.cell_sessions.cap == b.cell_sessions.cap, "cell_sessions.cap");
-
-  // Handovers (§4.5).
-  id.check(a.handovers.counts == b.handovers.counts, "handovers.counts");
-  id.check(
-      distributions_equal(a.handovers.per_session, b.handovers.per_session),
-      "handovers.per_session");
-  id.check(a.handovers.median == b.handovers.median, "handovers.median");
-  id.check(a.handovers.p70 == b.handovers.p70, "handovers.p70");
-  id.check(a.handovers.p90 == b.handovers.p90, "handovers.p90");
-  id.check(distributions_equal(a.handovers.stations_per_session,
-                               b.handovers.stations_per_session),
-           "handovers.stations_per_session");
-  id.check(a.handovers.session_count == b.handovers.session_count,
-           "handovers.session_count");
-
-  // Carriers (Table 3).
-  id.check(a.carriers.cars_fraction == b.carriers.cars_fraction,
-           "carriers.cars_fraction");
-  id.check(a.carriers.time_fraction == b.carriers.time_fraction,
-           "carriers.time_fraction");
-  id.check(a.carriers.seconds == b.carriers.seconds, "carriers.seconds");
-  id.check(a.carriers.car_count == b.carriers.car_count, "carriers.car_count");
-
-  // Clusters (Fig 11).
-  id.check(a.clusters.busy_cells == b.clusters.busy_cells,
-           "clusters.busy_cells");
-  id.check(a.clusters.assignment == b.clusters.assignment,
-           "clusters.assignment");
-  {
-    bool equal = a.clusters.clusters.size() == b.clusters.clusters.size();
-    for (std::size_t i = 0; equal && i < a.clusters.clusters.size(); ++i) {
-      const auto& ka = a.clusters.clusters[i];
-      const auto& kb = b.clusters.clusters[i];
-      equal = ka.centroid == kb.centroid && ka.cell_count == kb.cell_count &&
-              ka.mean_cars == kb.mean_cars && ka.peak_cars == kb.peak_cars;
-    }
-    id.check(equal, "clusters.clusters");
-  }
-  id.check(a.clusters.load_threshold == b.clusters.load_threshold,
-           "clusters.load_threshold");
-
-  return id.ok;
+  // One defaulted operator== per member: every field of every member
+  // compares, so a new field cannot escape the check.
+  const char* differing =
+        a.ingest != b.ingest                 ? "ingest"
+      : a.clean != b.clean                   ? "clean"
+      : a.presence != b.presence             ? "presence"
+      : a.connected_time != b.connected_time ? "connected_time"
+      : a.days != b.days                     ? "days"
+      : a.busy_time != b.busy_time           ? "busy_time"
+      : a.segmentation != b.segmentation     ? "segmentation"
+      : a.cell_sessions != b.cell_sessions   ? "cell_sessions"
+      : a.handovers != b.handovers           ? "handovers"
+      : a.carriers != b.carriers             ? "carriers"
+      : a.clusters != b.clusters             ? "clusters"
+      : nullptr;
+  if (differing != nullptr && why != nullptr) *why = differing;
+  return differing == nullptr;
 }
 
 }  // namespace ccms::core

@@ -114,10 +114,12 @@ struct StudyReport {
     std::string_view bytes, const net::CellTable& cells, const CellLoad& load,
     const StudyOptions& options = {}, const std::string& label = "<memory>");
 
-/// Field-by-field bitwise equality of two study reports, including every
-/// per-car sample vector and the ingest/clean accounting. On mismatch,
-/// `why` (if non-null) names the first differing field. Shared by the
-/// harness's columnar-roundtrip invariant and the equivalence tests.
+/// Bitwise equality of two study reports: every member compares through
+/// its defaulted operator==, so every field counts, including each per-car
+/// sample vector and the ingest/clean accounting. On mismatch, `why` (if
+/// non-null) names the first differing member (e.g. "connected_time"), not
+/// the field inside it. Shared by the harness's columnar-roundtrip
+/// invariant, the benches and the equivalence tests.
 [[nodiscard]] bool study_reports_identical(const StudyReport& a,
                                            const StudyReport& b,
                                            std::string* why = nullptr);

@@ -37,6 +37,8 @@ struct Matrix24x7 {
   /// Sum of entries where `mask` is nonzero, divided by total sum; the
   /// "fraction of this car's activity inside the masked period" measure.
   [[nodiscard]] double fraction_in(const Matrix24x7& mask) const;
+
+  friend bool operator==(const Matrix24x7&, const Matrix24x7&) = default;
 };
 
 /// Builds a car's connection-frequency matrix: each connection adds one

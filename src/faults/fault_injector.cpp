@@ -170,6 +170,9 @@ FaultInjector::CorruptedCsv FaultInjector::corrupt_csv(
 
   std::uint64_t record_ordinal = 0;
   std::vector<bool> consumed(lines.size(), false);
+  // The last emitted record the reader's order screen sees (rows with a
+  // value fault are quarantined before it).
+  std::optional<Connection> sequenced;
   for (std::size_t i = 0; i < lines.size(); ++i) {
     if (consumed[i]) continue;
     if (!is_data[i]) {
@@ -179,6 +182,8 @@ FaultInjector::CorruptedCsv FaultInjector::corrupt_csv(
     const Connection rec = *parsed[i];
     const std::uint64_t ordinal = record_ordinal++;
     CsvFault fault = draw_fault(rng_, rates);
+    Connection hour = rec;  // the kHour rewrite
+    hour.duration_s = 3600;
 
     // Feasibility: skip classes the current record/environment cannot make
     // unambiguously detectable.
@@ -190,9 +195,20 @@ FaultInjector::CorruptedCsv FaultInjector::corrupt_csv(
         if (!next_ok) fault = CsvFault::kNone;
         break;
       }
-      case CsvFault::kHour:
-        if (rec.duration_s == 3600) fault = CsvFault::kNone;
+      case CsvFault::kHour: {
+        // Duration breaks ties in the sort key, so the rewritten record
+        // must still sort strictly between its emitted predecessor and the
+        // next data row; otherwise the reader flags an out-of-order or
+        // duplicate record the log never saw.
+        std::size_t next = i + 1;
+        while (next < lines.size() && !is_data[next]) ++next;
+        const bool fits =
+            (!sequenced || cdr::ByCarThenStart{}(*sequenced, hour)) &&
+            (next == lines.size() ||
+             cdr::ByCarThenStart{}(hour, *parsed[next]));
+        if (rec.duration_s == 3600 || !fits) fault = CsvFault::kNone;
         break;
+      }
       case CsvFault::kSkew:
         if (env_.horizon_s <= 0) fault = CsvFault::kNone;
         break;
@@ -206,6 +222,7 @@ FaultInjector::CorruptedCsv FaultInjector::corrupt_csv(
     switch (fault) {
       case CsvFault::kNone:
         emitted.push_back(Emitted{std::string(lines[i])});
+        sequenced = rec;
         break;
       case CsvFault::kTruncated: {
         // Keep 1..3 fields: the row still looks like data but is short.
@@ -239,6 +256,7 @@ FaultInjector::CorruptedCsv FaultInjector::corrupt_csv(
         emitted.push_back(Emitted{std::string(lines[i])});
         emitted.push_back(Emitted{std::string(lines[i]),
                                   FaultClass::kDuplicateRecord, ordinal});
+        sequenced = rec;
         break;
       case CsvFault::kOutOfOrder:
         // Swap with the successor; detection fires on the displaced row.
@@ -247,11 +265,13 @@ FaultInjector::CorruptedCsv FaultInjector::corrupt_csv(
                                   FaultClass::kOutOfOrderRecord, ordinal});
         consumed[i + 1] = true;
         ++record_ordinal;  // the successor was emitted here
+        sequenced = rec;
         break;
       case CsvFault::kHour:
         emitted.push_back(Emitted{
             format_fields(rec.car.value, rec.cell.value, rec.start, 3600),
             FaultClass::kHourArtifact, ordinal});
+        sequenced = hour;
         break;
       case CsvFault::kSkew: {
         const std::int64_t start =

@@ -73,6 +73,8 @@ class Accumulator {
     max_ = s.max;
   }
 
+  friend bool operator==(const Accumulator&, const Accumulator&) = default;
+
  private:
   std::int64_t n_ = 0;
   double mean_ = 0;

@@ -38,6 +38,8 @@ class Histogram {
   /// first. Returns -1 if the histogram is monotone.
   [[nodiscard]] int knee_bin(int smooth_window = 5) const;
 
+  friend bool operator==(const Histogram&, const Histogram&) = default;
+
  private:
   double lo_;
   double hi_;

@@ -75,6 +75,9 @@ class EmpiricalDistribution {
     return counts_;
   }
 
+  friend bool operator==(const EmpiricalDistribution&,
+                         const EmpiricalDistribution&) = default;
+
  private:
   /// Value of virtual sorted()[index], via the cumulative counts.
   [[nodiscard]] double at(std::uint64_t index) const;

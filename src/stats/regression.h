@@ -18,6 +18,8 @@ struct LinearFit {
 
   /// Predicted value at x.
   [[nodiscard]] double at(double x) const { return slope * x + intercept; }
+
+  friend bool operator==(const LinearFit&, const LinearFit&) = default;
 };
 
 /// OLS over paired spans (must be the same length; extra elements of the

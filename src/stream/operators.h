@@ -48,6 +48,8 @@ struct BinCounts {
   /// Distinct cars per cell, ascending by cell id.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> cells;
   bool provisional = false;  ///< still inside the out-of-order window
+
+  friend bool operator==(const BinCounts&, const BinCounts&) = default;
 };
 
 /// Everything a snapshot needs from one shard, merged by the report layer.

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <span>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -344,183 +344,46 @@ ParityReport parity_against(const StreamReport& stream,
   return parity;
 }
 
-namespace {
-
-// reports_identical helpers: every comparison funnels through check() so the
-// first differing field's name lands in `why`.
-struct IdentityCheck {
-  std::string* why = nullptr;
-  bool ok = true;
-
-  bool check(bool equal, const char* field) {
-    if (!equal && ok) {
-      ok = false;
-      if (why != nullptr) *why = field;
-    }
-    return equal;
-  }
-};
-
-bool spans_equal(std::span<const double> a, std::span<const double> b) {
-  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
-}
-
-bool quarantines_equal(const std::vector<cdr::QuarantineEntry>& a,
-                       const std::vector<cdr::QuarantineEntry>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].fault != b[i].fault || a[i].byte_offset != b[i].byte_offset ||
-        a[i].reason != b[i].reason || a[i].raw != b[i].raw) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool bins_equal(const std::vector<BinCounts>& a,
-                const std::vector<BinCounts>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].bin != b[i].bin || a[i].cars != b[i].cars ||
-        a[i].provisional != b[i].provisional || a[i].cells != b[i].cells) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 bool reports_identical(const StreamReport& a, const StreamReport& b,
                        std::string* why) {
-  IdentityCheck id{why};
-
-  // Ingest accounting. records_offered / replay counts are delivery
-  // telemetry (an at-least-once feed legitimately re-delivers), but what the
-  // engine *accounted* must match exactly — including the quarantine.
-  id.check(a.ingest.records_accepted == b.ingest.records_accepted,
-           "ingest.records_accepted");
-  id.check(a.ingest.records_dropped == b.ingest.records_dropped,
-           "ingest.records_dropped");
-  id.check(a.ingest.records_repaired == b.ingest.records_repaired,
-           "ingest.records_repaired");
-  id.check(a.ingest.counters == b.ingest.counters, "ingest.counters");
-  id.check(a.ingest.quarantine_overflow == b.ingest.quarantine_overflow,
-           "ingest.quarantine_overflow");
-  id.check(quarantines_equal(a.ingest.quarantine, b.ingest.quarantine),
-           "ingest.quarantine");
-
-  // §3 cleaning screen.
-  id.check(a.clean.input_records == b.clean.input_records,
-           "clean.input_records");
-  id.check(a.clean.hour_artifacts_removed == b.clean.hour_artifacts_removed,
-           "clean.hour_artifacts_removed");
-  id.check(a.clean.nonpositive_removed == b.clean.nonpositive_removed,
-           "clean.nonpositive_removed");
-  id.check(a.clean.implausible_removed == b.clean.implausible_removed,
-           "clean.implausible_removed");
-
-  // Presence (Fig 2): the primitive series + denominators determine every
-  // derived stat (trends, weekday table), so comparing them is exhaustive.
-  id.check(a.presence.cars_fraction == b.presence.cars_fraction,
-           "presence.cars_fraction");
-  id.check(a.presence.cells_fraction == b.presence.cells_fraction,
-           "presence.cells_fraction");
-  id.check(a.presence.fleet_size == b.presence.fleet_size,
-           "presence.fleet_size");
-  id.check(a.presence.ever_touched_cells == b.presence.ever_touched_cells,
-           "presence.ever_touched_cells");
-
-  // Connected time (Fig 3): full per-car samples, not just the summaries.
-  id.check(spans_equal(a.connected_time.full.sorted(),
-                       b.connected_time.full.sorted()),
-           "connected_time.full");
-  id.check(spans_equal(a.connected_time.truncated.sorted(),
-                       b.connected_time.truncated.sorted()),
-           "connected_time.truncated");
-  id.check(a.connected_time.mean_full == b.connected_time.mean_full,
-           "connected_time.mean_full");
-  id.check(a.connected_time.mean_truncated == b.connected_time.mean_truncated,
-           "connected_time.mean_truncated");
-  id.check(a.connected_time.p995_full == b.connected_time.p995_full,
-           "connected_time.p995_full");
-  id.check(
-      a.connected_time.p995_truncated == b.connected_time.p995_truncated,
-      "connected_time.p995_truncated");
-  id.check(a.connected_time.study_days == b.connected_time.study_days,
-           "connected_time.study_days");
-
-  // Days on network (Fig 4).
-  id.check(a.days.cars == b.days.cars, "days.cars");
-  id.check(a.days.days_per_car == b.days.days_per_car, "days.days_per_car");
-  id.check(a.days.knee_days == b.days.knee_days, "days.knee_days");
-
-  // Durations (Fig 9): exact scalars and the P2 estimate (restored P2
-  // markers must continue bit-exactly, so the estimate must agree too).
-  id.check(a.cell_sessions.median == b.cell_sessions.median,
-           "cell_sessions.median");
-  id.check(a.cell_sessions.mean_full == b.cell_sessions.mean_full,
-           "cell_sessions.mean_full");
-  id.check(a.cell_sessions.mean_truncated == b.cell_sessions.mean_truncated,
-           "cell_sessions.mean_truncated");
-  id.check(a.cell_sessions.cdf_at_cap == b.cell_sessions.cdf_at_cap,
-           "cell_sessions.cdf_at_cap");
-  id.check(a.cell_sessions.cap == b.cell_sessions.cap, "cell_sessions.cap");
-  id.check(a.duration_p2_median == b.duration_p2_median,
-           "duration_p2_median");
-
-  // Usage matrix (Fig 5) and sessions.
-  id.check(a.usage.values == b.usage.values, "usage.values");
-  id.check(a.sessions_closed == b.sessions_closed, "sessions_closed");
-  id.check(a.sessions_open == b.sessions_open, "sessions_open");
-  id.check(a.session_span.count() == b.session_span.count(),
-           "session_span.count");
-  id.check(a.session_span.sum() == b.session_span.sum(), "session_span.sum");
-  id.check(a.session_span.mean() == b.session_span.mean(),
-           "session_span.mean");
-  id.check(a.session_span.variance_population() ==
-               b.session_span.variance_population(),
-           "session_span.variance");
-  id.check(a.session_span.min() == b.session_span.min(), "session_span.min");
-  id.check(a.session_span.max() == b.session_span.max(), "session_span.max");
-
-  // Live views.
-  {
-    bool equal = a.top_cells.size() == b.top_cells.size();
-    for (std::size_t i = 0; equal && i < a.top_cells.size(); ++i) {
-      equal = a.top_cells[i].cell == b.top_cells[i].cell &&
-              a.top_cells[i].connections == b.top_cells[i].connections &&
-              a.top_cells[i].median_s == b.top_cells[i].median_s &&
-              a.top_cells[i].days_active == b.top_cells[i].days_active;
-    }
-    id.check(equal, "top_cells");
-  }
-  id.check(bins_equal(a.recent_bins, b.recent_bins), "recent_bins");
-
-  // Degraded-shard accounting and the engine counters that describe
-  // *accounted* records. records_offered / records_replayed and the reorder
-  // peaks are excluded: a replayed run legitimately offers more records and
-  // drains its heaps at different instants, with identical analytic state.
-  {
-    bool equal = a.degraded_shards.size() == b.degraded_shards.size();
-    for (std::size_t i = 0; equal && i < a.degraded_shards.size(); ++i) {
-      equal = a.degraded_shards[i].shard == b.degraded_shards[i].shard &&
-              a.degraded_shards[i].records_lost ==
-                  b.degraded_shards[i].records_lost;
-    }
-    id.check(equal, "degraded_shards");
-  }
-  id.check(a.coverage_fraction == b.coverage_fraction, "coverage_fraction");
-  id.check(a.engine.shards == b.engine.shards, "engine.shards");
-  id.check(a.engine.watermark == b.engine.watermark, "engine.watermark");
-  id.check(a.engine.records_routed == b.engine.records_routed,
-           "engine.records_routed");
-  id.check(a.engine.records_integrated == b.engine.records_integrated,
-           "engine.records_integrated");
-  id.check(a.engine.reorder_pending == b.engine.reorder_pending,
-           "engine.reorder_pending");
-
-  return id.ok;
+  // Delivery telemetry is left out; everything the engine accounted
+  // compares through the members' defaulted operator==. An at-least-once
+  // feed legitimately re-delivers and replays (ingest rows, records_offered,
+  // records_replayed), and a replayed run drains its reorder heaps at other
+  // instants (reorder_peak), with identical analytic state. A degraded
+  // shard's reason is the text of whatever exception killed it.
+  const auto ingest_ties = [](const cdr::IngestReport& r) {
+    return std::tie(r.records_accepted, r.records_dropped, r.records_repaired,
+                    r.counters, r.quarantine, r.quarantine_overflow);
+  };
+  const auto engine_ties = [](const EngineStats& e) {
+    return std::tie(e.shards, e.watermark, e.records_routed,
+                    e.records_integrated, e.reorder_pending);
+  };
+  const auto same_loss = [](const DegradedShard& x, const DegradedShard& y) {
+    return x.shard == y.shard && x.records_lost == y.records_lost;
+  };
+  const char* differing =
+        ingest_ties(a.ingest) != ingest_ties(b.ingest) ? "ingest"
+      : a.clean != b.clean                             ? "clean"
+      : a.presence != b.presence                       ? "presence"
+      : a.connected_time != b.connected_time           ? "connected_time"
+      : a.days != b.days                               ? "days"
+      : a.cell_sessions != b.cell_sessions             ? "cell_sessions"
+      : a.duration_p2_median != b.duration_p2_median   ? "duration_p2_median"
+      : a.usage != b.usage                             ? "usage"
+      : a.sessions_closed != b.sessions_closed         ? "sessions_closed"
+      : a.sessions_open != b.sessions_open             ? "sessions_open"
+      : a.session_span != b.session_span               ? "session_span"
+      : a.top_cells != b.top_cells                     ? "top_cells"
+      : a.recent_bins != b.recent_bins                 ? "recent_bins"
+      : !std::ranges::equal(a.degraded_shards, b.degraded_shards, same_loss)
+          ? "degraded_shards"
+      : a.coverage_fraction != b.coverage_fraction     ? "coverage_fraction"
+      : engine_ties(a.engine) != engine_ties(b.engine) ? "engine"
+      : nullptr;
+  if (differing != nullptr && why != nullptr) *why = differing;
+  return differing == nullptr;
 }
 
 bool ParityReport::pass(double p2_rel_tolerance) const {

@@ -111,6 +111,8 @@ struct CellActivity {
   std::uint64_t connections = 0;
   double median_s = 0;
   int days_active = 0;
+
+  friend bool operator==(const CellActivity&, const CellActivity&) = default;
 };
 
 /// One quarantined (degraded) shard in a snapshot: the worker hit an
@@ -172,10 +174,12 @@ struct StreamReport {
 /// True iff two stream reports describe bit-identical analytic state: every
 /// counter, distribution, quantile estimate and quarantine entry equal —
 /// the contract a kill-and-restore run must meet against an uninterrupted
-/// one. Excludes delivery telemetry that legitimately differs across
-/// equivalent runs (records_offered, records_replayed, reorder peaks).
-/// When `why` is non-null and the reports differ, it receives the first
-/// differing field's name.
+/// one. Members compare through their defaulted operator==, except the
+/// delivery telemetry that legitimately differs across equivalent runs:
+/// ingest mode, bytes_consumed, rows_read and bom_stripped; engine
+/// records_offered, records_replayed and reorder_peak; a degraded shard's
+/// reason. When `why` is non-null and the reports differ, it receives the
+/// first differing member's name (e.g. "engine"), not the field inside it.
 [[nodiscard]] bool reports_identical(const StreamReport& a,
                                      const StreamReport& b,
                                      std::string* why = nullptr);

@@ -25,25 +25,6 @@ IngestOptions lenient_chunked(int threads, std::size_t chunk_bytes = 8) {
   return options;
 }
 
-void expect_report_equal(const IngestReport& a, const IngestReport& b,
-                         int width) {
-  EXPECT_EQ(a.bytes_consumed, b.bytes_consumed) << "width=" << width;
-  EXPECT_EQ(a.rows_read, b.rows_read) << "width=" << width;
-  EXPECT_EQ(a.records_accepted, b.records_accepted) << "width=" << width;
-  EXPECT_EQ(a.records_dropped, b.records_dropped) << "width=" << width;
-  EXPECT_EQ(a.records_repaired, b.records_repaired) << "width=" << width;
-  EXPECT_EQ(a.bom_stripped, b.bom_stripped) << "width=" << width;
-  EXPECT_EQ(a.counters, b.counters) << "width=" << width;
-  EXPECT_EQ(a.quarantine_overflow, b.quarantine_overflow) << "width=" << width;
-  ASSERT_EQ(a.quarantine.size(), b.quarantine.size()) << "width=" << width;
-  for (std::size_t i = 0; i < a.quarantine.size(); ++i) {
-    EXPECT_EQ(a.quarantine[i].fault, b.quarantine[i].fault) << i;
-    EXPECT_EQ(a.quarantine[i].byte_offset, b.quarantine[i].byte_offset) << i;
-    EXPECT_EQ(a.quarantine[i].reason, b.quarantine[i].reason) << i;
-    EXPECT_EQ(a.quarantine[i].raw, b.quarantine[i].raw) << i;
-  }
-}
-
 /// Reads `text` leniently at width 1 and at widths {2, 4, 8} with a tiny
 /// chunk size, asserting dataset bytes and full report equality.
 void expect_chunk_parity(const std::string& text,
@@ -57,7 +38,7 @@ void expect_chunk_parity(const std::string& text,
     const Dataset loaded = read_csv_text(
         text, lenient_chunked(width, chunk_bytes), report, "unit");
     EXPECT_EQ(write_binary_buffer(loaded), golden_bytes) << "width=" << width;
-    expect_report_equal(report, golden_report, width);
+    EXPECT_EQ(report, golden_report) << "width=" << width;
   }
 }
 
@@ -150,7 +131,7 @@ TEST(IngestChunkTest, StrictFirstFaultInSecondChunkKeepsSequentialOffset) {
     } catch (const util::CsvError& e) {
       EXPECT_EQ(std::string(e.what()), golden_message) << "width=" << width;
     }
-    expect_report_equal(report, golden_report, width);
+    EXPECT_EQ(report, golden_report) << "width=" << width;
   }
 }
 
@@ -185,7 +166,7 @@ TEST(IngestChunkTest, StrictSeamFaultReportsSeamOffset) {
     } catch (const util::CsvError& e) {
       EXPECT_EQ(std::string(e.what()), golden_message) << "width=" << width;
     }
-    expect_report_equal(report, golden_report, width);
+    EXPECT_EQ(report, golden_report) << "width=" << width;
   }
 }
 
@@ -211,7 +192,7 @@ TEST(IngestChunkTest, QuarantineCapAppliesGloballyAcrossChunks) {
     IngestReport report;
     const Dataset loaded = read_csv_text(text, options, report, "unit");
     EXPECT_EQ(write_binary_buffer(loaded), golden_bytes) << "width=" << width;
-    expect_report_equal(report, golden_report, width);
+    EXPECT_EQ(report, golden_report) << "width=" << width;
   }
 }
 
@@ -262,7 +243,7 @@ TEST(IngestChunkTest, BinaryChunkedIngestMatchesSequential) {
     IngestReport report;
     const Dataset loaded = read_binary_buffer(bytes, options, report, "unit");
     EXPECT_EQ(write_binary_buffer(loaded), golden_out) << "width=" << width;
-    expect_report_equal(report, golden_report, width);
+    EXPECT_EQ(report, golden_report) << "width=" << width;
   }
 }
 

@@ -9,8 +9,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cdr/columnar.h"
 #include "core/load_view.h"
@@ -242,6 +245,46 @@ TEST(ColumnarStudyTest, ComparatorReportsFirstDivergence) {
   std::string why;
   EXPECT_FALSE(study_reports_identical(a, b, &why));
   EXPECT_FALSE(why.empty());
+}
+
+TEST(ColumnarStudyTest, ComparatorNamesEveryDifferingMember) {
+  const sim::Study& study = fixture_study();
+  const CellLoad load = CellLoad::from_background(study.background);
+  const StudyReport base =
+      run_study(study.raw, study.topology.cells(), load, columnar_options());
+  ASSERT_TRUE(study_reports_identical(base, base));
+
+  // One perturbation per StudyReport member. segmentation.config was the
+  // field a hand-written field list left out.
+  const std::vector<std::pair<std::string, std::function<void(StudyReport&)>>>
+      perturbations = {
+          {"ingest", [](StudyReport& r) { r.ingest.bom_stripped = true; }},
+          {"clean", [](StudyReport& r) { ++r.clean.implausible_removed; }},
+          {"presence",
+           [](StudyReport& r) { r.presence.cells_by_weekday[6].stdev += 1; }},
+          {"connected_time",
+           [](StudyReport& r) { r.connected_time.p995_truncated += 1; }},
+          {"days", [](StudyReport& r) { r.days.histogram.add(0); }},
+          {"busy_time",
+           [](StudyReport& r) { r.busy_time.fraction_over_half += 1; }},
+          {"segmentation",
+           [](StudyReport& r) { r.segmentation.config.hi_share += 0.1; }},
+          {"cell_sessions", [](StudyReport& r) { ++r.cell_sessions.cap; }},
+          {"handovers", [](StudyReport& r) { r.handovers.p70 += 1; }},
+          {"carriers", [](StudyReport& r) { ++r.carriers.car_count; }},
+          {"clusters",
+           [](StudyReport& r) { r.clusters.load_threshold += 1; }},
+      };
+  for (const auto& [member, perturb] : perturbations) {
+    StudyReport changed = base;
+    perturb(changed);
+    std::string why;
+    EXPECT_FALSE(study_reports_identical(base, changed, &why)) << member;
+    EXPECT_EQ(why, member);
+    why.clear();
+    EXPECT_FALSE(study_reports_identical(changed, base, &why)) << member;
+    EXPECT_EQ(why, member);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "cdr/io.h"
 #include "faults/fault_injector.h"
 #include "sim/simulator.h"
+#include "test_helpers.h"
 #include "util/csv.h"
 
 namespace ccms::faults {
@@ -165,6 +166,44 @@ TEST(FaultRoundTrip, LenientCountersMatchInjectedCountsExactly) {
   EXPECT_EQ(cleaned.size(),
             report.records_accepted -
                 corrupted.log.count(FaultClass::kHourArtifact));
+}
+
+TEST(FaultRoundTrip, HourArtifactKeepsTiesInSortOrder) {
+  // Two records share (car, start, cell), so duration alone orders them.
+  // Rewriting the first to 3600 s would sort it after its twin, and
+  // rewriting both would duplicate it; either way the reader would detect
+  // a fault the log does not hold.
+  const std::string csv = cdr::write_csv_text(test::make_dataset(
+      {test::conn(7, 5, 1000, 100), test::conn(7, 5, 1000, 170),
+       test::conn(7, 5, 2000, 60)},
+      /*fleet_size=*/8, /*study_days=*/1));
+  FaultEnv env;
+  env.horizon_s = 86400;
+  env.cell_universe = 16;
+  cdr::IngestOptions lenient;
+  lenient.mode = cdr::ParseMode::kLenient;
+  lenient.horizon_s = env.horizon_s;
+  lenient.cell_universe = env.cell_universe;
+  CsvFaultRates rates;
+  rates.hour_artifact = 0.5;
+
+  std::uint64_t injected = 0;
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    FaultInjector injector(seed, env);
+    const auto corrupted = injector.corrupt_csv(csv, rates);
+    injected += corrupted.log.count(FaultClass::kHourArtifact);
+
+    cdr::IngestReport report;
+    const cdr::Dataset loaded =
+        cdr::read_csv_text(corrupted.text, lenient, report);
+    EXPECT_TRUE(report.clean()) << "seed " << seed << "\n" << corrupted.text;
+    cdr::CleanReport clean_report;
+    (void)cdr::clean(loaded, {}, clean_report);
+    EXPECT_EQ(clean_report.hour_artifacts_removed,
+              corrupted.log.count(FaultClass::kHourArtifact))
+        << "seed " << seed;
+  }
+  EXPECT_GT(injected, 0u);
 }
 
 TEST(FaultRoundTrip, StrictThrowsAtTheFirstFaultByteOffset) {

@@ -19,26 +19,6 @@
 namespace ccms {
 namespace {
 
-void expect_report_equal(const cdr::IngestReport& a,
-                         const cdr::IngestReport& b) {
-  EXPECT_EQ(a.mode, b.mode);
-  EXPECT_EQ(a.bytes_consumed, b.bytes_consumed);
-  EXPECT_EQ(a.rows_read, b.rows_read);
-  EXPECT_EQ(a.records_accepted, b.records_accepted);
-  EXPECT_EQ(a.records_dropped, b.records_dropped);
-  EXPECT_EQ(a.records_repaired, b.records_repaired);
-  EXPECT_EQ(a.bom_stripped, b.bom_stripped);
-  EXPECT_EQ(a.counters, b.counters);
-  EXPECT_EQ(a.quarantine_overflow, b.quarantine_overflow);
-  ASSERT_EQ(a.quarantine.size(), b.quarantine.size());
-  for (std::size_t i = 0; i < a.quarantine.size(); ++i) {
-    EXPECT_EQ(a.quarantine[i].fault, b.quarantine[i].fault) << i;
-    EXPECT_EQ(a.quarantine[i].byte_offset, b.quarantine[i].byte_offset) << i;
-    EXPECT_EQ(a.quarantine[i].reason, b.quarantine[i].reason) << i;
-    EXPECT_EQ(a.quarantine[i].raw, b.quarantine[i].raw) << i;
-  }
-}
-
 void expect_car_equal(const fleet::CarProfile& a, const fleet::CarProfile& b) {
   EXPECT_EQ(a.id, b.id);
   EXPECT_EQ(a.archetype, b.archetype);
@@ -147,7 +127,7 @@ TEST(FrontendDeterminismTest, CsvIngestIdenticalAcrossWidths) {
         cdr::read_csv_text(text, options, report, "unit");
     EXPECT_EQ(cdr::write_binary_buffer(loaded), golden_bytes)
         << "width=" << width;
-    expect_report_equal(report, golden_report);
+    EXPECT_EQ(report, golden_report) << "width=" << width;
   }
 }
 
@@ -176,7 +156,7 @@ TEST(FrontendDeterminismTest, BinaryIngestIdenticalAcrossWidths) {
         cdr::read_binary_buffer(bytes, options, report, "unit");
     EXPECT_EQ(cdr::write_binary_buffer(loaded), golden_out)
         << "width=" << width;
-    expect_report_equal(report, golden_report);
+    EXPECT_EQ(report, golden_report) << "width=" << width;
   }
 }
 

@@ -174,6 +174,38 @@ TEST(StreamCheckpointTest, PushAfterFinishIsDefinedError) {
   EXPECT_EQ(a.ingest.records_accepted, 1u);
 }
 
+TEST(StreamCheckpointTest, ComparatorIgnoresOnlyDeliveryTelemetry) {
+  const StreamReport reference = uninterrupted_run(synthetic_feed(400, 5), 2);
+  ASSERT_GT(reference.engine.records_routed, 0u);
+
+  // What an at-least-once redelivery legitimately changes.
+  StreamReport redelivered = reference;
+  redelivered.ingest.mode = cdr::ParseMode::kLenient;
+  redelivered.ingest.bytes_consumed += 100;
+  redelivered.ingest.rows_read += 7;
+  redelivered.ingest.bom_stripped = !reference.ingest.bom_stripped;
+  redelivered.engine.records_offered += 7;
+  redelivered.engine.records_replayed += 7;
+  redelivered.engine.reorder_peak += 3;
+  std::string why;
+  EXPECT_TRUE(reports_identical(reference, redelivered, &why)) << why;
+
+  // A degraded shard's reason is not compared; what it lost is.
+  StreamReport degraded_a = reference;
+  degraded_a.degraded_shards.push_back({1, 5, "operator threw"});
+  StreamReport degraded_b = reference;
+  degraded_b.degraded_shards.push_back({1, 5, "operator threw again"});
+  EXPECT_TRUE(reports_identical(degraded_a, degraded_b, &why)) << why;
+  degraded_b.degraded_shards.back().records_lost = 6;
+  EXPECT_FALSE(reports_identical(degraded_a, degraded_b, &why));
+  EXPECT_EQ(why, "degraded_shards");
+
+  StreamReport rerouted = reference;
+  ++rerouted.engine.records_routed;
+  EXPECT_FALSE(reports_identical(reference, rerouted, &why));
+  EXPECT_EQ(why, "engine");
+}
+
 TEST(StreamCheckpointTest, RestoreRequiresPristineEngine) {
   ShardedEngine source(feed_config(1));
   source.push(conn(0, 0, 100, 60));
