@@ -4,7 +4,7 @@
 // binary emits machine-readable BENCH_pipeline.json (end-to-end batch pass:
 // records/sec, wall seconds, peak RSS), BENCH_batch.json (full run_study
 // swept over executor widths 1,2,4,..,--threads with speedup_vs_1t) and
-// BENCH_ingest.json (front-of-pipeline generate/ingest/finalize/analyze
+// BENCH_ingest.json (front-of-pipeline generate/CSV-ingest/finalize/analyze
 // phase sweep at widths 1 and --threads, with a bitwise-determinism check
 // across widths) for CI regression diffing. Schemas: bench/BENCH_SCHEMA.md.
 //
@@ -17,17 +17,18 @@
 //
 // Out-of-core batch mode (the paper-scale path): `--out-of-core` with
 // `--cars N --days D` streams an N-car, D-day study through the CCDR2
-// pipeline — per-car generation -> external sort -> columnar file ->
+// pipeline — per-car generation -> per-car sort -> columnar file ->
 // run_study_columnar — without ever materializing the trace, and writes
-// BENCH_batch.json with mode "out_of_core" plus peak-RSS / bytes-spilled
-// columns. `--data-dir DIR` places the spill runs and the columnar file
-// (default ./ccms_bench_data); `--assert-rss` makes the process exit
+// BENCH_batch.json with mode "out_of_core" plus peak-RSS / columnar-size
+// columns. `--data-dir DIR` places the columnar file (default
+// ./ccms_bench_data); `--assert-rss` makes the process exit
 // non-zero if peak RSS exceeds 25% of the in-memory AoS footprint (the CI
 // scale job's ceiling). In this mode the microbenchmarks and the other
 // JSON artifacts are skipped so ru_maxrss measures the out-of-core run
 // alone.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -47,7 +48,6 @@
 #include "cdr/columnar.h"
 #include "cdr/io.h"
 #include "cdr/session.h"
-#include "exec/external_sort.h"
 #include "exec/thread_pool.h"
 #include "core/busy_time.h"
 #include "core/concurrency.h"
@@ -297,8 +297,6 @@ void write_batch_json(int max_threads) {
           .add("study_days", study.config.study_days)
           .add("aos_bytes", aos_bytes)
           .add("rss_budget_bytes", std::uint64_t{0})
-          .add("bytes_spilled", std::uint64_t{0})
-          .add("spill_runs", std::uint64_t{0})
           .add("hardware_concurrency",
                static_cast<int>(std::thread::hardware_concurrency()))
           .add("peak_rss_bytes", bench::peak_rss_bytes())
@@ -308,13 +306,14 @@ void write_batch_json(int max_threads) {
   bench::write_bench_json(out != nullptr ? out : "BENCH_batch.json", json);
 }
 
-// Paper-scale batch on one box: stream-generate `cars` x `days`, external-
-// sort into a CCDR2 columnar file, then run the whole §4 study out of core
-// at widths 1 and max_threads, asserting the reports match bitwise. Peak
-// memory never holds the trace: generation emits one car at a time into the
-// sorter's bounded buffer, and the study streams decoded blocks. Writes
-// BENCH_batch.json with mode "out_of_core". Returns false if the width
-// sweep diverges or (with assert_rss) the RSS ceiling is exceeded.
+// Paper-scale batch on one box: stream-generate `cars` x `days` one car at
+// a time, sort each car's records and write them to a CCDR2 columnar file,
+// then run the whole §4 study out of core at widths 1 and max_threads,
+// asserting the reports match bitwise. Peak memory never holds the trace:
+// generation emits one car at a time, and the study streams decoded
+// blocks. Writes BENCH_batch.json with mode "out_of_core". Returns false if
+// the width sweep diverges or (with assert_rss) the RSS ceiling is
+// exceeded.
 bool write_batch_json_out_of_core(int max_threads, int cars, int days,
                                   const std::string& data_dir,
                                   bool assert_rss) {
@@ -340,49 +339,37 @@ bool write_batch_json_out_of_core(int max_threads, int cars, int days,
               sim.fleet().size(), sim.topology().cells().size(),
               world_timer.seconds());
 
-  // Phase 1: per-car generation -> external sort -> columnar file. The
-  // sorter's spill buffer and the writer's pending block are the only
-  // record storage alive.
+  // Phase 1: per-car generation -> per-car sort -> columnar file. Car i's
+  // records all carry car id i, so sorting each car in emission order
+  // yields the whole trace in ByCarThenStart order. One car's records and
+  // the writer's pending block are the only record storage alive.
   const std::string columnar_path = data_dir + "/ccms_batch.ccdr2";
-  std::uint64_t bytes_spilled = 0;
-  std::uint64_t spill_runs = 0;
   std::uint64_t records = 0;
   const bench::Stopwatch gen_timer;
   {
-    exec::ExternalSorter<cdr::Connection, cdr::ByCarThenStart> sorter(
-        {.spill_dir = data_dir, .run_records = exec::kDefaultRunRecords,
-         .threads = 1});
-    std::vector<cdr::Connection> raw_scratch;
-    std::vector<cdr::Connection> car_records;
-    for (std::size_t i = 0; i < sim.fleet().size(); ++i) {
-      car_records.clear();
-      sim.emit_car(i, raw_scratch, car_records);
-      for (const cdr::Connection& c : car_records) sorter.add(c);
-    }
     std::ofstream out(columnar_path, std::ios::binary | std::ios::trunc);
     if (!out) {
       std::cerr << "[bench] cannot open " << columnar_path << "\n";
       return false;
     }
     cdr::ColumnarWriter writer(out, static_cast<std::uint32_t>(cars), days);
-    // merge() spills the tail run before it emits and deletes every run
-    // file before it returns, so the run count is read while it emits.
-    sorter.merge([&](const cdr::Connection& c) {
-      spill_runs = sorter.run_count();
-      writer.add(c);
-    });
+    std::vector<cdr::Connection> raw_scratch;
+    std::vector<cdr::Connection> car_records;
+    for (std::size_t i = 0; i < sim.fleet().size(); ++i) {
+      car_records.clear();
+      sim.emit_car(i, raw_scratch, car_records);
+      std::stable_sort(car_records.begin(), car_records.end(),
+                       cdr::ByCarThenStart{});
+      for (const cdr::Connection& c : car_records) writer.add(c);
+    }
     records = writer.finish();
-    bytes_spilled = sorter.bytes_spilled();
   }
   const double gen_s = gen_timer.seconds();
   const auto columnar_bytes =
       static_cast<std::uint64_t>(fs::file_size(columnar_path));
   std::printf(
-      "  generate+sort+write: %.1fs (%llu records, %llu spill bytes in %llu "
-      "runs, %llu columnar bytes)\n",
+      "  generate+sort+write: %.1fs (%llu records, %llu columnar bytes)\n",
       gen_s, static_cast<unsigned long long>(records),
-      static_cast<unsigned long long>(bytes_spilled),
-      static_cast<unsigned long long>(spill_runs),
       static_cast<unsigned long long>(columnar_bytes));
 
   // Phase 2: the full §4 study, streamed from the columnar file at widths
@@ -451,8 +438,6 @@ bool write_batch_json_out_of_core(int max_threads, int cars, int days,
           .add("aos_bytes", aos_bytes)
           .add("rss_budget_bytes", rss_budget)
           .add("rss_within_budget", rss_ok)
-          .add("bytes_spilled", bytes_spilled)
-          .add("spill_runs", spill_runs)
           .add("columnar_bytes", columnar_bytes)
           .add("generate_sort_write_s", gen_s)
           .add("deterministic", deterministic)
@@ -466,7 +451,7 @@ bool write_batch_json_out_of_core(int max_threads, int cars, int days,
       out_env != nullptr ? out_env : "BENCH_batch.json", json);
 
   std::error_code ec;
-  fs::remove(columnar_path, ec);  // spill runs were removed by the merge
+  fs::remove(columnar_path, ec);
   if (assert_rss && !rss_ok) {
     std::cerr << "[bench] PEAK RSS EXCEEDS THE 25% OUT-OF-CORE BUDGET\n";
     return false;
@@ -475,10 +460,11 @@ bool write_batch_json_out_of_core(int max_threads, int cars, int days,
 }
 
 // Front-of-pipeline phase sweep — generate / ingest / finalize / analyze —
-// at executor widths 1 and max_threads, written to BENCH_ingest.json. Each
-// phase row reports wall seconds and records/s; the top-level
-// `deterministic` flag asserts the PR invariant that every phase's output at
-// every width is bitwise identical to the 1-thread run. Fixture size comes
+// at executor widths 1 and max_threads, written to BENCH_ingest.json. The
+// ingest phase is the chunked parallel CSV reader over the generated
+// trace's CSV export. Each phase row reports wall seconds and records/s;
+// the top-level `deterministic` flag asserts that every phase's output at
+// every width serializes to the same CSV bytes as the 1-thread run. Fixture size comes
 // from CCMS_CARS / CCMS_DAYS (defaults 2000 cars, 28 days). Returns the
 // determinism verdict so main() can fail the run on a mismatch.
 bool write_ingest_json(int max_threads) {
@@ -511,7 +497,7 @@ bool write_ingest_json(int max_threads) {
     const double gen_s = gen_timer.seconds();
     records = static_cast<std::uint64_t>(study.raw.size());
 
-    const std::string bytes = cdr::write_binary_buffer(study.raw);
+    const std::string bytes = cdr::write_csv_text(study.raw);
 
     cdr::IngestOptions options;
     options.threads = w;
@@ -522,7 +508,7 @@ bool write_ingest_json(int max_threads) {
     cdr::IngestReport report;
     const bench::Stopwatch ingest_timer;
     const cdr::Dataset ingested =
-        cdr::read_binary_buffer(bytes, options, report, "bench");
+        cdr::read_csv_text(bytes, options, report, "bench");
     const double ingest_s = ingest_timer.seconds();
 
     // Deterministically shuffled copy so finalize() has real sorting work
@@ -551,9 +537,10 @@ bool write_ingest_json(int max_threads) {
     benchmark::DoNotOptimize(sr.carriers.car_count);
 
     // Bitwise determinism: the generated trace, the ingested round-trip and
-    // the re-finalized dataset must serialize to the width-1 bytes exactly.
-    const std::string final_bytes = cdr::write_binary_buffer(unsorted);
-    const std::string ingested_bytes = cdr::write_binary_buffer(ingested);
+    // the re-finalized dataset must serialize to the width-1 CSV bytes
+    // exactly.
+    const std::string final_bytes = cdr::write_csv_text(unsorted);
+    const std::string ingested_bytes = cdr::write_csv_text(ingested);
     if (w == widths.front()) {
       golden_raw = bytes;
       golden_final = final_bytes;

@@ -6,13 +6,15 @@
 //   make_study [--cars N] [--days N] [--seed S] [--grid W]
 //              [--anonymize SALT] [--out PATH]
 //
-// The output format follows the extension: .csv or .bin (CCDR1).
+// The output format follows the extension: .csv, or .ccdr2 for the
+// columnar binary format (cdr/columnar.h).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "cdr/anonymize.h"
+#include "cdr/columnar.h"
 #include "cdr/io.h"
 #include "sim/simulator.h"
 
@@ -21,7 +23,7 @@ namespace {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--cars N] [--days N] [--seed S] [--grid W]\n"
-               "          [--anonymize SALT] [--out PATH(.csv|.bin)]\n",
+               "          [--anonymize SALT] [--out PATH(.csv|.ccdr2)]\n",
                argv0);
   std::exit(2);
 }
@@ -77,10 +79,10 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(salt));
   }
 
-  const bool binary = out.size() > 4 && out.substr(out.size() - 4) == ".bin";
+  const bool columnar = out.ends_with(".ccdr2");
   try {
-    if (binary) {
-      cdr::write_binary(dataset, out);
+    if (columnar) {
+      cdr::write_columnar(dataset, out);
     } else {
       cdr::write_csv(dataset, out);
     }
@@ -89,6 +91,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(stderr, "wrote %zu records to %s (%s)\n", dataset.size(),
-               out.c_str(), binary ? "CCDR1 binary" : "CSV");
+               out.c_str(), columnar ? "CCDR2" : "CSV");
   return 0;
 }

@@ -1,12 +1,12 @@
 #include "cdr/columnar.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
+#include "util/binio.h"
 #include "util/csv.h"
 
 #ifdef __unix__
@@ -34,28 +34,10 @@ struct ColumnarHeader {
 };
 static_assert(sizeof(ColumnarHeader) == 40);
 
-// CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) — the same framing the
-// checkpoint format uses, so a flipped bit in a block payload is detected
-// exactly like one in a checkpoint section.
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
-  static constexpr auto kTable = make_crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = kTable[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+// CRC32 — the same framing the checkpoint format uses, so a flipped bit in
+// a block payload is detected exactly like one in a checkpoint section.
+std::uint32_t crc32(const void* data, std::size_t len) {
+  return binio::crc32({static_cast<const std::uint8_t*>(data), len});
 }
 
 /// Header/index fault handling shared by strict and lenient opens: strict
@@ -190,9 +172,7 @@ void ColumnarWriter::flush_block() {
     desc.col_bytes[k] = static_cast<std::uint32_t>(col_end[k] - col_end[k - 1]);
   }
   desc.payload_bytes = static_cast<std::uint32_t>(scratch_.size());
-  desc.crc32 =
-      crc32(reinterpret_cast<const std::uint8_t*>(scratch_.data()),
-            scratch_.size());
+  desc.crc32 = crc32(scratch_.data(), scratch_.size());
 
   out_.write(scratch_.data(), static_cast<std::streamsize>(scratch_.size()));
   offset_ += scratch_.size();
@@ -212,8 +192,7 @@ std::uint64_t ColumnarWriter::finish() {
                                             sizeof(ColumnarBlockDesc)));
   }
   const std::uint32_t index_crc =
-      crc32(reinterpret_cast<const std::uint8_t*>(index_.data()),
-            index_.size() * sizeof(ColumnarBlockDesc));
+      crc32(index_.data(), index_.size() * sizeof(ColumnarBlockDesc));
   out_.write(reinterpret_cast<const char*>(&index_crc), sizeof index_crc);
 
   ColumnarHeader header{};
@@ -246,11 +225,6 @@ std::string write_columnar_buffer(const Dataset& dataset) {
   for (const Connection& c : dataset.all()) writer.add(c);
   writer.finish();
   return std::move(out).str();
-}
-
-bool is_columnar(std::string_view bytes) {
-  return bytes.size() >= sizeof kMagic2 &&
-         std::memcmp(bytes.data(), kMagic2, sizeof kMagic2) == 0;
 }
 
 // --- Reader ----------------------------------------------------------------
@@ -315,15 +289,19 @@ ColumnarFile ColumnarFile::parse(std::span<const std::uint8_t> bytes,
   }
   // Per-block bounds screen: a descriptor pointing outside the payload
   // region is structural damage; lenient drops that block and keeps going.
+  // Every column holds at least one varint byte per record, so a block
+  // cannot claim more records than its smallest column has bytes: the
+  // decode reserve stays bounded by the file size.
   std::vector<ColumnarBlockDesc> valid;
   valid.reserve(file.index_.size());
   for (std::size_t b = 0; b < file.index_.size(); ++b) {
     const ColumnarBlockDesc& d = file.index_[b];
+    const auto* col = d.col_bytes;
     const bool in_bounds =
         d.offset >= sizeof(ColumnarHeader) && d.offset <= header.index_offset &&
         d.payload_bytes <= header.index_offset - d.offset &&
-        d.col_bytes[0] + d.col_bytes[1] + d.col_bytes[2] + d.col_bytes[3] ==
-            d.payload_bytes;
+        std::uint64_t{col[0]} + col[1] + col[2] + col[3] == d.payload_bytes &&
+        d.records <= std::min({col[0], col[1], col[2], col[3]});
     if (!in_bounds) {
       structural_fault(options, report, label, FaultClass::kTruncatedPayload,
                        d.offset,

@@ -1,10 +1,9 @@
-// CCDR2: the out-of-core columnar CDR format.
+// CCDR2: the binary CDR format, columnar and out of core.
 //
-// CCDR1 (io.h) is a row-oriented array of 24-byte records that must be
-// materialized in RAM before analysis; at the paper's scale (1M cars,
-// 1.1B connections) that is a ~26 GB allocation before the study even
-// starts. CCDR2 stores the same records struct-of-arrays in compressed
-// blocks so the batch study can stream them with bounded memory:
+// At the paper's scale (1M cars, 1.1B connections) a row-oriented array of
+// records would be a ~26 GB allocation before the study even starts. CCDR2
+// stores the records struct-of-arrays in compressed blocks so the batch
+// study can stream them with bounded memory:
 //
 //   header  | block payloads ... | block index | index crc32
 //
@@ -212,10 +211,11 @@ class ColumnarFile {
   int fd_ = -1;
 };
 
-/// Record-level screening mirroring io.cpp's FaultSink: value ranges first
-/// (negative duration, overflow, clock skew, unknown cell), then duplicate /
-/// out-of-order checks against the previous surviving record. Shared by
-/// read_columnar's materializer and run_study_columnar's streaming sweep.
+/// Record-level screening mirroring the CSV reader's (io.cpp): value ranges
+/// first (negative duration, overflow, clock skew, unknown cell), then
+/// duplicate / out-of-order checks against the previous surviving record.
+/// Shared by read_columnar's materializer and run_study_columnar's
+/// streaming sweep.
 /// Both enter every block through enter_block, which resets the sequence
 /// state at the block boundary (blocks are car-aligned, so neither a
 /// duplicate pair nor a same-car order inversion can span one). That is
@@ -252,9 +252,9 @@ class RecordScreen {
 };
 
 /// Reads a CCDR2 file into an in-memory Dataset, honouring `options` and
-/// filling `report` — the CCDR1 read_binary counterpart, with the same
-/// record screening (value ranges, order, duplicates) on top of the
-/// block-level CRC discipline. The returned dataset is finalized.
+/// filling `report`: the CSV readers' record screening (value ranges,
+/// order, duplicates) on top of the block-level CRC discipline. The
+/// returned dataset is finalized.
 [[nodiscard]] Dataset read_columnar(const std::string& path,
                                     const IngestOptions& options,
                                     IngestReport& report);
@@ -272,9 +272,5 @@ class RecordScreen {
                                            const IngestOptions& options,
                                            IngestReport& report,
                                            const std::string& label);
-
-/// True if `bytes` begins with the CCDR2 magic (format sniffing for the
-/// io.h entry points).
-[[nodiscard]] bool is_columnar(std::string_view bytes);
 
 }  // namespace ccms::cdr

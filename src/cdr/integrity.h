@@ -38,7 +38,7 @@ enum class FaultClass : std::uint8_t {
   kDuplicateRecord,    ///< exact copy of the previously accepted record
   kOutOfOrderRecord,   ///< sorts before the previously accepted record
   kBadHeader,          ///< binary: damaged magic / file shorter than header
-  kTruncatedPayload,   ///< binary: record count overflows the payload bytes
+  kTruncatedPayload,   ///< binary: counts/offsets overrun the bytes present
   kHourArtifact,       ///< §3 exactly-1-hour reporting artifact (clean stage)
   kChecksumMismatch,   ///< framed section whose CRC does not match its bytes
   kCheckpointMismatch, ///< checkpoint version/geometry incompatible with the
@@ -85,17 +85,16 @@ struct IngestOptions {
   /// Max quarantine entries retained (counters keep counting past the cap).
   std::size_t quarantine_cap = 64;
 
-  /// Ingest parallelism: 1 = sequential (default), 0 = hardware
+  /// CSV ingest parallelism: 1 = sequential (default), 0 = hardware
   /// concurrency, N = N threads. The produced Dataset and IngestReport are
   /// bitwise identical for every value (see DESIGN.md §10): chunk results
   /// merge in byte-offset order and the cross-chunk order/duplicate checks
   /// are re-applied at chunk seams.
   int threads = 1;
 
-  /// Minimum chunk granularity for parallel ingest, in bytes (CSV chunks
-  /// are additionally newline-aligned; binary chunks rounded to whole
-  /// records). 0 = default 1 MiB. Tests shrink this to force chunk seams
-  /// on small fixtures.
+  /// Minimum chunk granularity for parallel CSV ingest, in bytes (chunks
+  /// are additionally newline-aligned). 0 = default 1 MiB. Tests shrink
+  /// this to force chunk seams on small fixtures.
   std::size_t chunk_bytes = 0;
 };
 
@@ -104,7 +103,7 @@ struct QuarantineEntry {
   FaultClass fault = FaultClass::kCount;
   std::uint64_t byte_offset = 0;  ///< offset of the row/record in the input
   std::string reason;             ///< human-readable diagnosis
-  std::string raw;                ///< raw CSV row / binary record hex prefix
+  std::string raw;                ///< raw CSV row (empty for binary inputs)
 
   friend bool operator==(const QuarantineEntry&,
                          const QuarantineEntry&) = default;
@@ -118,7 +117,7 @@ struct QuarantineEntry {
 struct IngestReport {
   ParseMode mode = ParseMode::kStrict;
   std::uint64_t bytes_consumed = 0;
-  std::uint64_t rows_read = 0;          ///< data rows / binary records seen
+  std::uint64_t rows_read = 0;          ///< data rows / records seen
   std::uint64_t records_accepted = 0;
   std::uint64_t records_dropped = 0;    ///< quarantined
   std::uint64_t records_repaired = 0;   ///< deduped + re-sorted

@@ -1,14 +1,11 @@
 #include "cdr/io.h"
 
 #include <algorithm>
-#include <cstddef>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <optional>
 #include <sstream>
 
-#include "cdr/columnar.h"
 #include "exec/thread_pool.h"
 #include "util/csv.h"
 
@@ -16,28 +13,11 @@ namespace ccms::cdr {
 
 namespace {
 
-constexpr char kMagic[8] = {'C', 'C', 'D', 'R', '1', '\0', '\0', '\0'};
 constexpr std::string_view kBom = "\xEF\xBB\xBF";
 
 /// Default minimum chunk granularity for parallel ingest (1 MiB): small
 /// inputs parse as one chunk, paper-scale traces split into width*4 chunks.
 constexpr std::size_t kDefaultIngestChunkBytes = std::size_t{1} << 20;
-
-struct BinaryHeader {
-  char magic[8];
-  std::uint64_t record_count;
-  std::uint32_t fleet_size;
-  std::int32_t study_days;
-};
-
-struct BinaryRecord {
-  std::uint32_t car;
-  std::uint32_t cell;
-  std::int64_t start;
-  std::int32_t duration;
-  std::int32_t pad;
-};
-static_assert(sizeof(BinaryRecord) == 24);
 
 /// Legacy behaviour: structural strictness, no semantic screening.
 IngestOptions legacy_options() {
@@ -46,18 +26,6 @@ IngestOptions legacy_options() {
   options.check_order = false;
   options.check_duplicates = false;
   return options;
-}
-
-std::string hex_prefix(const char* bytes, std::size_t n) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(n * 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto b = static_cast<unsigned char>(bytes[i]);
-    out.push_back(kHex[b >> 4]);
-    out.push_back(kHex[b & 0xF]);
-  }
-  return out;
 }
 
 /// Everything one ingest chunk produces. Chunks parse independently (in
@@ -91,7 +59,7 @@ struct ChunkOutcome {
   std::string fault_message;
 };
 
-/// Shared fault sink for the CSV and binary chunk parsers. Lenient mode
+/// Fault sink for the CSV chunk parser. Lenient mode
 /// quarantines and counts; strict mode captures the first fault and stops
 /// the chunk (the caller rethrows the earliest fault across chunks, so a
 /// single-chunk parse throws exactly what the pre-chunking reader did).
@@ -124,9 +92,9 @@ class FaultSink {
     }
   }
 
-  /// Record-level value screening shared by both formats. `duration` is the
-  /// pre-cast 64-bit value so text overflow is caught before narrowing.
-  /// Returns true if the record is acceptable.
+  /// Record-level value screening. `duration` is the pre-cast 64-bit value
+  /// so text overflow is caught before narrowing. Returns true if the record
+  /// is acceptable.
   bool validate(std::int64_t start, std::uint32_t cell, std::int64_t duration,
                 std::uint64_t byte_offset, std::string_view raw) {
     if (duration < 0) {
@@ -313,16 +281,16 @@ void apply_meta(Dataset& dataset, const ChunkOutcome& part) {
 }
 
 /// Stitches chunk outcomes back into one Dataset + IngestReport, in chunk
-/// (= byte) order. `report` arrives pre-seeded with mode/bytes_consumed
-/// (and, for binary inputs, the header-stage accounting). Re-applies the
+/// (= byte) order. `report` arrives pre-seeded with mode/bytes_consumed.
+/// Re-applies the
 /// order/duplicate screen across chunk seams, merges the chunk reports in
 /// offset order (IngestReport::merge re-applies the global quarantine cap),
 /// and — in strict mode — throws the earliest fault with a report state
 /// identical to where the sequential pass would have stopped.
 Dataset merge_outcomes(std::vector<ChunkOutcome>& parts,
                        const IngestOptions& options, IngestReport& report,
-                       const std::string& label, Dataset dataset,
-                       exec::ThreadPool* pool) {
+                       const std::string& label, exec::ThreadPool* pool) {
+  Dataset dataset;
   const bool strict = options.mode == ParseMode::kStrict;
   std::size_t total_accepted = 0;
   const ChunkOutcome* prev = nullptr;
@@ -389,7 +357,7 @@ Dataset merge_outcomes(std::vector<ChunkOutcome>& parts,
     if (part.has_seen) prev = &part;
   }
 
-  dataset.reserve(dataset.size() + total_accepted);
+  dataset.reserve(total_accepted);
   for (const ChunkOutcome& part : parts) {
     dataset.add(std::span<const Connection>(part.accepted));
   }
@@ -398,9 +366,7 @@ Dataset merge_outcomes(std::vector<ChunkOutcome>& parts,
   } else {
     dataset.finalize();
   }
-  // The reserve above was exact, but a caller-seeded dataset may carry
-  // growth-doubling slack; the ingest result lives for the whole study, so
-  // hand it back trimmed.
+  // The ingest result lives for the whole study, so hand it back trimmed.
   dataset.shrink_to_fit();
   return dataset;
 }
@@ -441,19 +407,6 @@ void write_csv_stream(const Dataset& dataset, std::ostream& out) {
   for (const Connection& c : dataset.all()) {
     out << c.car.value << ',' << c.cell.value << ',' << c.start << ','
         << c.duration_s << '\n';
-  }
-}
-
-void write_binary_stream(const Dataset& dataset, std::ostream& out) {
-  BinaryHeader header{};
-  std::memcpy(header.magic, kMagic, sizeof kMagic);
-  header.record_count = dataset.size();
-  header.fleet_size = dataset.fleet_size();
-  header.study_days = dataset.study_days();
-  out.write(reinterpret_cast<const char*>(&header), sizeof header);
-  for (const Connection& c : dataset.all()) {
-    BinaryRecord r{c.car.value, c.cell.value, c.start, c.duration_s, 0};
-    out.write(reinterpret_cast<const char*>(&r), sizeof r);
   }
 }
 
@@ -500,7 +453,7 @@ Dataset read_csv_text(std::string_view text, const IngestOptions& options,
     }
   });
 
-  return merge_outcomes(parts, options, report, label, Dataset{},
+  return merge_outcomes(parts, options, report, label,
                         width > 1 ? &pool : nullptr);
 }
 
@@ -518,139 +471,6 @@ Dataset read_csv(const std::string& path, const IngestOptions& options,
 Dataset read_csv(const std::string& path) {
   IngestReport report;
   return read_csv(path, legacy_options(), report);
-}
-
-void write_binary(const Dataset& dataset, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw util::CsvError("cannot open for writing: " + path);
-  write_binary_stream(dataset, out);
-  if (!out) throw util::CsvError("write failed: " + path);
-}
-
-std::string write_binary_buffer(const Dataset& dataset) {
-  std::ostringstream out;
-  write_binary_stream(dataset, out);
-  return std::move(out).str();
-}
-
-Dataset read_binary_buffer(std::string_view bytes,
-                           const IngestOptions& options, IngestReport& report,
-                           const std::string& label) {
-  // Format sniff: a CCDR2 columnar payload routes to its own reader, so
-  // every existing binary entry point (run_study_binary, the benches, the
-  // harness feeds) transparently accepts both generations.
-  if (is_columnar(bytes)) {
-    return read_columnar_buffer(bytes, options, report, label);
-  }
-  report = IngestReport{};
-  report.mode = options.mode;
-  report.bytes_consumed = bytes.size();
-
-  // Header stage (sequential; the header is one record's worth of bytes).
-  ChunkOutcome header_part;
-  FaultSink header_sink(options, header_part, label);
-  Dataset dataset;
-
-  bool header_fatal = false;
-  std::uint64_t record_count = 0;
-  if (bytes.size() < sizeof(BinaryHeader)) {
-    header_sink.fault(FaultClass::kBadHeader, 0,
-                      "file shorter than the CCDR1 header (" +
-                          std::to_string(bytes.size()) + " bytes)",
-                      hex_prefix(bytes.data(), bytes.size()));
-    header_fatal = true;
-  } else {
-    BinaryHeader header{};
-    std::memcpy(&header, bytes.data(), sizeof header);
-    if (std::memcmp(header.magic, kMagic, sizeof kMagic) != 0) {
-      header_sink.fault(FaultClass::kBadHeader, 0, "bad CCDR1 magic",
-                        hex_prefix(bytes.data(), sizeof header));
-      header_fatal = true;
-    } else {
-      dataset.set_fleet_size(header.fleet_size);
-      dataset.set_study_days(header.study_days);
-      const std::uint64_t payload = bytes.size() - sizeof header;
-      const std::uint64_t available = payload / sizeof(BinaryRecord);
-      record_count = header.record_count;
-      if (record_count > available) {
-        // Validated *before* reserve: a hostile header cannot force a huge
-        // allocation, and a chopped file degrades to the records present.
-        header_sink.fault(
-            FaultClass::kTruncatedPayload, offsetof(BinaryHeader, record_count),
-            "header claims " + std::to_string(record_count) +
-                " records, payload holds " + std::to_string(available),
-            "");
-        record_count = available;
-      }
-    }
-  }
-  if (header_part.has_fault) {  // strict-mode header fault: fail fast
-    report.merge(std::move(header_part.report), options.quarantine_cap);
-    throw util::CsvError(header_part.fault_message);
-  }
-  if (header_fatal) record_count = 0;
-
-  const int width = exec::ThreadPool::resolve_threads(options.threads);
-  const std::size_t chunks = std::min<std::size_t>(
-      std::max<std::uint64_t>(1, record_count),
-      ingest_chunk_count(record_count * sizeof(BinaryRecord), width,
-                         options.chunk_bytes));
-  std::vector<ChunkOutcome> parts(chunks + 1);
-  parts[0] = std::move(header_part);
-
-  exec::ThreadPool pool(width);
-  pool.parallel_for(chunks, [&](std::size_t c) {
-    const std::uint64_t begin = record_count * c / chunks;
-    const std::uint64_t end = record_count * (c + 1) / chunks;
-    ChunkOutcome& out = parts[c + 1];
-    out.accepted.reserve(end - begin);
-    FaultSink sink(options, out, label);
-    for (std::uint64_t i = begin; i < end && !sink.stopped(); ++i) {
-      const std::uint64_t offset =
-          sizeof(BinaryHeader) + i * sizeof(BinaryRecord);
-      BinaryRecord r{};
-      std::memcpy(&r, bytes.data() + offset, sizeof r);
-      ++out.report.rows_read;
-      const std::string raw = hex_prefix(bytes.data() + offset, sizeof r);
-      if (!sink.validate(r.start, r.cell, r.duration, offset, raw)) {
-        if (!sink.stopped()) ++out.report.records_dropped;
-        continue;
-      }
-      const Connection c2{CarId{r.car}, CellId{r.cell}, r.start, r.duration};
-      if (!sink.sequence(c2, offset, raw)) continue;
-      out.accepted.push_back(c2);
-      ++out.report.records_accepted;
-    }
-  });
-
-  return merge_outcomes(parts, options, report, label, std::move(dataset),
-                        width > 1 ? &pool : nullptr);
-}
-
-Dataset read_binary(const std::string& path, const IngestOptions& options,
-                    IngestReport& report) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw util::CsvError("cannot open for reading: " + path);
-  // Sniff the magic before slurping: CCDR2 files go through the mmap-backed
-  // columnar reader instead of being copied into a heap buffer.
-  char magic[8] = {};
-  in.read(magic, sizeof magic);
-  if (in.gcount() == sizeof magic &&
-      is_columnar(std::string_view(magic, sizeof magic))) {
-    in.close();
-    return read_columnar(path, options, report);
-  }
-  in.clear();
-  in.seekg(0);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) throw util::CsvError("read failed: " + path);
-  return read_binary_buffer(std::move(buffer).str(), options, report, path);
-}
-
-Dataset read_binary(const std::string& path) {
-  IngestReport report;
-  return read_binary(path, legacy_options(), report);
 }
 
 }  // namespace ccms::cdr

@@ -1,14 +1,10 @@
-// CDR import/export.
+// CDR CSV import/export (`car,cell,start_s,duration_s` with a header row),
+// for interoperability with the usual trace-analysis tooling. The binary
+// format for large studies is CCDR2 (cdr/columnar.h).
 //
-// Two interchange formats:
-//   - CSV (`car,cell,start_s,duration_s` with a header row) for
-//     interoperability with the usual trace-analysis tooling, and
-//   - a compact little-endian binary format ("CCDR1") for fast reloads of
-//     large simulated studies.
-//
-// Both round-trip the Dataset exactly, including the declared fleet size and
-// study length (carried in the CSV header comment / binary header), so an
-// exported study re-imports with identical percentages.
+// CSV round-trips the Dataset exactly, including the declared fleet size and
+// study length (carried in the header comment), so an exported study
+// re-imports with identical percentages.
 //
 // Ingest is hardened (see cdr/integrity.h): every reader takes IngestOptions
 // and fills an IngestReport. ParseMode::kStrict throws util::CsvError at the
@@ -49,28 +45,5 @@ void write_csv(const Dataset& dataset, const std::string& path);
 /// value screening), as the original importer behaved. Throws util::CsvError
 /// on parse errors.
 [[nodiscard]] Dataset read_csv(const std::string& path);
-
-/// Writes the compact binary format. Throws util::CsvError on I/O failure.
-void write_binary(const Dataset& dataset, const std::string& path);
-
-/// In-memory variant: the exact bytes write_binary would produce.
-[[nodiscard]] std::string write_binary_buffer(const Dataset& dataset);
-
-/// Reads the binary format, honouring `options`; fills `report`. Validates
-/// the magic and that the declared record count fits the payload *before*
-/// allocating (a hostile header cannot trigger a huge reserve).
-[[nodiscard]] Dataset read_binary(const std::string& path,
-                                  const IngestOptions& options,
-                                  IngestReport& report);
-
-/// In-memory variant of read_binary; `label` names the buffer in errors.
-[[nodiscard]] Dataset read_binary_buffer(std::string_view bytes,
-                                         const IngestOptions& options,
-                                         IngestReport& report,
-                                         const std::string& label = "<memory>");
-
-/// Legacy convenience: strict structural parsing only. Throws util::CsvError
-/// on corruption.
-[[nodiscard]] Dataset read_binary(const std::string& path);
 
 }  // namespace ccms::cdr

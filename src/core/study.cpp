@@ -341,16 +341,6 @@ StudyReport run_study_csv(const std::string& path, const net::CellTable& cells,
   return report;
 }
 
-StudyReport run_study_binary(const std::string& path,
-                             const net::CellTable& cells, const CellLoad& load,
-                             const StudyOptions& options) {
-  cdr::IngestReport ingest;
-  const cdr::Dataset raw = cdr::read_binary(path, options.ingest, ingest);
-  StudyReport report = run_study(raw, cells, load, options);
-  report.ingest = std::move(ingest);
-  return report;
-}
-
 StudyReport run_study_columnar(const cdr::ColumnarFile& file,
                                const net::CellTable& cells,
                                const CellLoad& load,

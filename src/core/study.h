@@ -79,12 +79,6 @@ struct StudyReport {
                                         const CellLoad& load,
                                         const StudyOptions& options = {});
 
-/// Same, from the CCDR1 binary format.
-[[nodiscard]] StudyReport run_study_binary(const std::string& path,
-                                           const net::CellTable& cells,
-                                           const CellLoad& load,
-                                           const StudyOptions& options = {});
-
 /// The out-of-core pipeline: streams an open CCDR2 file block by block
 /// through run_study's fold, never materializing a Dataset. Peak memory is
 /// bounded by the decode window (a few blocks per executor thread) plus the

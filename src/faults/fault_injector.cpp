@@ -1,7 +1,6 @@
 #include "faults/fault_injector.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <optional>
 
@@ -324,66 +323,6 @@ FaultInjector::CorruptedCsv FaultInjector::corrupt_csv(
     }
     out.text.append(line.text);
     out.text.append(eol);
-  }
-  return out;
-}
-
-FaultInjector::CorruptedBinary FaultInjector::corrupt_binary(
-    std::string_view ccdr1_bytes, const BinaryFaultPlan& plan) {
-  constexpr std::size_t kHeaderSize = 24;
-  constexpr std::size_t kRecordSize = 24;
-  CorruptedBinary out;
-  out.bytes.assign(ccdr1_bytes);
-
-  if (plan.corrupt_magic) {
-    if (out.bytes.size() >= 8) {
-      out.bytes[2] = static_cast<char>(out.bytes[2] ^ 0x40);
-      log_fault(out.log, FaultClass::kBadHeader, 0, 0);
-    }
-    return out;  // a dead header masks everything else
-  }
-  if (out.bytes.size() < kHeaderSize) return out;
-
-  std::uint64_t claimed = 0;
-  std::memcpy(&claimed, out.bytes.data() + 8, sizeof claimed);
-
-  if (plan.truncate_records > 0) {
-    const std::uint64_t have = (out.bytes.size() - kHeaderSize) / kRecordSize;
-    const std::uint64_t chop =
-        std::min<std::uint64_t>(plan.truncate_records, have);
-    out.bytes.resize(out.bytes.size() - chop * kRecordSize);
-  }
-  if (plan.inflate_record_count) {
-    const std::uint64_t inflated =
-        claimed + 1 + static_cast<std::uint64_t>(rng_.uniform_int(0, 9999));
-    std::memcpy(out.bytes.data() + 8, &inflated, sizeof inflated);
-    claimed = inflated;
-  }
-  const std::uint64_t available =
-      (out.bytes.size() - kHeaderSize) / kRecordSize;
-  if (claimed > available) {
-    // One detection event regardless of how the mismatch was produced.
-    log_fault(out.log, FaultClass::kTruncatedPayload, 8, 0);
-  }
-
-  const std::uint64_t n = std::min(claimed, available);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t offset = kHeaderSize + i * kRecordSize;
-    double u = rng_.uniform();
-    if (u < plan.flip_duration_sign) {
-      // Little-endian int32 at record offset 16: the sign lives in byte 19.
-      out.bytes[offset + 19] = static_cast<char>(
-          static_cast<unsigned char>(out.bytes[offset + 19]) | 0x80);
-      log_fault(out.log, FaultClass::kNegativeDuration, offset, i);
-      continue;
-    }
-    u -= plan.flip_duration_sign;
-    if (u < plan.flip_cell_high_bit && env_.cell_universe > 0) {
-      // Little-endian uint32 at record offset 4: top bit in byte 7.
-      out.bytes[offset + 7] = static_cast<char>(
-          static_cast<unsigned char>(out.bytes[offset + 7]) | 0x80);
-      log_fault(out.log, FaultClass::kUnknownCell, offset, i);
-    }
   }
   return out;
 }

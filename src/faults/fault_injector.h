@@ -2,10 +2,11 @@
 //
 // Trace-driven testbeds validate a measurement pipeline by replaying
 // *realistically degraded* traces. This module produces exactly that: a
-// seeded FaultInjector corrupts a canonical CSV stream, a CCDR1 byte buffer
-// or an in-memory Dataset with configurable per-class rates of the damage
-// the paper's §3 describes (exactly-1-hour artifacts, stuck clocks) and
-// worse (truncated lines, bit flips, duplicated and reordered records).
+// seeded FaultInjector corrupts a canonical CSV stream, or an in-memory
+// Dataset on its way to CSV or CCDR2, with configurable per-class rates of
+// the damage the paper's §3 describes (exactly-1-hour artifacts, stuck
+// clocks) and worse (truncated lines, garbage fields, out-of-range values,
+// duplicated and reordered records).
 //
 // Every injected fault is tagged with its cdr::FaultClass and the byte
 // offset where the hardened ingest layer will *detect* it, so tests can
@@ -52,17 +53,6 @@ struct CsvFaultRates {
   [[nodiscard]] static CsvFaultRates uniform(double total);
 
   [[nodiscard]] double total() const;
-};
-
-/// Deterministic corruption plan for a CCDR1 byte buffer. `corrupt_magic`
-/// is exclusive: a damaged header stops ingest, so when set the other
-/// faults are not applied (the log then holds exactly one kBadHeader).
-struct BinaryFaultPlan {
-  bool corrupt_magic = false;        ///< bit-flip in the magic -> kBadHeader
-  bool inflate_record_count = false; ///< header claims extra records
-  std::size_t truncate_records = 0;  ///< chop records off the tail
-  double flip_duration_sign = 0;     ///< per-record -> kNegativeDuration
-  double flip_cell_high_bit = 0;     ///< per-record -> kUnknownCell
 };
 
 /// One injected fault, tagged with where lenient ingest will detect it.
@@ -112,14 +102,6 @@ class FaultInjector {
   /// metadata line, header line, data rows sorted by (car, start)).
   [[nodiscard]] CorruptedCsv corrupt_csv(std::string_view canonical_csv,
                                          const CsvFaultRates& rates);
-
-  struct CorruptedBinary {
-    std::string bytes;
-    FaultLog log;
-  };
-  /// Corrupts a CCDR1 buffer (as produced by cdr::write_binary_buffer).
-  [[nodiscard]] CorruptedBinary corrupt_binary(std::string_view ccdr1_bytes,
-                                               const BinaryFaultPlan& plan);
 
   struct CorruptedDataset {
     cdr::Dataset dataset;

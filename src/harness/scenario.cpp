@@ -106,27 +106,12 @@ Scenario duplicate_flood() {
   return s;
 }
 
-Scenario batch_1m_out_of_core() {
-  Scenario s;
-  s.name = "batch-1m-out-of-core";
-  s.description =
-      "paper-scale batch (1M cars x 90 days) through the CCDR2 columnar "
-      "path: the out-of-core sweep reproduces the in-memory study bitwise";
-  s.workload.cars = 1000000;
-  s.workload.days = 90;
-  s.workload.grid = 64;
-  s.run_stream = false;
-  s.check_parity = false;
-  s.check_columnar = true;
-  return s;
-}
-
 Scenario batch_50k_out_of_core() {
   Scenario s;
   s.name = "batch-50k-out-of-core";
   s.description =
-      "downsized out-of-core batch (50k cars x 30 days): the CI-scale "
-      "version of batch-1m-out-of-core, same columnar round-trip contract";
+      "out-of-core batch (50k cars x 30 days) through the CCDR2 columnar "
+      "path: the out-of-core sweep reproduces the in-memory study bitwise";
   s.workload.cars = 50000;
   s.workload.days = 30;
   s.workload.grid = 32;
@@ -233,7 +218,7 @@ const std::vector<Scenario>& named_scenarios() {
       out_of_order_burst(),   flaky_feed(),
       shard_death_under_load(), kill_restore_matrix(),
       quarantine_cap_saturation(), duplicate_flood(),
-      batch_1m_out_of_core(), batch_50k_out_of_core(),
+      batch_50k_out_of_core(),
   };
   return pack;
 }

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <sstream>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "test_helpers.h"
+#include "util/binio.h"
 #include "util/csv.h"
 
 namespace ccms::cdr {
@@ -219,13 +222,6 @@ TEST(ColumnarWriterTest, RejectsUnsortedInput) {
   EXPECT_THROW(writer.add(conn(0, 0, 50, 10)), util::CsvError);
 }
 
-TEST(ColumnarSniff, MagicDetection) {
-  const std::string bytes = write_columnar_buffer(negative_delta_dataset());
-  EXPECT_TRUE(is_columnar(bytes));
-  EXPECT_FALSE(is_columnar("CCDR1\0\0\0 not the columnar magic"));
-  EXPECT_FALSE(is_columnar(""));
-}
-
 /// Multi-block buffer fixture for the corruption tests: block 0 can be
 /// damaged while later blocks stay decodable.
 std::string multi_block_buffer(std::size_t* first_block_records = nullptr) {
@@ -263,6 +259,102 @@ TEST(ColumnarCorruption, BadMagicStrictThrowsLenientCounts) {
   const Dataset survivors = read_columnar_buffer(bytes, lenient, report);
   EXPECT_EQ(survivors.size(), 0u);
   EXPECT_EQ(report.count(FaultClass::kBadHeader), 1u);
+  ASSERT_EQ(report.quarantine.size(), 1u);
+  EXPECT_NE(report.quarantine[0].reason.find("magic"), std::string::npos);
+}
+
+// Ingest-safety cases every binary reader must meet, in the IngestTest
+// suite beside the CSV reader's (cdr_ingest_test.cpp): a stub or a hostile
+// count in the header is a clean fault, never UB or a giant allocation.
+
+IngestOptions lenient_options() {
+  IngestOptions options;
+  options.mode = ParseMode::kLenient;
+  return options;
+}
+
+TEST(IngestTest, BinaryShorterThanHeaderIsACleanError) {
+  // A valid magic followed by less than the 40-byte header.
+  const std::string bytes = write_columnar_buffer(negative_delta_dataset());
+  const std::string stub = bytes.substr(0, 20);
+  IngestReport report;
+  const Dataset loaded = read_columnar_buffer(stub, lenient_options(), report);
+  EXPECT_EQ(loaded.size(), 0u);
+  EXPECT_EQ(report.count(FaultClass::kBadHeader), 1u);
+  EXPECT_EQ(report.total_faults(), 1u);
+
+  IngestReport strict_report;
+  EXPECT_THROW((void)read_columnar_buffer(stub, {}, strict_report),
+               util::CsvError);
+}
+
+TEST(IngestTest, HostileRecordCountCannotForceAHugeAllocation) {
+  // Header fields: u64 record_count at byte 8, u32 block_count at byte 24.
+  // Either claim is checked against the bytes present before anything is
+  // sized from it.
+  const Dataset original = negative_delta_dataset();
+  const std::string good = write_columnar_buffer(original);
+
+  std::string huge_records = good;
+  const std::uint64_t huge = 1000000000000000000ULL;
+  std::memcpy(huge_records.data() + 8, &huge, sizeof huge);
+  IngestReport report;
+  const Dataset loaded =
+      read_columnar_buffer(huge_records, lenient_options(), report);
+  EXPECT_EQ(loaded.size(), original.size());  // the index still holds them
+  EXPECT_EQ(report.count(FaultClass::kTruncatedPayload), 1u);
+  EXPECT_EQ(report.total_faults(), 1u);
+  IngestReport strict_report;
+  try {
+    (void)read_columnar_buffer(huge_records, {}, strict_report);
+    FAIL() << "strict ingest must reject the hostile header";
+  } catch (const util::CsvError& e) {
+    EXPECT_NE(std::string(e.what()).find("index holds 60"), std::string::npos)
+        << e.what();
+  }
+
+  std::string huge_blocks = good;
+  const std::uint32_t blocks = 0xFFFFFFFFu;
+  std::memcpy(huge_blocks.data() + 24, &blocks, sizeof blocks);
+  IngestReport blocks_report;
+  const Dataset none =
+      read_columnar_buffer(huge_blocks, lenient_options(), blocks_report);
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(blocks_report.count(FaultClass::kTruncatedPayload), 1u);
+  EXPECT_EQ(blocks_report.total_faults(), 1u);
+}
+
+TEST(ColumnarCorruption, HostileBlockRecordCountIsDroppedBeforeDecode) {
+  // A descriptor claiming 2^32 - 1 records behind a re-signed index: the
+  // block cannot hold them (every column spends >= 1 byte per record), so
+  // it is dropped as structural damage instead of sizing a decode buffer.
+  std::string bytes = multi_block_buffer();
+  std::uint64_t index_offset = 0;
+  std::memcpy(&index_offset, bytes.data() + 32, sizeof index_offset);
+  const std::size_t index_bytes =
+      bytes.size() - static_cast<std::size_t>(index_offset) - 4;
+  const std::size_t records_at =
+      static_cast<std::size_t>(index_offset) +
+      offsetof(ColumnarBlockDesc, records);
+  const std::uint32_t hostile = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + records_at, &hostile, sizeof hostile);
+  const std::uint32_t crc = binio::crc32(
+      {reinterpret_cast<const std::uint8_t*>(bytes.data()) + index_offset,
+       index_bytes});
+  std::memcpy(bytes.data() + index_offset + index_bytes, &crc, sizeof crc);
+
+  IngestReport report;
+  const Dataset survivors =
+      read_columnar_buffer(bytes, lenient_options(), report);
+  EXPECT_EQ(report.count(FaultClass::kTruncatedPayload), 1u);
+  EXPECT_EQ(report.total_faults(), 1u);
+  EXPECT_GT(survivors.size(), 0u);
+  EXPECT_LT(survivors.size(), 80u);
+  EXPECT_LT(report.rows_read, 80u);  // the hostile count never enters it
+
+  IngestReport strict_report;
+  EXPECT_THROW((void)read_columnar_buffer(bytes, {}, strict_report),
+               util::CsvError);
 }
 
 TEST(ColumnarCorruption, TruncatedFileStrictThrowsLenientDegrades) {
@@ -348,7 +440,7 @@ TEST(ColumnarCorruption, QuarantineCapBoundsRetention) {
 TEST(ColumnarScreening, ValueChecksFollowIngestDiscipline) {
   // A sorted file can still carry value-faulty records (negative duration,
   // clock skew, unknown cell, exact duplicates); the reader screens them
-  // exactly like the CCDR1 readers.
+  // exactly like the CSV readers.
   const Dataset original = make_dataset(
       {
           conn(0, 1, 10, -5),         // negative duration

@@ -32,12 +32,12 @@ void expect_chunk_parity(const std::string& text,
   IngestReport golden_report;
   const Dataset golden = read_csv_text(text, lenient_chunked(1, chunk_bytes),
                                        golden_report, "unit");
-  const std::string golden_bytes = write_binary_buffer(golden);
+  const std::string golden_bytes = write_csv_text(golden);
   for (const int width : {2, 4, 8}) {
     IngestReport report;
     const Dataset loaded = read_csv_text(
         text, lenient_chunked(width, chunk_bytes), report, "unit");
-    EXPECT_EQ(write_binary_buffer(loaded), golden_bytes) << "width=" << width;
+    EXPECT_EQ(write_csv_text(loaded), golden_bytes) << "width=" << width;
     EXPECT_EQ(report, golden_report) << "width=" << width;
   }
 }
@@ -186,12 +186,12 @@ TEST(IngestChunkTest, QuarantineCapAppliesGloballyAcrossChunks) {
   EXPECT_EQ(golden_report.quarantine.size(), 5u);
   EXPECT_EQ(golden_report.quarantine_overflow, 7u);
 
-  const std::string golden_bytes = write_binary_buffer(golden);
+  const std::string golden_bytes = write_csv_text(golden);
   for (const int width : {2, 4, 8}) {
     options.threads = width;
     IngestReport report;
     const Dataset loaded = read_csv_text(text, options, report, "unit");
-    EXPECT_EQ(write_binary_buffer(loaded), golden_bytes) << "width=" << width;
+    EXPECT_EQ(write_csv_text(loaded), golden_bytes) << "width=" << width;
     EXPECT_EQ(report, golden_report) << "width=" << width;
   }
 }
@@ -213,69 +213,6 @@ TEST(IngestChunkTest, MetadataCommentInLaterChunkStillApplies) {
   EXPECT_EQ(loaded.fleet_size(), 40u);
   EXPECT_EQ(loaded.study_days(), 30);
   expect_chunk_parity(text);
-}
-
-TEST(IngestChunkTest, BinaryChunkedIngestMatchesSequential) {
-  // Value screening (horizon) quarantines a subset of records; chunked
-  // binary ingest must produce the same dataset and report at every width.
-  std::vector<Connection> records;
-  for (int i = 0; i < 200; ++i) {
-    records.push_back(
-        test::conn(static_cast<std::uint32_t>(i / 8), 2,
-                   static_cast<time::Seconds>(i * 500), 20));
-  }
-  const std::string bytes =
-      write_binary_buffer(test::make_dataset(records, 40, 2));
-
-  IngestOptions options;
-  options.mode = ParseMode::kLenient;
-  options.horizon_s = 40'000;  // records past ~day 0.5 become clock skew
-  options.chunk_bytes = 8;     // many record-aligned chunks
-  options.threads = 1;
-  IngestReport golden_report;
-  const Dataset golden =
-      read_binary_buffer(bytes, options, golden_report, "unit");
-  EXPECT_GT(golden_report.count(FaultClass::kClockSkew), 0u);
-  const std::string golden_out = write_binary_buffer(golden);
-
-  for (const int width : {2, 4, 8}) {
-    options.threads = width;
-    IngestReport report;
-    const Dataset loaded = read_binary_buffer(bytes, options, report, "unit");
-    EXPECT_EQ(write_binary_buffer(loaded), golden_out) << "width=" << width;
-    EXPECT_EQ(report, golden_report) << "width=" << width;
-  }
-}
-
-TEST(IngestChunkTest, StrictBinaryTruncatedPayloadParity) {
-  std::vector<Connection> records;
-  for (int i = 0; i < 50; ++i) {
-    records.push_back(test::conn(1, 2, static_cast<time::Seconds>(i * 100), 5));
-  }
-  std::string bytes = write_binary_buffer(test::make_dataset(records, 4, 1));
-  bytes.resize(bytes.size() - 7);  // chop mid-record
-
-  IngestOptions options;
-  options.threads = 1;
-  options.chunk_bytes = 8;
-  std::string golden_message;
-  try {
-    IngestReport report;
-    (void)read_binary_buffer(bytes, options, report, "unit");
-    FAIL() << "expected CsvError";
-  } catch (const util::CsvError& e) {
-    golden_message = e.what();
-  }
-  for (const int width : {2, 8}) {
-    options.threads = width;
-    IngestReport report;
-    try {
-      (void)read_binary_buffer(bytes, options, report, "unit");
-      FAIL() << "expected CsvError at width " << width;
-    } catch (const util::CsvError& e) {
-      EXPECT_EQ(std::string(e.what()), golden_message) << "width=" << width;
-    }
-  }
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // Hardened-ingest behaviour: messy-but-honest inputs (BOM, CRLF, trailing
 // blank lines) parse everywhere including the legacy entry points; lenient
-// mode quarantines with exact byte offsets and reasons; hostile binary
-// headers degrade into clear errors, never UB or giant allocations.
+// mode quarantines with exact byte offsets and reasons. The binary format's
+// hostile-header cases live in cdr_columnar_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -32,7 +31,6 @@ class IngestTest : public ::testing::Test {
   }
   void TearDown() override {
     std::remove(path("ccms_ingest.csv").c_str());
-    std::remove(path("ccms_ingest.bin").c_str());
   }
 
   Dataset sample() {
@@ -151,65 +149,6 @@ TEST_F(IngestTest, QuarantineCapBoundsMemoryButNotCounting) {
   EXPECT_EQ(report.count(FaultClass::kTruncatedLine), 5u);
   EXPECT_EQ(report.quarantine.size(), 2u);
   EXPECT_EQ(report.quarantine_overflow, 3u);
-}
-
-TEST_F(IngestTest, BinaryShorterThanHeaderIsACleanError) {
-  const std::string stub = "CCDR1";
-  IngestOptions lenient;
-  lenient.mode = ParseMode::kLenient;
-  IngestReport report;
-  const Dataset loaded = read_binary_buffer(stub, lenient, report);
-  EXPECT_EQ(loaded.size(), 0u);
-  EXPECT_EQ(report.count(FaultClass::kBadHeader), 1u);
-
-  {
-    std::ofstream out(path("ccms_ingest.bin"), std::ios::binary);
-    out << stub;
-  }
-  EXPECT_THROW((void)read_binary(path("ccms_ingest.bin")), util::CsvError);
-}
-
-TEST_F(IngestTest, BinaryBadMagicQuarantinesInLenientMode) {
-  std::string bytes = write_binary_buffer(sample());
-  bytes[0] = 'X';
-  IngestOptions lenient;
-  lenient.mode = ParseMode::kLenient;
-  IngestReport report;
-  const Dataset loaded = read_binary_buffer(bytes, lenient, report);
-  EXPECT_EQ(loaded.size(), 0u);
-  EXPECT_EQ(report.count(FaultClass::kBadHeader), 1u);
-  ASSERT_EQ(report.quarantine.size(), 1u);
-  EXPECT_NE(report.quarantine[0].reason.find("magic"), std::string::npos);
-}
-
-TEST_F(IngestTest, HostileRecordCountCannotForceAHugeAllocation) {
-  // Header claims 10^18 records; the payload holds 3. The reader must
-  // validate against the payload before reserving.
-  std::string bytes = write_binary_buffer(sample());
-  const std::uint64_t huge = 1000000000000000000ULL;
-  std::memcpy(bytes.data() + 8, &huge, sizeof huge);
-
-  IngestOptions lenient;
-  lenient.mode = ParseMode::kLenient;
-  IngestReport report;
-  const Dataset loaded = read_binary_buffer(bytes, lenient, report);
-  EXPECT_EQ(loaded.size(), 3u);
-  EXPECT_EQ(report.count(FaultClass::kTruncatedPayload), 1u);
-  EXPECT_EQ(report.records_accepted, 3u);
-
-  // The legacy strict reader refuses with a clear error, not bad_alloc.
-  {
-    std::ofstream out(path("ccms_ingest.bin"), std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  try {
-    (void)read_binary(path("ccms_ingest.bin"));
-    FAIL() << "legacy reader must reject the hostile header";
-  } catch (const util::CsvError& e) {
-    EXPECT_NE(std::string(e.what()).find("payload holds 3"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 TEST_F(IngestTest, GeometryScreeningFlagsSkewAndUnknownCells) {

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "cdr/columnar.h"
 #include "test_helpers.h"
 #include "util/csv.h"
 
@@ -27,7 +28,7 @@ class IoTest : public ::testing::Test {
   }
   void TearDown() override {
     std::remove(path("ccms_io.csv").c_str());
-    std::remove(path("ccms_io.bin").c_str());
+    std::remove(path("ccms_io.ccdr2").c_str());
   }
 
   Dataset sample() {
@@ -45,19 +46,6 @@ TEST_F(IoTest, CsvRoundTrip) {
   const Dataset original = sample();
   write_csv(original, path("ccms_io.csv"));
   const Dataset loaded = read_csv(path("ccms_io.csv"));
-
-  EXPECT_EQ(loaded.size(), original.size());
-  EXPECT_EQ(loaded.fleet_size(), original.fleet_size());
-  EXPECT_EQ(loaded.study_days(), original.study_days());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(loaded.all()[i], original.all()[i]);
-  }
-}
-
-TEST_F(IoTest, BinaryRoundTrip) {
-  const Dataset original = sample();
-  write_binary(original, path("ccms_io.bin"));
-  const Dataset loaded = read_binary(path("ccms_io.bin"));
 
   EXPECT_EQ(loaded.size(), original.size());
   EXPECT_EQ(loaded.fleet_size(), original.fleet_size());
@@ -109,23 +97,29 @@ TEST_F(IoTest, ReadCsvRejectsShortRow) {
 
 TEST_F(IoTest, BinaryRejectsBadMagic) {
   {
-    std::ofstream out(path("ccms_io.bin"), std::ios::binary);
-    out << "NOTCCDR1 garbage garbage garbage";
+    std::ofstream out(path("ccms_io.ccdr2"), std::ios::binary);
+    out << "NOTCCDR2 garbage garbage garbage garbage garbage";
   }
-  EXPECT_THROW((void)read_binary(path("ccms_io.bin")), util::CsvError);
+  IngestReport report;
+  EXPECT_THROW((void)read_columnar(path("ccms_io.ccdr2"), {}, report),
+               util::CsvError);
 }
 
 TEST_F(IoTest, BinaryRejectsTruncation) {
-  write_binary(sample(), path("ccms_io.bin"));
+  write_columnar(sample(), path("ccms_io.ccdr2"));
   // Chop the file.
-  const auto full = std::filesystem::file_size(path("ccms_io.bin"));
-  std::filesystem::resize_file(path("ccms_io.bin"), full - 10);
-  EXPECT_THROW((void)read_binary(path("ccms_io.bin")), util::CsvError);
+  const auto full = std::filesystem::file_size(path("ccms_io.ccdr2"));
+  std::filesystem::resize_file(path("ccms_io.ccdr2"), full - 10);
+  IngestReport report;
+  EXPECT_THROW((void)read_columnar(path("ccms_io.ccdr2"), {}, report),
+               util::CsvError);
 }
 
 TEST_F(IoTest, MissingFilesThrow) {
   EXPECT_THROW((void)read_csv("/nonexistent/x.csv"), util::CsvError);
-  EXPECT_THROW((void)read_binary("/nonexistent/x.bin"), util::CsvError);
+  IngestReport report;
+  EXPECT_THROW((void)read_columnar("/nonexistent/x.ccdr2", {}, report),
+               util::CsvError);
 }
 
 TEST_F(IoTest, EmptyDatasetRoundTrips) {
@@ -133,11 +127,16 @@ TEST_F(IoTest, EmptyDatasetRoundTrips) {
   empty.set_fleet_size(5);
   empty.set_study_days(7);
   empty.finalize();
-  write_binary(empty, path("ccms_io.bin"));
-  const Dataset loaded = read_binary(path("ccms_io.bin"));
-  EXPECT_EQ(loaded.size(), 0u);
-  EXPECT_EQ(loaded.fleet_size(), 5u);
-  EXPECT_EQ(loaded.study_days(), 7);
+  write_csv(empty, path("ccms_io.csv"));
+  write_columnar(empty, path("ccms_io.ccdr2"));
+  IngestReport report;
+  for (const Dataset& loaded :
+       {read_csv(path("ccms_io.csv")),
+        read_columnar(path("ccms_io.ccdr2"), {}, report)}) {
+    EXPECT_EQ(loaded.size(), 0u);
+    EXPECT_EQ(loaded.fleet_size(), 5u);
+    EXPECT_EQ(loaded.study_days(), 7);
+  }
 }
 
 }  // namespace

@@ -110,30 +110,6 @@ TEST(FaultInjectorTest, DatasetCorruptionTagsRecordLevelFaults) {
   }
 }
 
-TEST(FaultInjectorTest, BinaryMagicCorruptionIsExclusive) {
-  const std::string bytes = cdr::write_binary_buffer(sample());
-  BinaryFaultPlan plan;
-  plan.corrupt_magic = true;
-  plan.flip_duration_sign = 1.0;  // must be ignored: the header is dead
-  FaultInjector injector(13, sample_env());
-  const auto out = injector.corrupt_binary(bytes, plan);
-  EXPECT_EQ(out.log.total(), 1u);
-  EXPECT_EQ(out.log.count(FaultClass::kBadHeader), 1u);
-  EXPECT_EQ(out.bytes.size(), bytes.size());
-  EXPECT_NE(out.bytes.substr(0, 8), bytes.substr(0, 8));
-}
-
-TEST(FaultInjectorTest, BinaryTruncationLogsOnePayloadFault) {
-  const std::string bytes = cdr::write_binary_buffer(sample());
-  BinaryFaultPlan plan;
-  plan.truncate_records = 2;
-  FaultInjector injector(17, sample_env());
-  const auto out = injector.corrupt_binary(bytes, plan);
-  EXPECT_EQ(out.bytes.size(), bytes.size() - 2 * 24);
-  EXPECT_EQ(out.log.count(FaultClass::kTruncatedPayload), 1u);
-  EXPECT_EQ(out.log.total(), 1u);
-}
-
 std::vector<cdr::Connection> start_sorted_feed(int records,
                                                std::uint64_t seed) {
   util::Rng rng(seed);

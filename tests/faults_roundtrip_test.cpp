@@ -8,6 +8,7 @@
 #include <string>
 
 #include "cdr/clean.h"
+#include "cdr/columnar.h"
 #include "cdr/io.h"
 #include "faults/fault_injector.h"
 #include "sim/simulator.h"
@@ -225,72 +226,67 @@ TEST(FaultRoundTrip, StrictThrowsAtTheFirstFaultByteOffset) {
   }
 }
 
-TEST(FaultRoundTrip, BinaryBitFlipsAreDetectedExactly) {
+TEST(FaultRoundTrip, ColumnarValueFaultsAreDetectedExactly) {
+  // Value faults survive the CCDR2 encoding byte for byte, so the columnar
+  // reader's screen must count exactly what the injector logged.
   const Fixture& fx = fixture();
-  const std::string bytes = cdr::write_binary_buffer(fx.base);
-
-  BinaryFaultPlan plan;
-  plan.flip_duration_sign = 0.01;
-  plan.flip_cell_high_bit = 0.01;
+  CsvFaultRates rates;
+  rates.negative_duration = 0.004;
+  rates.overflow_duration = 0.004;
+  rates.unknown_cell = 0.004;
+  rates.clock_skew = 0.004;
   FaultInjector injector(0xCAFE, fx.env);
-  const auto corrupted = injector.corrupt_binary(bytes, plan);
-  EXPECT_GT(corrupted.log.count(FaultClass::kNegativeDuration), 0u);
-  EXPECT_GT(corrupted.log.count(FaultClass::kUnknownCell), 0u);
+  const auto corrupted = injector.corrupt_dataset(fx.base, rates);
+  const std::string bytes = cdr::write_columnar_buffer(corrupted.dataset);
 
   cdr::IngestReport report;
   const cdr::Dataset loaded =
-      cdr::read_binary_buffer(corrupted.bytes, fx.lenient, report);
-  EXPECT_EQ(report.count(FaultClass::kNegativeDuration),
-            corrupted.log.count(FaultClass::kNegativeDuration));
-  EXPECT_EQ(report.count(FaultClass::kUnknownCell),
-            corrupted.log.count(FaultClass::kUnknownCell));
+      cdr::read_columnar_buffer(bytes, fx.lenient, report);
+  for (const FaultClass fault :
+       {FaultClass::kNegativeDuration, FaultClass::kOverflowDuration,
+        FaultClass::kUnknownCell, FaultClass::kClockSkew}) {
+    EXPECT_GT(corrupted.log.count(fault), 0u) << cdr::name(fault);
+    EXPECT_EQ(report.count(fault), corrupted.log.count(fault))
+        << cdr::name(fault);
+  }
+  EXPECT_EQ(report.total_faults(), corrupted.log.total());
   EXPECT_EQ(loaded.size(), fx.base.size() - corrupted.log.total());
 
-  // Strict fails at the first flipped record's offset.
   cdr::IngestReport strict_report;
-  try {
-    (void)cdr::read_binary_buffer(corrupted.bytes, fx.strict, strict_report);
-    FAIL() << "strict ingest must throw on flipped records";
-  } catch (const util::CsvError& e) {
-    const std::string needle =
-        "byte offset " + std::to_string(corrupted.log.first_fatal_offset()) +
-        " in";
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << e.what();
-  }
+  EXPECT_THROW((void)cdr::read_columnar_buffer(bytes, fx.strict, strict_report),
+               util::CsvError);
 }
 
 TEST(FaultRoundTrip, BinaryHeaderDamageDegradesGracefully) {
   const Fixture& fx = fixture();
-  const std::string bytes = cdr::write_binary_buffer(fx.base);
-  FaultInjector injector(0xD00F, fx.env);
+  const std::string bytes = cdr::write_columnar_buffer(fx.base);
 
-  BinaryFaultPlan magic;
-  magic.corrupt_magic = true;
-  const auto bad_magic = injector.corrupt_binary(bytes, magic);
+  // One flipped bit in the magic: a dead header, nothing survives.
+  std::string bad_magic = bytes;
+  bad_magic[2] = static_cast<char>(bad_magic[2] ^ 0x40);
   cdr::IngestReport report;
   const cdr::Dataset none =
-      cdr::read_binary_buffer(bad_magic.bytes, fx.lenient, report);
+      cdr::read_columnar_buffer(bad_magic, fx.lenient, report);
   EXPECT_EQ(none.size(), 0u);
   EXPECT_EQ(report.count(FaultClass::kBadHeader), 1u);
+  EXPECT_EQ(report.total_faults(), 1u);
 
-  BinaryFaultPlan inflate;
-  inflate.inflate_record_count = true;
-  const auto inflated = injector.corrupt_binary(bytes, inflate);
-  cdr::IngestReport inflate_report;
-  const cdr::Dataset all =
-      cdr::read_binary_buffer(inflated.bytes, fx.lenient, inflate_report);
-  EXPECT_EQ(all.size(), fx.base.size());
-  EXPECT_EQ(inflate_report.count(FaultClass::kTruncatedPayload), 1u);
-
-  BinaryFaultPlan chop;
-  chop.truncate_records = 5;
-  const auto chopped = injector.corrupt_binary(bytes, chop);
+  // A chopped tail takes the block index with it: one payload fault, and
+  // the lenient read returns an empty dataset instead of throwing.
+  const std::string chopped = bytes.substr(0, bytes.size() - 5);
   cdr::IngestReport chop_report;
   const cdr::Dataset rest =
-      cdr::read_binary_buffer(chopped.bytes, fx.lenient, chop_report);
-  EXPECT_EQ(rest.size(), fx.base.size() - 5);
+      cdr::read_columnar_buffer(chopped, fx.lenient, chop_report);
+  EXPECT_EQ(rest.size(), 0u);
   EXPECT_EQ(chop_report.count(FaultClass::kTruncatedPayload), 1u);
+  EXPECT_EQ(chop_report.total_faults(), 1u);
+
+  for (const std::string& damaged : {bad_magic, chopped}) {
+    cdr::IngestReport strict_report;
+    EXPECT_THROW(
+        (void)cdr::read_columnar_buffer(damaged, fx.strict, strict_report),
+        util::CsvError);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Golden determinism of the parallel front of pipeline: fleet generation,
 // trace simulation, chunked ingest and Dataset::finalize must produce
 // bitwise-identical output at every thread width (1, 2, 8). The comparisons
-// use write_binary_buffer — byte equality of the serialized dataset — plus
+// use write_csv_text — byte equality of the serialized dataset — plus
 // exact IngestReport equality, so any divergence in record order, content or
 // accounting fails the test.
 #include <gtest/gtest.h>
@@ -58,11 +58,11 @@ TEST(FrontendDeterminismTest, SimulatedTraceIdenticalAcrossWidths) {
 
   config.threads = 1;
   const std::string golden =
-      cdr::write_binary_buffer(sim::simulate(config).raw);
+      cdr::write_csv_text(sim::simulate(config).raw);
   for (const int width : {2, 8}) {
     config.threads = width;
     const std::string bytes =
-        cdr::write_binary_buffer(sim::simulate(config).raw);
+        cdr::write_csv_text(sim::simulate(config).raw);
     EXPECT_EQ(bytes, golden) << "width=" << width;
   }
 }
@@ -81,14 +81,14 @@ TEST(FrontendDeterminismTest, FinalizePoolMatchesSequential) {
   cdr::Dataset golden;
   golden.add(shuffled);
   golden.finalize();
-  const std::string golden_bytes = cdr::write_binary_buffer(golden);
+  const std::string golden_bytes = cdr::write_csv_text(golden);
 
   for (const int width : {1, 2, 8}) {
     exec::ThreadPool pool(width);
     cdr::Dataset dataset;
     dataset.add(shuffled);
     dataset.finalize(pool);
-    EXPECT_EQ(cdr::write_binary_buffer(dataset), golden_bytes)
+    EXPECT_EQ(cdr::write_csv_text(dataset), golden_bytes)
         << "width=" << width;
     EXPECT_EQ(dataset.distinct_cells(), golden.distinct_cells())
         << "width=" << width;
@@ -117,7 +117,7 @@ TEST(FrontendDeterminismTest, CsvIngestIdenticalAcrossWidths) {
   options.chunk_bytes = 256;  // force many chunk seams on the small fixture
   options.threads = 1;
   cdr::IngestReport golden_report;
-  const std::string golden_bytes = cdr::write_binary_buffer(
+  const std::string golden_bytes = cdr::write_csv_text(
       cdr::read_csv_text(text, options, golden_report, "unit"));
 
   for (const int width : {2, 8}) {
@@ -125,36 +125,7 @@ TEST(FrontendDeterminismTest, CsvIngestIdenticalAcrossWidths) {
     cdr::IngestReport report;
     const cdr::Dataset loaded =
         cdr::read_csv_text(text, options, report, "unit");
-    EXPECT_EQ(cdr::write_binary_buffer(loaded), golden_bytes)
-        << "width=" << width;
-    EXPECT_EQ(report, golden_report) << "width=" << width;
-  }
-}
-
-TEST(FrontendDeterminismTest, BinaryIngestIdenticalAcrossWidths) {
-  sim::SimConfig config = sim::SimConfig::quick();
-  config.fleet.size = 60;
-  config.study_days = 7;
-  const std::string bytes =
-      cdr::write_binary_buffer(sim::simulate(config).raw);
-
-  cdr::IngestOptions options;
-  options.chunk_bytes = 256;
-  options.threads = 1;
-  // Re-loading our own trace: simulated traces can contain legitimate exact
-  // duplicates, so the duplicate screen stays off for a bitwise round trip.
-  options.check_duplicates = false;
-  cdr::IngestReport golden_report;
-  const std::string golden_out = cdr::write_binary_buffer(
-      cdr::read_binary_buffer(bytes, options, golden_report, "unit"));
-  EXPECT_EQ(golden_out, bytes);  // round trip
-
-  for (const int width : {2, 8}) {
-    options.threads = width;
-    cdr::IngestReport report;
-    const cdr::Dataset loaded =
-        cdr::read_binary_buffer(bytes, options, report, "unit");
-    EXPECT_EQ(cdr::write_binary_buffer(loaded), golden_out)
+    EXPECT_EQ(cdr::write_csv_text(loaded), golden_bytes)
         << "width=" << width;
     EXPECT_EQ(report, golden_report) << "width=" << width;
   }

@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "cdr/anonymize.h"
+#include "cdr/columnar.h"
 #include "cdr/io.h"
 #include "core/load_view.h"
 #include "core/study.h"
@@ -36,7 +37,7 @@ class EndToEndTest : public ::testing::Test {
   }
   void TearDown() override {
     std::remove(path("ccms_e2e.csv").c_str());
-    std::remove(path("ccms_e2e.bin").c_str());
+    std::remove(path("ccms_e2e.ccdr2").c_str());
   }
 };
 
@@ -63,8 +64,17 @@ TEST_F(EndToEndTest, CsvRoundTripPreservesEveryAnalysis) {
 }
 
 TEST_F(EndToEndTest, BinaryRoundTripIsBitExact) {
-  cdr::write_binary(study().raw, path("ccms_e2e.bin"));
-  const cdr::Dataset reloaded = cdr::read_binary(path("ccms_e2e.bin"));
+  cdr::write_columnar(study().raw, path("ccms_e2e.ccdr2"));
+  // Simulated traces can carry legitimate exact duplicates, so the
+  // duplicate screen stays off for a bitwise round trip.
+  cdr::IngestOptions options;
+  options.check_duplicates = false;
+  cdr::IngestReport report;
+  const cdr::Dataset reloaded =
+      cdr::read_columnar(path("ccms_e2e.ccdr2"), options, report);
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(reloaded.fleet_size(), study().raw.fleet_size());
+  EXPECT_EQ(reloaded.study_days(), study().raw.study_days());
   ASSERT_EQ(reloaded.size(), study().raw.size());
   for (std::size_t i = 0; i < reloaded.size(); ++i) {
     EXPECT_EQ(reloaded.all()[i], study().raw.all()[i]);
