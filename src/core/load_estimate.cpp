@@ -10,20 +10,20 @@ CellLoad estimate_load(const ConcurrencyGrid& concurrency,
                        std::size_t cell_count,
                        const LoadEstimateConfig& config) {
   const auto base = static_cast<float>(std::clamp(config.base, 0.0, 1.0));
-  std::vector<std::vector<float>> profiles(
-      cell_count, std::vector<float>(time::kBins15PerWeek, base));
+  std::vector<float> grid(cell_count * time::kBins15PerWeek, base);
 
   const double capacity = std::max(0.1, config.capacity_cars);
   for (const CellConcurrency& profile : concurrency.cells()) {
     if (profile.cell.value >= cell_count) continue;
-    auto& out = profiles[profile.cell.value];
+    float* out = grid.data() + static_cast<std::size_t>(profile.cell.value) *
+                                   time::kBins15PerWeek;
     for (int bin = 0; bin < time::kBins15PerWeek; ++bin) {
       const auto i = static_cast<std::size_t>(bin);
       out[i] = static_cast<float>(
           std::clamp(config.base + profile.weekly[i] / capacity, 0.0, 1.0));
     }
   }
-  return CellLoad::from_profiles(std::move(profiles));
+  return CellLoad(std::move(grid));
 }
 
 namespace {

@@ -1,67 +1,13 @@
-// Cell-load view consumed by the analyses.
-//
-// The pipeline never needs the load *model* — only the measured quantity the
-// paper works with: average U_PRB per cell per 15-minute bin of the week.
-// CellLoad decouples core from sim/net: feed it our simulator's background
-// (CellLoad::from_background) or any externally measured grid
-// (CellLoad::from_profiles) and every busy-hour analysis works unchanged.
+// The analyses' cell-load type, defined with its cells x 672 layout in
+// net/load.h. The busy-hour analyses take any such grid: the simulator's
+// background, sim::measured_load, estimate_load or an operator's telemetry.
 #pragma once
 
-#include <vector>
-
 #include "net/load.h"
-#include "util/time.h"
-#include "util/types.h"
 
 namespace ccms::core {
 
-/// Default busy-cell threshold: §4.3 classifies a (cell, 15-min bin) as busy
-/// when its average U_PRB exceeds 80%.
-inline constexpr double kBusyPrbThreshold = 0.80;
-
-/// Per-cell weekly average PRB utilisation.
-class CellLoad {
- public:
-  CellLoad() = default;
-
-  /// Adopts raw profiles: profiles[cell.value] has kBins15PerWeek values.
-  [[nodiscard]] static CellLoad from_profiles(
-      std::vector<std::vector<float>> profiles);
-
-  /// Copies the simulator's background model.
-  [[nodiscard]] static CellLoad from_background(
-      const net::BackgroundLoad& background);
-
-  [[nodiscard]] std::size_t cell_count() const { return weekly_.size(); }
-
-  /// Average utilisation of `cell` in bin-of-week `bin` (0 for unknown
-  /// cells, treating them as never busy).
-  [[nodiscard]] double at(CellId cell, int bin_of_week) const {
-    if (cell.value >= weekly_.size()) return 0.0;
-    const auto& p = weekly_[cell.value];
-    if (p.empty()) return 0.0;
-    return p[static_cast<std::size_t>(bin_of_week) % p.size()];
-  }
-
-  /// Utilisation at an absolute study time.
-  [[nodiscard]] double at_time(CellId cell, time::Seconds t) const {
-    return at(cell, time::bin15_of_week(t));
-  }
-
-  /// Whether (cell, bin) counts as busy under `threshold`.
-  [[nodiscard]] bool busy(CellId cell, int bin_of_week,
-                          double threshold = kBusyPrbThreshold) const {
-    return at(cell, bin_of_week) > threshold;
-  }
-
-  /// Mean utilisation over the whole week.
-  [[nodiscard]] double weekly_mean(CellId cell) const;
-
-  /// The 96-bin day-of-week-averaged curve of one cell.
-  [[nodiscard]] std::vector<double> daily_curve(CellId cell) const;
-
- private:
-  std::vector<std::vector<float>> weekly_;
-};
+using net::CellLoad;
+using net::kBusyPrbThreshold;
 
 }  // namespace ccms::core

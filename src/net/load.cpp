@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace ccms::net {
 
@@ -38,15 +40,46 @@ double diurnal_multiplier(GeoClass geo, int hour, time::Weekday day) {
   return time::is_weekend(day) ? base * kWeekendFactor[g] : base;
 }
 
-BackgroundLoad::BackgroundLoad(const Topology& topology,
-                               const LoadModelConfig& config, util::Rng& rng) {
+CellLoad::CellLoad(std::vector<float> grid)
+    : cells_(grid.size() / time::kBins15PerWeek) {
+  if (grid.size() % time::kBins15PerWeek != 0) {
+    throw std::invalid_argument(
+        "CellLoad: grid of " + std::to_string(grid.size()) +
+        " values is not whole 672-bin weeks");
+  }
+  grid_ = std::make_shared<const std::vector<float>>(std::move(grid));
+}
+
+CellLoad CellLoad::from_profiles(std::vector<std::vector<float>> profiles) {
+  std::vector<float> grid;
+  grid.reserve(profiles.size() * time::kBins15PerWeek);
+  for (const std::vector<float>& row : profiles) {
+    if (row.size() != time::kBins15PerWeek) {
+      throw std::invalid_argument(
+          "CellLoad::from_profiles: row of " + std::to_string(row.size()) +
+          " values, want 672");
+    }
+    grid.insert(grid.end(), row.begin(), row.end());
+  }
+  return CellLoad(std::move(grid));
+}
+
+double CellLoad::weekly_mean(CellId cell) const {
+  if (cell.value >= cells_) return 0.0;
+  double sum = 0;
+  for (const float v : profile(cell)) sum += v;
+  return sum / time::kBins15PerWeek;
+}
+
+CellLoad background_load(const Topology& topology,
+                         const LoadModelConfig& config, util::Rng& rng) {
   const CellTable& cells = topology.cells();
   // Saturated-core geometry: stations within core_radius of the grid centre.
   const auto& tc = topology.config();
   const double cx = (tc.grid_width - 1) / 2.0 * tc.spacing_km;
   const double cy = (tc.grid_height - 1) / 2.0 * tc.spacing_km;
   const double half_diag = std::max(1.0, std::hypot(cx, cy));
-  profiles_.resize(cells.size());
+  std::vector<float> grid(cells.size() * time::kBins15PerWeek);
   for (const CellInfo& cell : cells.all()) {
     util::Rng cell_rng = rng.split(0xBACC0000ULL + cell.id.value);
     const auto g = static_cast<std::size_t>(cell.geo);
@@ -77,8 +110,9 @@ BackgroundLoad::BackgroundLoad(const Topology& topology,
       scale *= config.hot_boost[g];
     }
 
-    auto& profile = profiles_[cell.id.value];
-    profile.resize(time::kBins15PerWeek);
+    float* profile =
+        grid.data() +
+        static_cast<std::size_t>(cell.id.value) * time::kBins15PerWeek;
     for (int bin = 0; bin < time::kBins15PerWeek; ++bin) {
       const int day = bin / time::kBins15PerDay;
       const int bin_of_day = bin % time::kBins15PerDay;
@@ -98,17 +132,10 @@ BackgroundLoad::BackgroundLoad(const Topology& topology,
       const double jitter =
           1.0 + config.jitter * (2.0 * cell_rng.uniform() - 1.0);
       const double u = config.base[g] * diurnal * scale * jitter;
-      profile[static_cast<std::size_t>(bin)] =
-          static_cast<float>(std::clamp(u, 0.0, 1.0));
+      profile[bin] = static_cast<float>(std::clamp(u, 0.0, 1.0));
     }
   }
-}
-
-double BackgroundLoad::weekly_mean(CellId cell) const {
-  const auto& p = profiles_[cell.value];
-  double sum = 0;
-  for (const float v : p) sum += v;
-  return p.empty() ? 0.0 : sum / static_cast<double>(p.size());
+  return CellLoad(std::move(grid));
 }
 
 }  // namespace ccms::net

@@ -1,11 +1,19 @@
-// Background (non-car) cell load model.
+// Cell load: the one grid every busy-cell analysis reads, and the
+// background (non-car) model that fills it.
 //
 // Busy-cell classification is central to the paper: Table 2 counts a car's
 // time "in cells with average U_PRB > 80% for those 15-minute bins", Fig 7
 // plots time-in-busy-cells deciles, and Fig 11 clusters cells whose weekly
-// average PRB utilisation is >= 70%. The cars themselves contribute little
-// background load (CDRs carry no volumes), so we model U_PRB as an exogenous
-// weekly profile per cell:
+// average PRB utilisation is >= 70%. All of them read one quantity, average
+// U_PRB per (cell, 15-minute bin of the week), held by CellLoad as one
+// shared, cell-major cells x 672 float grid. The grid comes from
+// background_load (the simulator's model), sim::measured_load (background
+// plus the cars' own traffic), core::estimate_load (CDRs alone) or an
+// operator's measured inventory (CellLoad::from_profiles).
+//
+// The cars themselves contribute little background load (CDRs carry no
+// volumes), so background_load models U_PRB as an exogenous weekly profile
+// per cell:
 //
 //   U(cell, bin) = clamp(base(class) * diurnal(class, hour) * weekend(class,
 //                  day) * cell_scale * (1 + jitter), 0, 1)
@@ -15,6 +23,8 @@
 // persistently busy radios the paper studies.
 #pragma once
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "net/cell.h"
@@ -54,37 +64,77 @@ struct LoadModelConfig {
   double jitter = 0.05;
 };
 
-/// Immutable per-cell weekly background U_PRB profiles (672 bins each).
-class BackgroundLoad {
+/// Default busy-cell threshold: §4.3 classifies a (cell, 15-min bin) as busy
+/// when its average U_PRB exceeds 80%.
+inline constexpr double kBusyPrbThreshold = 0.80;
+
+/// Average U_PRB per cell per 15-minute bin of the week: one immutable,
+/// cell-major grid of cell_count() x 672 floats (Monday 00:00 first).
+/// Copies share the grid, so handing the simulator's background to the
+/// analyses copies no bytes.
+class CellLoad {
  public:
-  /// Builds profiles for every cell of `topology`. Deterministic given
-  /// `rng`.
-  BackgroundLoad(const Topology& topology, const LoadModelConfig& config,
-                 util::Rng& rng);
+  CellLoad() = default;
 
-  /// Background utilisation in [0,1] for `cell` during bin-of-week `bin`.
-  [[nodiscard]] double utilization(CellId cell, int bin_of_week) const {
-    return profiles_[cell.value][static_cast<std::size_t>(bin_of_week)];
+  /// Adopts a flat cell-major grid: grid[cell * 672 + bin]. Throws
+  /// std::invalid_argument unless its size is a whole number of weeks.
+  explicit CellLoad(std::vector<float> grid);
+
+  /// Adopts per-cell rows: profiles[cell.value] has exactly 672 values.
+  /// Throws std::invalid_argument on a row of any other length.
+  [[nodiscard]] static CellLoad from_profiles(
+      std::vector<std::vector<float>> profiles);
+
+  /// Shares `background`'s grid: the same as copying it.
+  [[nodiscard]] static CellLoad from_background(const CellLoad& background) {
+    return background;
   }
 
-  /// Background utilisation at time `t`.
-  [[nodiscard]] double utilization_at(CellId cell, time::Seconds t) const {
-    return utilization(cell, time::bin15_of_week(t));
+  [[nodiscard]] std::size_t cell_count() const { return cells_; }
+
+  /// Average utilisation of `cell` in bin-of-week `bin` (0 for unknown
+  /// cells, treating them as never busy).
+  [[nodiscard]] double at(CellId cell, int bin_of_week) const {
+    if (cell.value >= cells_) return 0.0;
+    return (*grid_)[offset(cell) + static_cast<std::size_t>(bin_of_week) %
+                                       time::kBins15PerWeek];
   }
 
-  /// Whole weekly profile of one cell (672 values, Monday 00:00 first).
+  /// Utilisation at an absolute study time.
+  [[nodiscard]] double at_time(CellId cell, time::Seconds t) const {
+    return at(cell, time::bin15_of_week(t));
+  }
+
+  /// Whether (cell, bin) counts as busy under `threshold`.
+  [[nodiscard]] bool busy(CellId cell, int bin_of_week,
+                          double threshold = kBusyPrbThreshold) const {
+    return at(cell, bin_of_week) > threshold;
+  }
+
+  /// Whole weekly profile of one cell (672 values; empty for unknown cells).
   [[nodiscard]] std::span<const float> profile(CellId cell) const {
-    return profiles_[cell.value];
+    if (cell.value >= cells_) return {};
+    return std::span<const float>(*grid_).subspan(offset(cell),
+                                                  time::kBins15PerWeek);
   }
 
-  /// Mean over the whole week for one cell.
+  /// Mean utilisation over the whole week (0 for unknown cells).
   [[nodiscard]] double weekly_mean(CellId cell) const;
 
-  [[nodiscard]] std::size_t cell_count() const { return profiles_.size(); }
-
  private:
-  std::vector<std::vector<float>> profiles_;
+  static std::size_t offset(CellId cell) {
+    return static_cast<std::size_t>(cell.value) * time::kBins15PerWeek;
+  }
+
+  std::shared_ptr<const std::vector<float>> grid_;
+  std::size_t cells_ = 0;
 };
+
+/// Builds the background profiles of every cell of `topology`.
+/// Deterministic given `rng`.
+[[nodiscard]] CellLoad background_load(const Topology& topology,
+                                       const LoadModelConfig& config,
+                                       util::Rng& rng);
 
 /// The deterministic diurnal multiplier for a geography class at a given
 /// hour of day (0..23) and weekday. Exposed for tests and for the PRB

@@ -30,7 +30,7 @@ std::string render_geo_map(const Topology& topology) {
 }
 
 std::string render_load_map(const Topology& topology,
-                            const BackgroundLoad& background) {
+                            const CellLoad& background) {
   static constexpr char kShades[] = " .:-=+*#%@";
   std::string out;
   const int w = topology.config().grid_width;

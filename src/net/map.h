@@ -17,6 +17,6 @@ namespace ccms::net {
 /// Load map: each station shaded by the mean weekly utilisation of its
 /// cells, ' ' (idle) .. '@' (saturated).
 [[nodiscard]] std::string render_load_map(const Topology& topology,
-                                          const BackgroundLoad& background);
+                                          const CellLoad& background);
 
 }  // namespace ccms::net

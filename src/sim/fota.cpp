@@ -6,21 +6,20 @@
 
 namespace ccms::sim {
 
-std::vector<double> weekday_average_day(const net::BackgroundLoad& background,
+std::vector<double> weekday_average_day(const net::CellLoad& background,
                                         CellId cell) {
   std::vector<double> day(time::kBins15PerDay, 0.0);
-  const auto profile = background.profile(cell);
   for (int bin = 0; bin < time::kBins15PerDay; ++bin) {
     double sum = 0;
     for (int d = 0; d < 5; ++d) {  // Monday..Friday
-      sum += profile[static_cast<std::size_t>(d * time::kBins15PerDay + bin)];
+      sum += background.at(cell, d * time::kBins15PerDay + bin);
     }
     day[static_cast<std::size_t>(bin)] = sum / 5.0;
   }
   return day;
 }
 
-SaturationResult saturation_experiment(const net::BackgroundLoad& background,
+SaturationResult saturation_experiment(const net::CellLoad& background,
                                        const net::CellTable& cells,
                                        CellId cell, int start_bin,
                                        int duration_bins) {
@@ -44,7 +43,7 @@ SaturationResult saturation_experiment(const net::BackgroundLoad& background,
   return result;
 }
 
-std::vector<CellId> pick_test_cells(const net::BackgroundLoad& background,
+std::vector<CellId> pick_test_cells(const net::CellLoad& background,
                                     const net::CellTable& cells, int count,
                                     double lo, double hi) {
   std::vector<CellId> picked;
@@ -71,7 +70,7 @@ const char* name(DeliveryPolicy policy) {
 }
 
 CampaignPlan plan_campaign(std::span<const FotaCarInput> cars,
-                           const net::BackgroundLoad& background,
+                           const net::CellLoad& background,
                            const net::CellTable& cells,
                            const CampaignConfig& config) {
   CampaignPlan plan;
@@ -111,7 +110,7 @@ CampaignPlan plan_campaign(std::span<const FotaCarInput> cars,
   return plan;
 }
 
-double fota_download_seconds(const net::BackgroundLoad& background,
+double fota_download_seconds(const net::CellLoad& background,
                              const net::CellTable& cells, CellId cell,
                              double megabytes, int start_bin) {
   const std::vector<double> day = weekday_average_day(background, cell);

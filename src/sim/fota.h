@@ -39,7 +39,7 @@ struct SaturationResult {
 /// `start_bin` for `duration_bins` bins, against the cell's weekday-average
 /// background day.
 [[nodiscard]] SaturationResult saturation_experiment(
-    const net::BackgroundLoad& background, const net::CellTable& cells,
+    const net::CellLoad& background, const net::CellTable& cells,
     CellId cell, int start_bin = kPaperTestStartBin,
     int duration_bins = kPaperTestBins);
 
@@ -47,20 +47,20 @@ struct SaturationResult {
 /// (weekly mean in [lo, hi]) so that the saturation effect is visible, as in
 /// the paper's two test cells.
 [[nodiscard]] std::vector<CellId> pick_test_cells(
-    const net::BackgroundLoad& background, const net::CellTable& cells,
+    const net::CellLoad& background, const net::CellTable& cells,
     int count, double lo = 0.35, double hi = 0.65);
 
 /// Seconds needed to push a FOTA image of `megabytes` through `cell`
 /// starting at day bin `start_bin` (uses the weekday-average background).
 /// Negative if it cannot complete within a week.
-[[nodiscard]] double fota_download_seconds(const net::BackgroundLoad& background,
+[[nodiscard]] double fota_download_seconds(const net::CellLoad& background,
                                            const net::CellTable& cells,
                                            CellId cell, double megabytes,
                                            int start_bin);
 
 /// Weekday-average (Mon-Fri) background day of one cell, 96 bins.
 [[nodiscard]] std::vector<double> weekday_average_day(
-    const net::BackgroundLoad& background, CellId cell);
+    const net::CellLoad& background, CellId cell);
 
 // ---------------------------------------------------------------------------
 // Managed FOTA campaign planning — the scenario §4.3 sketches:
@@ -130,7 +130,7 @@ struct CampaignPlan {
 
 /// Assigns policies and estimates download times for every car.
 [[nodiscard]] CampaignPlan plan_campaign(std::span<const FotaCarInput> cars,
-                                         const net::BackgroundLoad& background,
+                                         const net::CellLoad& background,
                                          const net::CellTable& cells,
                                          const CampaignConfig& config = {});
 

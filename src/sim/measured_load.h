@@ -29,7 +29,7 @@ inline constexpr double kDefaultCarPrbShare = 0.02;
 
 /// Builds the measured load grid: background plus the fleet's contribution
 /// derived from the (cleaned) dataset's concurrency.
-[[nodiscard]] core::CellLoad measured_load(const net::BackgroundLoad& background,
+[[nodiscard]] core::CellLoad measured_load(const net::CellLoad& background,
                                            const cdr::Dataset& cleaned,
                                            double car_prb_share = kDefaultCarPrbShare);
 

@@ -43,7 +43,7 @@ StreamSim::StreamSim(const SimConfig& config)
       }()),
       background_([&] {
         util::Rng load_rng = master_.split(0x10ADULL);
-        return net::BackgroundLoad(topology_, config.load, load_rng);
+        return net::background_load(topology_, config.load, load_rng);
       }()),
       generator_(topology_, config_.gen),
       study_end_(static_cast<time::Seconds>(config.study_days) *

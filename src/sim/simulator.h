@@ -23,7 +23,7 @@ namespace ccms::sim {
 struct Study {
   SimConfig config;
   net::Topology topology;
-  net::BackgroundLoad background;
+  net::CellLoad background;
   std::vector<fleet::CarProfile> fleet;
   cdr::Dataset raw;
 
@@ -57,7 +57,7 @@ class StreamSim {
 
   [[nodiscard]] const SimConfig& config() const { return config_; }
   [[nodiscard]] const net::Topology& topology() const { return topology_; }
-  [[nodiscard]] const net::BackgroundLoad& background() const {
+  [[nodiscard]] const net::CellLoad& background() const {
     return background_;
   }
   [[nodiscard]] const std::vector<fleet::CarProfile>& fleet() const {
@@ -81,7 +81,7 @@ class StreamSim {
   SimConfig config_;
   util::Rng master_;
   net::Topology topology_;
-  net::BackgroundLoad background_;
+  net::CellLoad background_;
   std::vector<fleet::CarProfile> fleet_;
   std::vector<double> day_factors_;
   std::vector<char> lossy_day_;

@@ -38,10 +38,9 @@ TEST(CellLoadTest, BusyThreshold) {
 TEST(CellLoadTest, WeeklyMeanAndDailyCurve) {
   const CellLoad load = test_load();
   EXPECT_NEAR(load.weekly_mean(CellId{0}), 0.95, 1e-6);
-  const auto curve = load.daily_curve(CellId{2});
-  ASSERT_EQ(curve.size(), 96u);
-  EXPECT_NEAR(curve[10], 0.20, 1e-6);
-  EXPECT_NEAR(curve[60], 0.90, 1e-6);
+  // Cell 2: 56 quiet bins at 0.20 and 40 peak bins at 0.90 every day.
+  EXPECT_NEAR(load.weekly_mean(CellId{2}), (56 * 0.20 + 40 * 0.90) / 96, 1e-6);
+  EXPECT_EQ(load.weekly_mean(CellId{99}), 0.0);  // unknown cell
 }
 
 TEST(CellLoadTest, AtTimeUsesWeekBin) {

@@ -93,13 +93,15 @@ TEST(LoadEstimateTest, EstimateCorrelatesWithTruthOnSimulatedStudy) {
 
   // Restrict the comparison to visited cells (unvisited ones carry no
   // signal): build compact vectors via the public API by copying weekly
-  // means of visited cells into two aligned fake grids.
+  // means of visited cells into two aligned fake grids of flat weeks.
   std::vector<std::vector<float>> est_profiles, truth_profiles;
   for (const CellConcurrency& profile : grid.cells()) {
-    est_profiles.push_back(
-        {static_cast<float>(estimated.weekly_mean(profile.cell))});
-    truth_profiles.push_back(
-        {static_cast<float>(truth.weekly_mean(profile.cell))});
+    est_profiles.emplace_back(
+        time::kBins15PerWeek,
+        static_cast<float>(estimated.weekly_mean(profile.cell)));
+    truth_profiles.emplace_back(
+        time::kBins15PerWeek,
+        static_cast<float>(truth.weekly_mean(profile.cell)));
   }
   const auto n = est_profiles.size();
   const CellLoad est_compact =

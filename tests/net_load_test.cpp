@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "core/load_view.h"
+#include "sim/simulator.h"
 #include "test_helpers.h"
 
 namespace ccms::net {
@@ -11,16 +15,16 @@ class LoadTest : public ::testing::Test {
  protected:
   LoadTest() : topo_(test::small_topology()) {
     util::Rng rng(99);
-    load_ = std::make_unique<BackgroundLoad>(topo_, LoadModelConfig{}, rng);
+    load_ = background_load(topo_, LoadModelConfig{}, rng);
   }
   Topology topo_;
-  std::unique_ptr<BackgroundLoad> load_;
+  CellLoad load_;
 };
 
 TEST_F(LoadTest, ProfilesCoverAllCells) {
-  EXPECT_EQ(load_->cell_count(), topo_.cells().size());
+  EXPECT_EQ(load_.cell_count(), topo_.cells().size());
   for (const CellInfo& cell : topo_.cells().all()) {
-    EXPECT_EQ(load_->profile(cell.id).size(),
+    EXPECT_EQ(load_.profile(cell.id).size(),
               static_cast<std::size_t>(time::kBins15PerWeek));
   }
 }
@@ -28,7 +32,7 @@ TEST_F(LoadTest, ProfilesCoverAllCells) {
 TEST_F(LoadTest, UtilizationInUnitRange) {
   for (const CellInfo& cell : topo_.cells().all()) {
     for (int bin = 0; bin < time::kBins15PerWeek; bin += 13) {
-      const double u = load_->utilization(cell.id, bin);
+      const double u = load_.at(cell.id, bin);
       EXPECT_GE(u, 0.0);
       EXPECT_LE(u, 1.0);
     }
@@ -39,8 +43,8 @@ TEST_F(LoadTest, NightIsQuieterThanEvening) {
   // Averaged over all cells, 03:00 load must be well below 19:00 load.
   double night = 0, evening = 0;
   for (const CellInfo& cell : topo_.cells().all()) {
-    night += load_->utilization_at(cell.id, time::at(2, 3));
-    evening += load_->utilization_at(cell.id, time::at(2, 19));
+    night += load_.at_time(cell.id, time::at(2, 3));
+    evening += load_.at_time(cell.id, time::at(2, 19));
   }
   EXPECT_LT(night, 0.55 * evening);
 }
@@ -49,7 +53,7 @@ TEST_F(LoadTest, DowntownHotterThanRural) {
   double downtown = 0, rural = 0;
   std::size_t nd = 0, nr = 0;
   for (const CellInfo& cell : topo_.cells().all()) {
-    const double m = load_->weekly_mean(cell.id);
+    const double m = load_.weekly_mean(cell.id);
     if (cell.geo == GeoClass::kDowntown) {
       downtown += m;
       ++nd;
@@ -68,7 +72,7 @@ TEST_F(LoadTest, SomeBusyCellsExist) {
   int busy_bins = 0;
   for (const CellInfo& cell : topo_.cells().all()) {
     for (int bin = 0; bin < time::kBins15PerWeek; ++bin) {
-      busy_bins += load_->utilization(cell.id, bin) > 0.8;
+      busy_bins += load_.at(cell.id, bin) > 0.8;
     }
   }
   EXPECT_GT(busy_bins, 0);
@@ -77,24 +81,52 @@ TEST_F(LoadTest, SomeBusyCellsExist) {
 TEST_F(LoadTest, MostCellsAreNotBusy) {
   int busy_cells = 0;
   for (const CellInfo& cell : topo_.cells().all()) {
-    busy_cells += load_->weekly_mean(cell.id) >= 0.7;
+    busy_cells += load_.weekly_mean(cell.id) >= 0.7;
   }
   EXPECT_LT(busy_cells, static_cast<int>(topo_.cells().size() / 4));
 }
 
 TEST_F(LoadTest, WeeklyMeanMatchesProfile) {
   const CellId cell = topo_.cells().all().front().id;
-  const auto profile = load_->profile(cell);
+  const auto profile = load_.profile(cell);
   double sum = 0;
   for (const float v : profile) sum += v;
-  EXPECT_NEAR(load_->weekly_mean(cell), sum / profile.size(), 1e-9);
+  EXPECT_NEAR(load_.weekly_mean(cell), sum / profile.size(), 1e-9);
 }
 
 TEST_F(LoadTest, DeterministicGivenSeed) {
   util::Rng rng(99);
-  const BackgroundLoad again(topo_, LoadModelConfig{}, rng);
+  const CellLoad again = background_load(topo_, LoadModelConfig{}, rng);
   for (const CellInfo& cell : topo_.cells().all()) {
-    EXPECT_EQ(load_->utilization(cell.id, 300), again.utilization(cell.id, 300));
+    EXPECT_EQ(load_.at(cell.id, 300), again.at(cell.id, 300));
+  }
+}
+
+TEST(CellLoadShapeTest, RejectsGridsThatAreNotWholeWeeks) {
+  std::vector<std::vector<float>> rows(
+      2, std::vector<float>(time::kBins15PerWeek, 0.5f));
+  rows[1].resize(time::kBins15PerDay);
+  EXPECT_THROW((void)CellLoad::from_profiles(std::move(rows)),
+               std::invalid_argument);
+  EXPECT_THROW(CellLoad(std::vector<float>(time::kBins15PerWeek + 1, 0.5f)),
+               std::invalid_argument);
+  EXPECT_EQ(CellLoad(std::vector<float>(2 * time::kBins15PerWeek)).cell_count(),
+            2u);
+  EXPECT_EQ(CellLoad(std::vector<float>{}).cell_count(), 0u);
+}
+
+TEST(CellLoadShareTest, CopiesShareTheStudyBackground) {
+  sim::SimConfig config = sim::SimConfig::quick();
+  config.fleet.size = 20;
+  config.study_days = 7;
+  const sim::Study study = sim::simulate(config);
+  const CellLoad shared = core::CellLoad::from_background(study.background);
+  const CellLoad copy = study.background;
+  ASSERT_GT(study.background.cell_count(), 0u);
+  for (std::uint32_t c = 0; c < study.background.cell_count(); ++c) {
+    const float* original = study.background.profile(CellId{c}).data();
+    EXPECT_EQ(shared.profile(CellId{c}).data(), original);
+    EXPECT_EQ(copy.profile(CellId{c}).data(), original);
   }
 }
 
@@ -144,7 +176,7 @@ TEST(LoadCoreTest, SaturatedCoreIsAlwaysBusy) {
   LoadModelConfig config;
   config.core_radius = 0.10;
   util::Rng lrng(6);
-  const BackgroundLoad load(topo, config, lrng);
+  const CellLoad load = background_load(topo, config, lrng);
 
   const StationId centre = topo.station_at({8, 8});
   int busy = 0;
@@ -154,7 +186,7 @@ TEST(LoadCoreTest, SaturatedCoreIsAlwaysBusy) {
     for (int day = 0; day < 7; ++day) {
       for (int bin = 24; bin < 92; ++bin) {
         ++total;
-        busy += load.utilization(cell_id, day * 96 + bin) > 0.8;
+        busy += load.at(cell_id, day * 96 + bin) > 0.8;
       }
     }
   }

@@ -41,7 +41,7 @@ TEST(MapTest, GeoMapCentreIsDowntown) {
 TEST(MapTest, LoadMapShadesDowntownDarker) {
   const Topology topo = test::small_topology();
   util::Rng rng(3);
-  const BackgroundLoad load(topo, LoadModelConfig{}, rng);
+  const CellLoad load = background_load(topo, LoadModelConfig{}, rng);
   const std::string map = render_load_map(topo, load);
 
   static const std::string shades = " .:-=+*#%@";

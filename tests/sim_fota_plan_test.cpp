@@ -10,8 +10,7 @@ class PlanCampaignTest : public ::testing::Test {
  protected:
   PlanCampaignTest() : topo_(test::small_topology()) {
     util::Rng rng(9);
-    load_ = std::make_unique<net::BackgroundLoad>(topo_,
-                                                  net::LoadModelConfig{}, rng);
+    load_ = net::background_load(topo_, net::LoadModelConfig{}, rng);
     // A usable home cell for every synthetic input.
     home_cell_ = topo_.cells().all().front().id;
   }
@@ -21,7 +20,7 @@ class PlanCampaignTest : public ::testing::Test {
   }
 
   net::Topology topo_;
-  std::unique_ptr<net::BackgroundLoad> load_;
+  net::CellLoad load_;
   CellId home_cell_;
 };
 
@@ -31,7 +30,7 @@ TEST_F(PlanCampaignTest, PolicyAssignment) {
       input(1, 60, 0.1),   // common, non-busy -> randomized
       input(2, 60, 0.8),   // common, busy -> off-peak window
   };
-  const CampaignPlan plan = plan_campaign(cars, *load_, topo_.cells());
+  const CampaignPlan plan = plan_campaign(cars, load_, topo_.cells());
   ASSERT_EQ(plan.cars.size(), 3u);
   EXPECT_EQ(plan.cars[0].policy, DeliveryPolicy::kImmediate);
   EXPECT_EQ(plan.cars[1].policy, DeliveryPolicy::kRandomizedOffCommute);
@@ -48,14 +47,14 @@ TEST_F(PlanCampaignTest, BoundaryAtRareDays) {
       input(0, 10, 0.0),  // exactly 10 -> rare
       input(1, 11, 0.0),  // 11 -> common
   };
-  const CampaignPlan plan = plan_campaign(cars, *load_, topo_.cells(), config);
+  const CampaignPlan plan = plan_campaign(cars, load_, topo_.cells(), config);
   EXPECT_EQ(plan.cars[0].policy, DeliveryPolicy::kImmediate);
   EXPECT_EQ(plan.cars[1].policy, DeliveryPolicy::kRandomizedOffCommute);
 }
 
 TEST_F(PlanCampaignTest, DownloadTimesEstimated) {
   const std::vector<FotaCarInput> cars = {input(0, 60, 0.1)};
-  const CampaignPlan plan = plan_campaign(cars, *load_, topo_.cells());
+  const CampaignPlan plan = plan_campaign(cars, load_, topo_.cells());
   ASSERT_EQ(plan.cars.size(), 1u);
   EXPECT_GT(plan.cars[0].planned_seconds, 0.0);
   EXPECT_GT(plan.cars[0].naive_seconds, 0.0);
@@ -70,7 +69,7 @@ TEST_F(PlanCampaignTest, PlannedNeverSlowerInAggregate) {
   for (std::uint32_t i = 0; i < 40; ++i) {
     cars.push_back(input(i, 60, i % 4 == 0 ? 0.8 : 0.1));
   }
-  const CampaignPlan plan = plan_campaign(cars, *load_, topo_.cells());
+  const CampaignPlan plan = plan_campaign(cars, load_, topo_.cells());
   EXPECT_LE(plan.planned_hours, plan.naive_hours + 1e-9);
   EXPECT_GE(plan.saved_fraction(), 0.0);
 }
@@ -81,14 +80,14 @@ TEST_F(PlanCampaignTest, LargerUpdateTakesLonger) {
   small.update_mb = 100;
   CampaignConfig big;
   big.update_mb = 2000;
-  const auto plan_small = plan_campaign(cars, *load_, topo_.cells(), small);
-  const auto plan_big = plan_campaign(cars, *load_, topo_.cells(), big);
+  const auto plan_small = plan_campaign(cars, load_, topo_.cells(), small);
+  const auto plan_big = plan_campaign(cars, load_, topo_.cells(), big);
   EXPECT_GT(plan_big.cars[0].planned_seconds,
             plan_small.cars[0].planned_seconds);
 }
 
 TEST_F(PlanCampaignTest, EmptyInput) {
-  const CampaignPlan plan = plan_campaign({}, *load_, topo_.cells());
+  const CampaignPlan plan = plan_campaign({}, load_, topo_.cells());
   EXPECT_TRUE(plan.cars.empty());
   EXPECT_EQ(plan.saved_fraction(), 0.0);
 }

@@ -11,16 +11,15 @@ class FotaTest : public ::testing::Test {
  protected:
   FotaTest() : topo_(test::small_topology()) {
     util::Rng rng(5);
-    load_ = std::make_unique<net::BackgroundLoad>(topo_,
-                                                  net::LoadModelConfig{}, rng);
+    load_ = net::background_load(topo_, net::LoadModelConfig{}, rng);
   }
   net::Topology topo_;
-  std::unique_ptr<net::BackgroundLoad> load_;
+  net::CellLoad load_;
 };
 
 TEST_F(FotaTest, WeekdayAverageDayHas96Bins) {
   const CellId cell = topo_.cells().all().front().id;
-  const auto day = weekday_average_day(*load_, cell);
+  const auto day = weekday_average_day(load_, cell);
   ASSERT_EQ(day.size(), 96u);
   for (const double u : day) {
     EXPECT_GE(u, 0.0);
@@ -30,8 +29,8 @@ TEST_F(FotaTest, WeekdayAverageDayHas96Bins) {
 
 TEST_F(FotaTest, WeekdayAverageExcludesWeekend) {
   const CellId cell = topo_.cells().all().front().id;
-  const auto day = weekday_average_day(*load_, cell);
-  const auto profile = load_->profile(cell);
+  const auto day = weekday_average_day(load_, cell);
+  const auto profile = load_.profile(cell);
   // Hand-average Monday..Friday of bin 40.
   double expected = 0;
   for (int d = 0; d < 5; ++d) {
@@ -42,9 +41,9 @@ TEST_F(FotaTest, WeekdayAverageExcludesWeekend) {
 }
 
 TEST_F(FotaTest, SaturationPinsUtilizationDuringTest) {
-  const auto cells = pick_test_cells(*load_, topo_.cells(), 2);
+  const auto cells = pick_test_cells(load_, topo_.cells(), 2);
   ASSERT_GE(cells.size(), 1u);
-  const auto result = saturation_experiment(*load_, topo_.cells(), cells[0]);
+  const auto result = saturation_experiment(load_, topo_.cells(), cells[0]);
   EXPECT_NEAR(result.peak_utilization, 1.0, 1e-6);
   // Fig 1: during the test window utilization ~100%, before it the
   // curves coincide with the average.
@@ -57,33 +56,33 @@ TEST_F(FotaTest, SaturationPinsUtilizationDuringTest) {
 }
 
 TEST_F(FotaTest, DeliversData) {
-  const auto cells = pick_test_cells(*load_, topo_.cells(), 1);
+  const auto cells = pick_test_cells(load_, topo_.cells(), 1);
   ASSERT_EQ(cells.size(), 1u);
-  const auto result = saturation_experiment(*load_, topo_.cells(), cells[0]);
+  const auto result = saturation_experiment(load_, topo_.cells(), cells[0]);
   EXPECT_GT(result.delivered_mb, 0.0);
 }
 
 TEST_F(FotaTest, PickTestCellsRespectsBand) {
-  const auto cells = pick_test_cells(*load_, topo_.cells(), 5, 0.3, 0.6);
+  const auto cells = pick_test_cells(load_, topo_.cells(), 5, 0.3, 0.6);
   for (const CellId cell : cells) {
-    const double mean = load_->weekly_mean(cell);
+    const double mean = load_.weekly_mean(cell);
     EXPECT_GE(mean, 0.3);
     EXPECT_LE(mean, 0.6);
   }
 }
 
 TEST_F(FotaTest, PickTestCellsHonoursCount) {
-  const auto cells = pick_test_cells(*load_, topo_.cells(), 3);
+  const auto cells = pick_test_cells(load_, topo_.cells(), 3);
   EXPECT_LE(cells.size(), 3u);
 }
 
 TEST_F(FotaTest, DownloadFasterOffPeak) {
-  const auto cells = pick_test_cells(*load_, topo_.cells(), 1, 0.4, 0.7);
+  const auto cells = pick_test_cells(load_, topo_.cells(), 1, 0.4, 0.7);
   ASSERT_EQ(cells.size(), 1u);
   const double night =
-      fota_download_seconds(*load_, topo_.cells(), cells[0], 500.0, 12);
+      fota_download_seconds(load_, topo_.cells(), cells[0], 500.0, 12);
   const double peak =
-      fota_download_seconds(*load_, topo_.cells(), cells[0], 500.0, 76);
+      fota_download_seconds(load_, topo_.cells(), cells[0], 500.0, 76);
   ASSERT_GT(night, 0.0);
   ASSERT_GT(peak, 0.0);
   EXPECT_LT(night, peak);

@@ -15,7 +15,7 @@ TEST(MeasuredLoadTest, NeverBelowBackground) {
   for (std::uint32_t c = 0; c < measured.cell_count(); c += 7) {
     for (int bin = 0; bin < time::kBins15PerWeek; bin += 31) {
       EXPECT_GE(measured.at(CellId{c}, bin) + 1e-6,
-                study.background.utilization(CellId{c}, bin));
+                study.background.at(CellId{c}, bin));
       EXPECT_LE(measured.at(CellId{c}, bin), 1.0);
     }
   }
@@ -27,7 +27,7 @@ TEST(MeasuredLoadTest, ZeroShareEqualsBackground) {
   for (std::uint32_t c = 0; c < measured.cell_count(); c += 13) {
     for (int bin = 0; bin < time::kBins15PerWeek; bin += 47) {
       EXPECT_NEAR(measured.at(CellId{c}, bin),
-                  study.background.utilization(CellId{c}, bin), 1e-6);
+                  study.background.at(CellId{c}, bin), 1e-6);
     }
   }
 }
