@@ -425,10 +425,11 @@ CarrierUsage CarrierUsageAccumulator::finalize() const {
 // --- Concurrency counts -----------------------------------------------------
 
 ConcurrencyCountsAccumulator::ConcurrencyCountsAccumulator(
-    int study_days, time::Seconds session_gap)
+    int study_days, time::Seconds session_gap, const CellMask* mask)
     : total_bins_(static_cast<std::int64_t>(std::max(1, study_days)) *
                   time::kBins15PerDay),
-      session_gap_(session_gap) {}
+      session_gap_(session_gap),
+      mask_(mask) {}
 
 void ConcurrencyCountsAccumulator::add_car(
     CarId /*car*/, std::span<const cdr::Connection> records) {
@@ -436,6 +437,7 @@ void ConcurrencyCountsAccumulator::add_car(
   const auto sessions = cdr::aggregate_sessions(records, session_gap_);
   for (const cdr::Session& s : sessions) {
     for (const cdr::SessionLeg& leg : s.legs) {
+      if (mask_ != nullptr && !mask_->counts(leg.cell)) continue;
       const std::int64_t b0 = std::clamp<std::int64_t>(
           leg.when.start / time::kSecondsPerBin15, 0, total_bins_ - 1);
       const std::int64_t b1 = std::clamp<std::int64_t>(

@@ -159,6 +159,19 @@ class CarrierUsageAccumulator {
   std::array<std::int64_t, net::kCarrierCount> seconds_{};
 };
 
+/// The cells a ConcurrencyCountsAccumulator counts: `keep[c]` for a cell
+/// id below keep.size(), `rest` for every id at or past it. The default
+/// (empty `keep`, `rest` true) counts every cell.
+struct CellMask {
+  /// Bytes, not vector<bool>, so threads can fill disjoint ranges.
+  std::vector<std::uint8_t> keep;
+  bool rest = true;
+
+  [[nodiscard]] bool counts(CellId cell) const {
+    return cell.value < keep.size() ? keep[cell.value] != 0 : rest;
+  }
+};
+
 /// Fig 10/11 pass, car side: each car's deduplicated (cell << 24) |
 /// absolute 15-min bin observations, aggregated into sorted (key,
 /// multiplicity) runs — O(distinct pairs) memory instead of O(observations),
@@ -168,12 +181,24 @@ class CarrierUsageAccumulator {
 /// of the observation multiset, so merges commute and
 /// ConcurrencyGrid::from_bin_counts sees the same multiset for any car
 /// order or chunk partition.
+///
+/// An optional CellMask drops the legs on cells it excludes before their
+/// keys are buffered. ConcurrencyGrid::build passes none and counts every
+/// cell (Fig 10 and the other grid readers). run_study's fold, whose only
+/// concurrency reader is Fig 11, passes cluster_busy_cells' busy-radio
+/// filter, so it counts only the cells the clustering keeps (a few percent
+/// of them).
 class ConcurrencyCountsAccumulator {
  public:
-  ConcurrencyCountsAccumulator(int study_days, time::Seconds session_gap);
+  /// `mask`, if non-null, must outlive the accumulator and every merge.
+  ConcurrencyCountsAccumulator(int study_days, time::Seconds session_gap,
+                               const CellMask* mask = nullptr);
 
   void add_car(CarId car, std::span<const cdr::Connection> records);
   void merge(ConcurrencyCountsAccumulator&& other);
+  /// Sorts the pending keys into the run store now rather than at the
+  /// next merge, so a parallel fold pays for it on its own thread.
+  void flush_pending();
   /// Sorted keys and their multiplicities (ConcurrencyGrid::from_bin_counts'
   /// input form).
   [[nodiscard]] std::pair<std::vector<std::uint64_t>,
@@ -181,10 +206,9 @@ class ConcurrencyCountsAccumulator {
   take_counts() &&;
 
  private:
-  void flush_pending();
-
   std::int64_t total_bins_ = 0;
   time::Seconds session_gap_ = cdr::kSessionGap;
+  const CellMask* mask_ = nullptr;
   std::vector<std::uint64_t> pending_;  ///< per-car deduped keys, unflushed
   std::vector<std::uint64_t> keys_;     ///< sorted, unique
   std::vector<std::uint64_t> counts_;   ///< multiplicity per key
@@ -205,11 +229,13 @@ class CellSessionsAccumulator {
   /// Fig 9 needs, and any car order yields the same multiset).
   void add_car(CarId car, std::span<const cdr::Connection> records);
   void merge(CellSessionsAccumulator&& other);
+  /// Sorts the pending durations into the run store now rather than at
+  /// the next merge.
+  void flush_pending();
   [[nodiscard]] CellSessionStats finalize() &&;
 
  private:
   void add_duration(std::int32_t duration_s);
-  void flush_pending();
 
   std::int32_t cap_ = 600;
   std::vector<std::int32_t> pending_;      ///< raw durations, unflushed

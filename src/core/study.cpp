@@ -69,15 +69,22 @@ struct StudySweep {
   CellSessionsAccumulator cell_sessions;
 
   StudySweep(int study_days, const net::CellTable& cells, const CellLoad& load,
-             const StudyOptions& options)
+             const CellMask& busy_cells, const StudyOptions& options)
       : presence(study_days),
         connected(study_days, options.truncation_cap),
         days(study_days),
         busy(&load, options.busy_prb_threshold),
         handovers(&cells, cdr::kJourneyGap),
         carriers(&cells),
-        concurrency(study_days, cdr::kSessionGap),
+        concurrency(study_days, cdr::kSessionGap, &busy_cells),
         cell_sessions(options.truncation_cap) {}
+
+  /// Sorts the run-length accumulators' pending buffers, so a worker
+  /// thread does that work instead of the serial merge.
+  void seal() {
+    concurrency.flush_pending();
+    cell_sessions.flush_pending();
+  }
 
   /// Merges a sweep whose cars are strictly after this one's.
   /// `quarantine_cap` is the global quarantine bound.
@@ -224,6 +231,28 @@ class ColumnarSource {
   const std::string& label_;
 };
 
+/// Fig 11's busy-radio filter as a CellMask: the cells cluster_busy_cells
+/// keeps, `load.weekly_mean(c) >= threshold`, built in parallel. Ids at or
+/// past load.cell_count() have weekly mean 0.
+CellMask busy_cell_mask(const CellLoad& load, double threshold,
+                        exec::ThreadPool& pool) {
+  constexpr std::size_t kCellsPerTask = 4096;
+  CellMask mask;
+  mask.keep.resize(load.cell_count());
+  mask.rest = 0.0 >= threshold;
+  const std::size_t n = mask.keep.size();
+  pool.parallel_for((n + kCellsPerTask - 1) / kCellsPerTask,
+                    [&](std::size_t task) {
+                      const std::size_t end =
+                          std::min(n, (task + 1) * kCellsPerTask);
+                      for (std::size_t c = task * kCellsPerTask; c < end; ++c) {
+                        const CellId cell{static_cast<std::uint32_t>(c)};
+                        mask.keep[c] = load.weekly_mean(cell) >= threshold;
+                      }
+                    });
+  return mask;
+}
+
 /// The one fold: every chunk of `source`, in waves, merged in ascending
 /// order into one sweep, then finalized into the report. `study_days` and
 /// `fleet_size` are the input's declared geometry; `ingest` is the
@@ -238,7 +267,11 @@ StudyReport run_fold(const Source& source, int study_days,
   const std::size_t chunks = source.chunks();
   const std::size_t cap = options.ingest.quarantine_cap;
 
-  StudySweep total(study_days, cells, load, options);
+  // Fig 11 is the fold's only concurrency reader, so the concurrency pass
+  // counts only the cells its busy-radio filter keeps.
+  const CellMask busy_cells =
+      busy_cell_mask(load, options.cluster_load_threshold, pool);
+  StudySweep total(study_days, cells, load, busy_cells, options);
   // Fold in waves of a few chunks per thread; merge each wave (ascending)
   // into the running total before the next starts. The wave width only
   // schedules work — the fold/merge sequence, hence the result, is the
@@ -251,11 +284,12 @@ StudyReport run_fold(const Source& source, int study_days,
   for (std::size_t first = 0; first < chunks; first += wave) {
     const std::size_t count = std::min(wave, chunks - first);
     pool.parallel_for(count, [&](std::size_t i) {
-      StudySweep acc(study_days, cells, load, options);
+      StudySweep acc(study_days, cells, load, busy_cells, options);
       SweepScratch& s = scratch_for_thread();
       s.car.clear();  // a strict-mode throw can leave a car staged
       source.fold(acc, first + i, s);
       flush_car(acc, s.car);
+      acc.seal();
       partials[i].emplace(std::move(acc));
     });
     for (std::size_t i = 0; i < count; ++i) {
@@ -286,6 +320,8 @@ StudyReport run_fold(const Source& source, int study_days,
   report.handovers = std::move(total.handovers).finalize();
   report.carriers = total.carriers.finalize();
 
+  // The grid holds only busy cells; cluster_busy_cells re-applies the same
+  // filter and keeps all of them.
   const auto [keys, counts] = std::move(total.concurrency).take_counts();
   const ConcurrencyGrid grid =
       ConcurrencyGrid::from_bin_counts(keys, counts, study_days);

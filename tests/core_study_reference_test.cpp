@@ -3,15 +3,21 @@
 // point, segment_cars, ConcurrencyGrid::build and cluster_busy_cells. The
 // batch driver folds every pass in one parallel sweep; this composition runs
 // each analysis on its own over a cleaned copy, so agreement is a check of
-// the fold, not of the fold against itself.
+// the fold, not of the fold against itself. In particular the fold counts
+// concurrency only on Fig 11's busy cells, while ConcurrencyGrid::build here
+// counts every cell and leaves the filter to cluster_busy_cells.
 #include "core/study.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "cdr/clean.h"
+#include "cdr/columnar.h"
 #include "fleet/archetype.h"
 #include "fleet/car.h"
 #include "test_helpers.h"
@@ -116,6 +122,91 @@ TEST(StudyReferenceTest, AllDirtyDatasetMatchesHandComposition) {
   ASSERT_GT(dirty.study_days(), 0);
   const StudyReport expected = expect_matches_reference(dirty, quick_study());
   EXPECT_EQ(expected.clean.total_removed(), dirty.size());
+}
+
+/// `load` without its last cell, so that cell (still in the topology) is
+/// one the load grid does not know, and with `idle`'s row zeroed. Both
+/// then have weekly mean exactly 0, on the boundary of threshold 0.
+CellLoad boundary_load(const CellLoad& load, CellId idle) {
+  std::vector<float> grid;
+  for (std::uint32_t c = 0; c + 1 < load.cell_count(); ++c) {
+    const auto profile = load.profile(CellId{c});
+    grid.insert(grid.end(), profile.begin(), profile.end());
+  }
+  const auto row = grid.begin() + static_cast<std::ptrdiff_t>(
+                                      idle.value * time::kBins15PerWeek);
+  std::fill(row, row + time::kBins15PerWeek, 0.0f);
+  return CellLoad(std::move(grid));
+}
+
+TEST(StudyReferenceTest, BusyCellFilterMatchesHandCompositionAtEachThreshold) {
+  const sim::Study& study = quick_study();
+  const net::CellTable& cells = study.topology.cells();
+  const CellId idle = study.raw.all().front().cell;
+  const CellLoad load = boundary_load(study.background, idle);
+  const CellId unknown{static_cast<std::uint32_t>(load.cell_count())};
+  ASSERT_LT(idle.value, unknown.value);
+  ASSERT_LT(unknown.value, cells.size());
+
+  // The quick study plus one clean record on the unknown cell, from a car
+  // of its own.
+  cdr::Dataset raw;
+  raw.set_fleet_size(study.raw.fleet_size());
+  raw.set_study_days(study.raw.study_days());
+  for (const cdr::Connection& c : study.raw.all()) raw.add(c);
+  raw.add(test::conn(study.raw.fleet_size(), unknown.value,
+                     time::at(2, 10), 400));
+  raw.finalize();
+
+  // Small CCDR2 blocks, so the columnar fold has several chunks to merge.
+  std::ostringstream out(std::ios::binary);
+  cdr::ColumnarWriter writer(out, raw.fleet_size(), raw.study_days(),
+                             /*block_records=*/2048);
+  for (const cdr::Connection& c : raw.all()) writer.add(c);
+  writer.finish();
+  const std::string bytes = out.str();
+
+  StudyOptions options;
+  // Natural exact duplicates made adjacent by the finalize sort must survive
+  // the CCDR2 round trip, as they survive run_study.
+  options.ingest.check_duplicates = false;
+  cdr::IngestReport ingest;
+  const cdr::Dataset round =
+      cdr::read_columnar_buffer(bytes, options.ingest, ingest);
+  for (const double threshold : {0.0, 0.70, 0.99}) {
+    options.cluster_load_threshold = threshold;
+    const StudyReport expected = reference_study(raw, cells, load, options);
+    StudyReport expected_columnar = reference_study(round, cells, load, options);
+    expected_columnar.ingest = ingest;
+
+    const auto& busy = expected.clusters.busy_cells;
+    const auto is_busy = [&](CellId cell) {
+      return std::find(busy.begin(), busy.end(), cell) != busy.end();
+    };
+    // Both zero-load cells are busy exactly at threshold 0 (>=, not >).
+    EXPECT_EQ(is_busy(unknown), threshold == 0.0) << threshold;
+    EXPECT_EQ(is_busy(idle), threshold == 0.0) << threshold;
+    if (threshold == 0.99) {
+      EXPECT_TRUE(expected.clusters.clusters.empty());
+      EXPECT_TRUE(busy.empty());
+    } else {
+      EXPECT_FALSE(expected.clusters.clusters.empty()) << threshold;
+    }
+
+    for (const int width : {1, 8}) {
+      options.threads = width;
+      SCOPED_TRACE(testing::Message()
+                   << "threshold=" << threshold << " width=" << width);
+      std::string why;
+      EXPECT_TRUE(study_reports_identical(
+          expected, run_study(raw, cells, load, options), &why))
+          << "run_study: " << why;
+      EXPECT_TRUE(study_reports_identical(
+          expected_columnar,
+          run_study_columnar_buffer(bytes, cells, load, options), &why))
+          << "run_study_columnar_buffer: " << why;
+    }
+  }
 }
 
 }  // namespace
