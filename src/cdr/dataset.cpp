@@ -105,46 +105,11 @@ void Dataset::finalize_impl(exec::ThreadPool* pool) {
                      car_offsets_.begin());
   }
 
-  // By-cell permutation. The stable index sort breaks full-record ties by
-  // storage index, which the chunked merge sort reproduces exactly.
-  by_cell_.resize(records_.size());
-  std::iota(by_cell_.begin(), by_cell_.end(), 0u);
-  const auto by_cell_cmp = [this](std::uint32_t a, std::uint32_t b) {
-    return ByCellThenStart{}(records_[a], records_[b]);
-  };
-  if (pool != nullptr) {
-    exec::parallel_stable_sort(*pool, by_cell_, by_cell_cmp);
-  } else {
-    std::stable_sort(by_cell_.begin(), by_cell_.end(), by_cell_cmp);
-  }
-
-  // Distinct-cell count, cached: boundaries in the by-cell permutation.
-  // Chunked: each chunk counts transitions against its predecessor index,
-  // so the per-chunk sums add up to the sequential count exactly.
-  if (by_cell_.empty()) {
-    distinct_cells_ = 0;
-  } else if (pool != nullptr) {
-    distinct_cells_ = 1 + exec::parallel_reduce(
-        *pool, records_.size() - 1, std::size_t{1} << 16,
-        [] { return std::size_t{0}; },
-        [&](std::size_t& acc, std::size_t i) {
-          acc += records_[by_cell_[i]].cell != records_[by_cell_[i + 1]].cell;
-        },
-        [](std::size_t& into, std::size_t from) { into += from; });
-  } else {
-    distinct_cells_ = 1;
-    for (std::size_t i = 1; i < by_cell_.size(); ++i) {
-      distinct_cells_ +=
-          records_[by_cell_[i - 1]].cell != records_[by_cell_[i]].cell;
-    }
-  }
-
   finalized_ = true;
 }
 
 void Dataset::shrink_to_fit() {
   records_.shrink_to_fit();
-  by_cell_.shrink_to_fit();
   car_offsets_.shrink_to_fit();
 }
 
@@ -161,10 +126,12 @@ void Dataset::set_fleet_size(std::uint32_t n) {
 }
 
 std::size_t Dataset::distinct_cells() const {
-  if (finalized_) return distinct_cells_;
-  std::size_t count = 0;
-  for_each_cell([&count](CellId, std::span<const std::uint32_t>) { ++count; });
-  return count;
+  std::vector<std::uint32_t> cells(records_.size());
+  std::transform(records_.begin(), records_.end(), cells.begin(),
+                 [](const Connection& c) { return c.cell.value; });
+  std::sort(cells.begin(), cells.end());
+  return static_cast<std::size_t>(
+      std::unique(cells.begin(), cells.end()) - cells.begin());
 }
 
 }  // namespace ccms::cdr

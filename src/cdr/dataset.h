@@ -1,10 +1,8 @@
-// In-memory CDR dataset with per-car and per-cell access paths.
+// In-memory CDR dataset: records stored once, sorted by (car, start).
 //
-// The paper's pipeline reads the whole 90-day trace repeatedly from two
-// directions: grouped by car (connected time, usage matrices, segmentation,
-// handovers, carrier usage) and grouped by cell (session durations,
-// concurrency, clustering). The Dataset stores records once, sorted by
-// (car, start), plus an index permutation sorted by (cell, start).
+// Every §4 analysis is a fold over per-car spans (core/passes.h), so the
+// Dataset keeps one record order and a car -> offset table. The one
+// per-cell reader, Fig 8's single-cell day view, scans all() for its cell.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +44,8 @@ class Dataset {
   void finalize();
 
   /// Parallel finalize on `pool`: chunked merge sort for the (car, start)
-  /// record order and the (cell, start) permutation, parallel offset-table
-  /// and distinct-cell builds. Identical output to finalize() for every
-  /// pool width.
+  /// record order, parallel max reductions and offset-table build.
+  /// Identical output to finalize() for every pool width.
   void finalize(exec::ThreadPool& pool);
 
   [[nodiscard]] bool finalized() const { return finalized_; }
@@ -76,29 +73,9 @@ class Dataset {
   [[nodiscard]] int study_days() const { return study_days_; }
   void set_study_days(int days) { study_days_ = days; }
 
-  /// Number of distinct cells referenced by at least one record. Cached at
-  /// finalize() time (callers hit this once per figure).
+  /// Number of distinct cells referenced by at least one record. Counted
+  /// from the records on each call (callers hit this once per report).
   [[nodiscard]] std::size_t distinct_cells() const;
-
-  /// One cell's records in start order (via the by-cell permutation).
-  /// `for_each_cell` visits every cell that has records, ascending by cell
-  /// id, passing (cell, span of indices into all()).
-  template <typename F>
-  void for_each_cell(F&& f) const {
-    std::size_t i = 0;
-    while (i < by_cell_.size()) {
-      const CellId cell = records_[by_cell_[i]].cell;
-      std::size_t j = i;
-      while (j < by_cell_.size() && records_[by_cell_[j]].cell == cell) ++j;
-      f(cell, std::span<const std::uint32_t>(by_cell_.data() + i, j - i));
-      i = j;
-    }
-  }
-
-  /// Record by storage index (used with for_each_cell's index spans).
-  [[nodiscard]] const Connection& at(std::uint32_t index) const {
-    return records_[index];
-  }
 
   /// Visits every car that has records, ascending, passing
   /// (car, span of its records).
@@ -118,11 +95,9 @@ class Dataset {
   void finalize_impl(exec::ThreadPool* pool);
 
   std::vector<Connection> records_;
-  std::vector<std::uint32_t> by_cell_;      // permutation: (cell, start) order
   std::vector<std::uint64_t> car_offsets_;  // car id -> first index (+ sentinel)
   std::uint32_t fleet_size_ = 0;
   int study_days_ = 0;
-  std::size_t distinct_cells_ = 0;          // cached by finalize()
   bool finalized_ = false;
 };
 

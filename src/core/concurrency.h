@@ -5,17 +5,15 @@
 // cars per 15-minute bin of the week (Fig 10 plots one week of this next to
 // the cell's U_PRB) and its 96-bin daily fold (the vectors Fig 11 clusters).
 //
-// Cars are counted through their *aggregated sessions* (§3's 30-second
-// concatenation), so a car briefly bouncing between connections within a bin
-// counts once.
+// Each connection counts on its own cell in every bin it straddles, and the
+// counts are deduplicated per car, so a car with several connections to one
+// cell within a bin counts once.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "cdr/dataset.h"
-#include "cdr/session.h"
 #include "util/time.h"
 
 namespace ccms::core {
@@ -39,10 +37,8 @@ struct CellConcurrency {
 /// Per-cell concurrency over a whole study.
 class ConcurrencyGrid {
  public:
-  /// Builds the grid from a finalized (cleaned) dataset. `session_gap` is
-  /// the aggregation gap (§3: 30 s).
-  [[nodiscard]] static ConcurrencyGrid build(
-      const cdr::Dataset& dataset, time::Seconds session_gap = cdr::kSessionGap);
+  /// Builds the grid from a finalized (cleaned) dataset.
+  [[nodiscard]] static ConcurrencyGrid build(const cdr::Dataset& dataset);
 
   /// Builds the grid from the run-length form of the per-car deduplicated
   /// (cell << 24) | absolute_bin observations: strictly ascending unique

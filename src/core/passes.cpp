@@ -425,28 +425,23 @@ CarrierUsage CarrierUsageAccumulator::finalize() const {
 // --- Concurrency counts -----------------------------------------------------
 
 ConcurrencyCountsAccumulator::ConcurrencyCountsAccumulator(
-    int study_days, time::Seconds session_gap, const CellMask* mask)
+    int study_days, const CellMask* mask)
     : total_bins_(static_cast<std::int64_t>(std::max(1, study_days)) *
                   time::kBins15PerDay),
-      session_gap_(session_gap),
       mask_(mask) {}
 
 void ConcurrencyCountsAccumulator::add_car(
     CarId /*car*/, std::span<const cdr::Connection> records) {
   scratch_.clear();
-  const auto sessions = cdr::aggregate_sessions(records, session_gap_);
-  for (const cdr::Session& s : sessions) {
-    for (const cdr::SessionLeg& leg : s.legs) {
-      if (mask_ != nullptr && !mask_->counts(leg.cell)) continue;
-      const std::int64_t b0 = std::clamp<std::int64_t>(
-          leg.when.start / time::kSecondsPerBin15, 0, total_bins_ - 1);
-      const std::int64_t b1 = std::clamp<std::int64_t>(
-          (leg.when.end - 1) / time::kSecondsPerBin15, 0, total_bins_ - 1);
-      for (std::int64_t b = b0; b <= b1; ++b) {
-        scratch_.push_back(
-            (static_cast<std::uint64_t>(leg.cell.value) << 24) |
-            static_cast<std::uint64_t>(b));
-      }
+  for (const cdr::Connection& c : records) {
+    if (mask_ != nullptr && !mask_->counts(c.cell)) continue;
+    const std::int64_t b0 = std::clamp<std::int64_t>(
+        c.start / time::kSecondsPerBin15, 0, total_bins_ - 1);
+    const std::int64_t b1 = std::clamp<std::int64_t>(
+        (c.end() - 1) / time::kSecondsPerBin15, 0, total_bins_ - 1);
+    for (std::int64_t b = b0; b <= b1; ++b) {
+      scratch_.push_back((static_cast<std::uint64_t>(c.cell.value) << 24) |
+                         static_cast<std::uint64_t>(b));
     }
   }
   std::sort(scratch_.begin(), scratch_.end());

@@ -1,12 +1,10 @@
 // The pass form of every §4 analysis: accumulate over one car's records,
 // merge order-independently, finalize into the figure struct.
 //
-// The paper's pipeline reads the trace "repeatedly from two directions";
-// the batch driver used to reproduce that literally with ~10 independent
-// full passes. Each analysis is really a fold over car spans though — the
-// cell-grouped figures only need multisets that any car order yields (Fig 9
-// durations, Fig 10/11 (cell, bin) observations) — so this header factors
-// each one into an explicit accumulator with:
+// Each analysis is a fold over car spans, including the cell-grouped
+// figures: they only need multisets that any car order yields (Fig 9
+// durations, Fig 10/11 (cell, bin) observations). This header factors each
+// one into an explicit accumulator with:
 //
 //   add_car(car, records)   fold one car's records, in start order
 //   merge(other)            combine adjacent range results
@@ -182,17 +180,20 @@ struct CellMask {
 /// ConcurrencyGrid::from_bin_counts sees the same multiset for any car
 /// order or chunk partition.
 ///
-/// An optional CellMask drops the legs on cells it excludes before their
-/// keys are buffered. ConcurrencyGrid::build passes none and counts every
-/// cell (Fig 10 and the other grid readers). run_study's fold, whose only
+/// Each connection counts on its own cell for every bin it straddles; the
+/// per-car dedup makes a car count once per (cell, bin).
+///
+/// An optional CellMask drops the connections on cells it excludes before
+/// their keys are buffered. ConcurrencyGrid::build passes none and counts
+/// every cell (Fig 10 and the other grid readers). run_study's fold, whose only
 /// concurrency reader is Fig 11, passes cluster_busy_cells' busy-radio
 /// filter, so it counts only the cells the clustering keeps (a few percent
 /// of them).
 class ConcurrencyCountsAccumulator {
  public:
   /// `mask`, if non-null, must outlive the accumulator and every merge.
-  ConcurrencyCountsAccumulator(int study_days, time::Seconds session_gap,
-                               const CellMask* mask = nullptr);
+  explicit ConcurrencyCountsAccumulator(int study_days,
+                                        const CellMask* mask = nullptr);
 
   void add_car(CarId car, std::span<const cdr::Connection> records);
   void merge(ConcurrencyCountsAccumulator&& other);
@@ -207,7 +208,6 @@ class ConcurrencyCountsAccumulator {
 
  private:
   std::int64_t total_bins_ = 0;
-  time::Seconds session_gap_ = cdr::kSessionGap;
   const CellMask* mask_ = nullptr;
   std::vector<std::uint64_t> pending_;  ///< per-car deduped keys, unflushed
   std::vector<std::uint64_t> keys_;     ///< sorted, unique

@@ -76,7 +76,7 @@ struct StudySweep {
         busy(&load, options.busy_prb_threshold),
         handovers(&cells, cdr::kJourneyGap),
         carriers(&cells),
-        concurrency(study_days, cdr::kSessionGap, &busy_cells),
+        concurrency(study_days, &busy_cells),
         cell_sessions(options.truncation_cap) {}
 
   /// Sorts the run-length accumulators' pending buffers, so a worker

@@ -1,5 +1,5 @@
 // Deterministic parallel merge sort for the front of the pipeline
-// (Dataset::finalize's record sort and by-cell permutation).
+// (Dataset::finalize's record sort).
 //
 // The determinism argument extends exec/parallel.h's: the input is cut into
 // fixed-size chunks, each chunk is stable-sorted independently, and adjacent
@@ -8,8 +8,8 @@
 // output is the unique stable ordering of the input — elements ordered by
 // key, ties by original position — so the result does not depend on the
 // chunk partition, the merge tree, or how many threads execute it. With a
-// total-order comparator (cdr::ByCarThenStart / ByCellThenStart compare
-// every field) the result is additionally identical to std::sort's.
+// total-order comparator (cdr::ByCarThenStart compares every field) the
+// result is additionally identical to std::sort's.
 #pragma once
 
 #include <algorithm>

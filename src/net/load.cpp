@@ -5,6 +5,10 @@
 #include <stdexcept>
 #include <string>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace ccms::net {
 
 namespace {
@@ -32,6 +36,19 @@ constexpr std::array<std::array<double, 24>, kGeoClassCount> kHourShape = {{
 constexpr std::array<double, kGeoClassCount> kWeekendFactor = {0.88, 1.05,
                                                                0.90, 1.02};
 
+/// Frees a grid and hands the heap's free pages back to the OS. A grid is
+/// the largest block the program allocates (cells x 672 floats, ~40 MiB at
+/// 16k cells). glibc may carve it from heap memory freed earlier rather
+/// than map it on its own, and then keeps it resident after it is freed, so
+/// without the trim the footprint after a grid's release would depend on
+/// where the allocator happened to place it.
+void release_grid(const std::vector<float>* grid) {
+  delete grid;
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
 }  // namespace
 
 double diurnal_multiplier(GeoClass geo, int hour, time::Weekday day) {
@@ -47,7 +64,8 @@ CellLoad::CellLoad(std::vector<float> grid)
         "CellLoad: grid of " + std::to_string(grid.size()) +
         " values is not whole 672-bin weeks");
   }
-  grid_ = std::make_shared<const std::vector<float>>(std::move(grid));
+  grid_ = std::shared_ptr<const std::vector<float>>(
+      new std::vector<float>(std::move(grid)), release_grid);
 }
 
 CellLoad CellLoad::from_profiles(std::vector<std::vector<float>> profiles) {

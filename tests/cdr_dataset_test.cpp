@@ -79,25 +79,18 @@ TEST(DatasetTest, DistinctCells) {
   EXPECT_EQ(d.distinct_cells(), 2u);
 }
 
-TEST(DatasetTest, ForEachCellVisitsAscendingWithAllRecords) {
-  const Dataset d = make_dataset({
-      conn(0, 9, 0, 10),
-      conn(1, 5, 200, 10),
-      conn(2, 5, 100, 10),
-      conn(3, 5, 50, 10),
-  });
-  std::vector<std::uint32_t> cells;
-  std::size_t total = 0;
-  d.for_each_cell([&](CellId cell, std::span<const std::uint32_t> indices) {
-    cells.push_back(cell.value);
-    total += indices.size();
-    // Within a cell, indices are in start order.
-    for (std::size_t i = 1; i < indices.size(); ++i) {
-      EXPECT_LE(d.at(indices[i - 1]).start, d.at(indices[i]).start);
-    }
-  });
-  EXPECT_EQ(cells, (std::vector<std::uint32_t>{5, 9}));
-  EXPECT_EQ(total, d.size());
+TEST(DatasetTest, DistinctCellsBeforeFinalize) {
+  Dataset d;
+  d.add(conn(0, 5, 0, 10));
+  EXPECT_EQ(d.distinct_cells(), 1u);
+}
+
+TEST(DatasetTest, DistinctCellsCountsRecordsAddedAfterFinalize) {
+  Dataset d = make_dataset({conn(0, 5, 0, 10)});
+  d.add(conn(1, 7, 0, 10));
+  d.add(conn(2, 9, 0, 10));
+  EXPECT_FALSE(d.finalized());
+  EXPECT_EQ(d.distinct_cells(), 3u);
 }
 
 TEST(DatasetTest, ForEachCarVisitsAscending) {

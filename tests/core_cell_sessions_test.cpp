@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "test_helpers.h"
 
 namespace ccms::core {
@@ -103,6 +106,32 @@ TEST(CellDayTimelineTest, SameCarNotDoubleCounted) {
   EXPECT_EQ(timeline.cars[0].connections.size(), 2u);
 }
 
+TEST(CellDayTimelineTest, RowsFollowStartOrderNotCarOrder) {
+  // Stored by (car, start): car 1, 0, 2, 3. Rows appear in order of each
+  // car's first connection on the cell, ties broken by car id.
+  const auto d = make_dataset(
+      {
+          conn(1, 5, at(0, 12), 60),
+          conn(1, 5, at(0, 9), 60),
+          conn(0, 5, at(0, 10), 60),
+          conn(2, 5, at(0, 10), 60),
+          conn(3, 5, at(0, 11), 60),
+          conn(3, 5, at(0, 8), 60),
+      },
+      4, 1);
+  const CellDayTimeline timeline = cell_day_timeline(d, CellId{5}, 0);
+  std::vector<std::uint32_t> cars;
+  for (const auto& row : timeline.cars) cars.push_back(row.car.value);
+  EXPECT_EQ(cars, (std::vector<std::uint32_t>{3, 1, 0, 2}));
+
+  ASSERT_EQ(timeline.cars[0].connections.size(), 2u);
+  EXPECT_EQ(timeline.cars[0].connections[0].start, at(0, 8));
+  EXPECT_EQ(timeline.cars[0].connections[1].start, at(0, 11));
+  ASSERT_EQ(timeline.cars[1].connections.size(), 2u);
+  EXPECT_EQ(timeline.cars[1].connections[0].start, at(0, 9));
+  EXPECT_EQ(timeline.cars[1].connections[1].start, at(0, 12));
+}
+
 TEST(CellDayTimelineTest, EmptyCell) {
   const auto d = make_dataset({conn(0, 5, at(0, 8), 60)}, 1, 1);
   const CellDayTimeline timeline = cell_day_timeline(d, CellId{99}, 0);
@@ -134,6 +163,23 @@ TEST(BusiestCellTest, RespectsDayWindow) {
       3, 2);
   EXPECT_EQ(busiest_cell_by_cars(d, 0).cell.value, 5u);
   EXPECT_EQ(busiest_cell_by_cars(d, 1).cell.value, 9u);
+}
+
+TEST(BusiestCellTest, TieGoesToLowerCellId) {
+  // Cells 9 and 4 both see two distinct cars; cell 9's cars come first in
+  // car order, and car 2's repeat visit to cell 4 counts once.
+  const auto d = make_dataset(
+      {
+          conn(0, 9, at(0, 8), 60),
+          conn(1, 9, at(0, 9), 60),
+          conn(2, 4, at(0, 10), 60),
+          conn(2, 4, at(0, 11), 60),
+          conn(3, 4, at(0, 12), 60),
+      },
+      4, 1);
+  const BusiestCell best = busiest_cell_by_cars(d, 0);
+  EXPECT_EQ(best.cell.value, 4u);
+  EXPECT_EQ(best.distinct_cars, 2u);
 }
 
 }  // namespace

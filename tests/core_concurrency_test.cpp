@@ -55,8 +55,9 @@ TEST(ConcurrencyTest, TwoCarsStraddlingSameBin) {
 }
 
 TEST(ConcurrencyTest, SameCarCountedOncePerBin) {
-  // The paper counts cars whose *aggregated sessions* straddle a bin: two
-  // short connections of one car inside one bin count once.
+  // The paper counts cars whose *aggregated sessions* straddle a bin; the
+  // per-car dedup does the same: two short connections of one car inside
+  // one bin count once.
   const auto d = make_dataset(
       {
           conn(0, 3, at(0, 8, 1), 60),
@@ -163,8 +164,8 @@ using Counts =
 /// rest), merges the halves and returns the counts.
 Counts fold_halves(const cdr::Dataset& d, std::uint32_t split,
                    const CellMask* mask) {
-  ConcurrencyCountsAccumulator low(d.study_days(), cdr::kSessionGap, mask);
-  ConcurrencyCountsAccumulator high(d.study_days(), cdr::kSessionGap, mask);
+  ConcurrencyCountsAccumulator low(d.study_days(), mask);
+  ConcurrencyCountsAccumulator high(d.study_days(), mask);
   d.for_each_car([&](CarId car, std::span<const cdr::Connection> records) {
     (car.value < split ? low : high).add_car(car, records);
   });
@@ -221,7 +222,7 @@ TEST(ConcurrencyCountsTest, EmptyMaskCountsEveryCell) {
 
   // And the merged halves equal one sequential fold, which is what
   // ConcurrencyGrid::build runs.
-  ConcurrencyCountsAccumulator whole(d.study_days(), cdr::kSessionGap);
+  ConcurrencyCountsAccumulator whole(d.study_days());
   d.for_each_car([&](CarId car, std::span<const cdr::Connection> records) {
     whole.add_car(car, records);
   });
