@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "cdr/clean.h"
 #include "core/passes.h"
 
 namespace ccms::core {
@@ -19,6 +20,25 @@ CellSessionStats analyze_cell_sessions(const cdr::Dataset& dataset,
     acc.add_car(car, conns);
   });
   return std::move(acc).finalize();
+}
+
+CellSessionStats summarize_cell_sessions(
+    const stats::EmpiricalDistribution& durations, std::int32_t cap) {
+  CellSessionStats result;
+  result.cap = cap;
+  if (durations.empty()) return result;
+  std::int64_t truncated_sum = 0;
+  for (std::size_t i = 0; i < durations.values().size(); ++i) {
+    const auto v = static_cast<std::int32_t>(durations.values()[i]);
+    truncated_sum += std::int64_t{cdr::truncated_duration(v, cap)} *
+                     static_cast<std::int64_t>(durations.counts()[i]);
+  }
+  result.median = durations.median();
+  result.mean_full = durations.mean();
+  result.mean_truncated = static_cast<double>(truncated_sum) /
+                          static_cast<double>(durations.size());
+  result.cdf_at_cap = durations.cdf(cap);
+  return result;
 }
 
 CellDayTimeline cell_day_timeline(const cdr::Dataset& dataset, CellId cell,

@@ -34,6 +34,14 @@ struct CellSessionStats {
 [[nodiscard]] CellSessionStats analyze_cell_sessions(
     const cdr::Dataset& dataset, std::int32_t truncation_cap = 600);
 
+/// Derives the Fig 9 scalars (median, mean_full, mean_truncated,
+/// cdf_at_cap, cap) from a duration distribution; `durations` stays empty.
+/// mean_truncated divides the integer sum of min(v, cap) over the runs.
+/// Shared by the batch pass and the ccms::stream snapshot so both derive
+/// Fig 9 identically.
+[[nodiscard]] CellSessionStats summarize_cell_sessions(
+    const stats::EmpiricalDistribution& durations, std::int32_t cap);
+
 /// One car's connections within the Fig 8 window.
 struct CellDayCar {
   CarId car;

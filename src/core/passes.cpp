@@ -73,19 +73,6 @@ void bump_histogram(std::vector<std::uint64_t>& hist, std::size_t value) {
   ++hist[value];
 }
 
-stats::EmpiricalDistribution distribution_from_histogram(
-    const std::vector<std::uint64_t>& hist) {
-  std::vector<double> values;
-  std::vector<std::uint64_t> counts;
-  for (std::size_t v = 0; v < hist.size(); ++v) {
-    if (hist[v] == 0) continue;
-    values.push_back(static_cast<double>(v));
-    counts.push_back(hist[v]);
-  }
-  return stats::EmpiricalDistribution::from_sorted_runs(std::move(values),
-                                                        std::move(counts));
-}
-
 }  // namespace
 
 bool DayBits::set(std::int64_t day) {
@@ -147,33 +134,7 @@ void PresenceAccumulator::merge(PresenceAccumulator&& other) {
 }
 
 DailyPresence PresenceAccumulator::finalize(std::uint32_t fleet_size) const {
-  DailyPresence result;
-  result.fleet_size = fleet_size;
-  result.ever_touched_cells = cell_days_.size();
-
-  const auto n_days = static_cast<std::size_t>(days_);
-  std::vector<std::uint32_t> cells_per_day(n_days, 0);
-  for (const auto& [cell, bits] : cell_days_) {
-    for (std::size_t d = 0; d < n_days; ++d) {
-      if (bits.test(static_cast<std::int64_t>(d))) ++cells_per_day[d];
-    }
-  }
-
-  result.cars_fraction.resize(n_days, 0.0);
-  result.cells_fraction.resize(n_days, 0.0);
-  for (std::size_t d = 0; d < n_days; ++d) {
-    result.cars_fraction[d] =
-        fleet_size > 0
-            ? static_cast<double>(cars_per_day_[d]) / fleet_size
-            : 0.0;
-    result.cells_fraction[d] =
-        result.ever_touched_cells > 0
-            ? static_cast<double>(cells_per_day[d]) /
-                  static_cast<double>(result.ever_touched_cells)
-            : 0.0;
-  }
-  summarize_presence(result);
-  return result;
+  return presence_from_counts(fleet_size, cars_per_day_, cell_days_);
 }
 
 // --- Connected time ---------------------------------------------------------
@@ -366,8 +327,10 @@ HandoverStats HandoverAccumulator::finalize() && {
   HandoverStats result;
   result.counts = counts_;
   result.session_count = session_count_;
-  result.per_session = distribution_from_histogram(per_session_hist_);
-  result.stations_per_session = distribution_from_histogram(stations_hist_);
+  result.per_session =
+      stats::EmpiricalDistribution::from_histogram(per_session_hist_);
+  result.stations_per_session =
+      stats::EmpiricalDistribution::from_histogram(stations_hist_);
   result.median = result.per_session.quantile(0.5);
   result.p70 = result.per_session.quantile(0.7);
   result.p90 = result.per_session.quantile(0.9);
@@ -479,8 +442,6 @@ CellSessionsAccumulator::CellSessionsAccumulator(std::int32_t truncation_cap)
 
 void CellSessionsAccumulator::add_duration(std::int32_t duration_s) {
   pending_.push_back(duration_s);
-  truncated_sum_ += cdr::truncated_duration(duration_s, cap_);
-  ++count_;
   if (pending_.size() >= kPassFlushRecords) flush_pending();
 }
 
@@ -502,24 +463,15 @@ void CellSessionsAccumulator::merge(CellSessionsAccumulator&& other) {
   other.flush_pending();
   flush_pending();
   merge_runs(run_values_, run_counts_, other.run_values_, other.run_counts_);
-  count_ += other.count_;
-  truncated_sum_ += other.truncated_sum_;
 }
 
 CellSessionStats CellSessionsAccumulator::finalize() && {
   flush_pending();
-  CellSessionStats result;
-  result.cap = cap_;
-  const std::uint64_t n = count_;
   std::vector<double> values(run_values_.begin(), run_values_.end());
-  result.durations = stats::EmpiricalDistribution::from_sorted_runs(
+  auto durations = stats::EmpiricalDistribution::from_sorted_runs(
       std::move(values), std::move(run_counts_));
-  result.median = result.durations.median();
-  result.mean_full = result.durations.mean();
-  result.mean_truncated =
-      n > 0 ? static_cast<double>(truncated_sum_) / static_cast<double>(n)
-            : 0.0;
-  result.cdf_at_cap = result.durations.cdf(cap_);
+  CellSessionStats result = summarize_cell_sessions(durations, cap_);
+  result.durations = std::move(durations);
   return result;
 }
 

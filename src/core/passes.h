@@ -60,7 +60,7 @@ class PresenceAccumulator {
 
  private:
   int days_ = 1;
-  std::vector<std::uint32_t> cars_per_day_;
+  std::vector<std::uint64_t> cars_per_day_;
   std::unordered_map<std::uint32_t, DayBits> cell_days_;
   DayBits scratch_;
 };
@@ -121,7 +121,7 @@ class BusyTimeAccumulator {
 /// which is what lets the merged partials of a billion-session sweep fit in
 /// memory. Merging is elementwise addition (canonical multiset form, so the
 /// result is independent of the merge partition), and finalize() hands the
-/// runs straight to stats::EmpiricalDistribution::from_sorted_runs.
+/// histograms to stats::EmpiricalDistribution::from_histogram.
 class HandoverAccumulator {
  public:
   HandoverAccumulator(const net::CellTable* cells, time::Seconds journey_gap);
@@ -215,12 +215,13 @@ class ConcurrencyCountsAccumulator {
   std::vector<std::uint64_t> scratch_;
 };
 
-/// Fig 9 pass: connection durations and the truncated-duration
-/// sum, exact as integers. Durations are kept run-length encoded (sorted
-/// unique values + multiplicities, with a pending buffer flushed every
-/// kPassFlushRecords), so the accumulator holds O(distinct durations), not
-/// O(records) — the representation stats::EmpiricalDistribution uses
-/// natively, handed over via from_sorted_runs at finalize.
+/// Fig 9 pass: the connection-duration multiset. Durations are kept
+/// run-length encoded (sorted unique values + multiplicities, with a
+/// pending buffer flushed every kPassFlushRecords), so the accumulator
+/// holds O(distinct durations), not O(records) — the representation
+/// stats::EmpiricalDistribution uses natively, handed over via
+/// from_sorted_runs at finalize, where summarize_cell_sessions derives the
+/// scalars.
 class CellSessionsAccumulator {
  public:
   explicit CellSessionsAccumulator(std::int32_t truncation_cap);
@@ -241,8 +242,6 @@ class CellSessionsAccumulator {
   std::vector<std::int32_t> pending_;      ///< raw durations, unflushed
   std::vector<std::int32_t> run_values_;   ///< sorted, unique
   std::vector<std::uint64_t> run_counts_;  ///< multiplicity per value
-  std::uint64_t count_ = 0;
-  std::int64_t truncated_sum_ = 0;
 };
 
 }  // namespace ccms::core

@@ -8,9 +8,12 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "cdr/dataset.h"
+#include "core/day_bits.h"
 #include "stats/descriptive.h"
 #include "stats/regression.h"
 
@@ -53,10 +56,12 @@ struct DailyPresence {
 /// connection intervals overlap. Requires a finalized dataset.
 [[nodiscard]] DailyPresence analyze_presence(const cdr::Dataset& dataset);
 
-/// Fills the derived fields (weekday/overall stats, trend lines) from the
-/// daily fraction series, which must already be set. Day 0 is a Monday, as
-/// everywhere. Shared by the batch analysis above and the ccms::stream
-/// snapshot so both derive Table 1 / Fig 2 identically.
-void summarize_presence(DailyPresence& presence);
+/// Builds the report from already-counted presence: `cars_per_day[d]` cars
+/// seen on study day d (one entry per study day) and the set of days each
+/// ever-touched cell was seen on. Shared by the batch analysis above and
+/// the ccms::stream snapshot so both derive Fig 2 / Table 1 identically.
+[[nodiscard]] DailyPresence presence_from_counts(
+    std::uint32_t fleet_size, const std::vector<std::uint64_t>& cars_per_day,
+    const std::unordered_map<std::uint32_t, DayBits>& cell_days);
 
 }  // namespace ccms::core

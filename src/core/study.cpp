@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "cdr/columnar.h"
-#include "cdr/io.h"
 #include "core/passes.h"
 #include "exec/thread_pool.h"
 
@@ -366,15 +365,6 @@ StudyReport run_study(const cdr::Dataset& raw, const net::CellTable& cells,
         "run_study: the dataset is not finalized (call Dataset::finalize())");
   }
   return run_dataset(raw, cells, load, options, {});
-}
-
-StudyReport run_study_csv(const std::string& path, const net::CellTable& cells,
-                          const CellLoad& load, const StudyOptions& options) {
-  cdr::IngestReport ingest;
-  const cdr::Dataset raw = cdr::read_csv(path, options.ingest, ingest);
-  StudyReport report = run_study(raw, cells, load, options);
-  report.ingest = std::move(ingest);
-  return report;
 }
 
 StudyReport run_study_columnar(const cdr::ColumnarFile& file,

@@ -71,14 +71,6 @@ struct StudyReport {
                                     const CellLoad& load,
                                     const StudyOptions& options = {});
 
-/// Ingests a CDR CSV per `options.ingest` (lenient by default: damaged
-/// records are quarantined, not fatal) and runs the full pipeline. The
-/// returned report carries the ingest accounting alongside the figures.
-[[nodiscard]] StudyReport run_study_csv(const std::string& path,
-                                        const net::CellTable& cells,
-                                        const CellLoad& load,
-                                        const StudyOptions& options = {});
-
 /// The out-of-core pipeline: streams an open CCDR2 file block by block
 /// through run_study's fold, never materializing a Dataset. Peak memory is
 /// bounded by the decode window (a few blocks per executor thread) plus the

@@ -506,13 +506,6 @@ void DistEngine::load_state(const Link& link, stream::ShardState& state) const {
 stream::StreamReport DistEngine::snapshot() {
   if (!finished_) drain_images();
 
-  stream::EngineStats engine;
-  engine.shards = config_.stream.shards;
-  engine.watermark = frontend_.watermark();
-  engine.records_offered = frontend_.offered();
-  engine.records_replayed = frontend_.replayed();
-  engine.records_routed = frontend_.routed();
-
   std::vector<stream::ShardSnapshot> snapshots;
   std::vector<stream::DegradedShard> degraded;
   snapshots.reserve(links_.size());
@@ -529,21 +522,10 @@ stream::StreamReport DistEngine::snapshot() {
     }
     snapshots.push_back(state.snapshot());
     if (link->state == Link::State::kLost) {
-      stream::DegradedShard d;
-      d.shard = link->worker;
-      d.records_lost = frontend_.routed_per_shard()[static_cast<std::size_t>(
-                           link->worker)] -
-                       snapshots.back().records;
-      d.reason = link->lost_reason;
-      // Records parked in the lost image's reorder heap will never be
-      // integrated; counting them as pending too would double-count them.
-      snapshots.back().reorder_pending = 0;
-      degraded.push_back(std::move(d));
+      degraded.push_back({.shard = link->worker, .reason = link->lost_reason});
     }
   }
-  return merge_snapshots(config_.stream, snapshots, frontend_.ingest(),
-                         frontend_.clean(), frontend_.durations(), engine,
-                         std::move(degraded));
+  return merge_snapshots(frontend_, std::move(snapshots), std::move(degraded));
 }
 
 stream::Checkpoint DistEngine::checkpoint() {

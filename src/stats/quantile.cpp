@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace ccms::stats {
 
@@ -41,6 +42,18 @@ EmpiricalDistribution EmpiricalDistribution::from_sorted_runs(
   }
   d.total_ = running;
   return d;
+}
+
+EmpiricalDistribution EmpiricalDistribution::from_histogram(
+    const std::vector<std::uint64_t>& hist) {
+  std::vector<double> values;
+  std::vector<std::uint64_t> counts;
+  for (std::size_t v = 0; v < hist.size(); ++v) {
+    if (hist[v] == 0) continue;
+    values.push_back(static_cast<double>(v));
+    counts.push_back(hist[v]);
+  }
+  return from_sorted_runs(std::move(values), std::move(counts));
 }
 
 double EmpiricalDistribution::at(std::uint64_t index) const {

@@ -35,6 +35,12 @@ class EmpiricalDistribution {
   [[nodiscard]] static EmpiricalDistribution from_sorted_runs(
       std::vector<double> values, std::vector<std::uint64_t> counts);
 
+  /// Builds from a dense count histogram, `hist[v]` occurrences of the
+  /// integer value v; zero bins are skipped. Equivalent to expanding the
+  /// histogram and using the sample constructor.
+  [[nodiscard]] static EmpiricalDistribution from_histogram(
+      const std::vector<std::uint64_t>& hist);
+
   [[nodiscard]] bool empty() const { return total_ == 0; }
   [[nodiscard]] std::size_t size() const {
     return static_cast<std::size_t>(total_);

@@ -144,11 +144,7 @@ void write_producer(Writer& w, const Checkpoint::Producer& p) {
   w.u64(p.clean.nonpositive_removed);
   w.u64(p.clean.implausible_removed);
 
-  w.i32(p.durations.cap);
   w.vec_u64(p.durations.hist);
-  w.u64(p.durations.count);
-  w.i64(p.durations.sum_full);
-  w.i64(p.durations.sum_trunc);
   write_p2(w, p.durations.p2);
 
   w.i64(p.max_start);
@@ -200,11 +196,7 @@ void read_producer(Reader& r, Checkpoint::Producer& p) {
   p.clean.nonpositive_removed = static_cast<std::size_t>(r.u64());
   p.clean.implausible_removed = static_cast<std::size_t>(r.u64());
 
-  p.durations.cap = r.i32();
   p.durations.hist = r.vec_u64();
-  p.durations.count = r.u64();
-  p.durations.sum_full = r.i64();
-  p.durations.sum_trunc = r.i64();
   p.durations.p2 = read_p2(r);
 
   p.max_start = r.i64();

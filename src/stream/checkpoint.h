@@ -86,8 +86,9 @@ struct AckCursor {
 
 /// Complete durable image of a quiesced ShardedEngine.
 struct Checkpoint {
-  static constexpr std::uint32_t kVersion = 2;  ///< v2: SHRD payloads lead
-                                                ///< with their shard index
+  /// v2: SHRD payloads lead with their shard index. v3: the duration
+  /// tally is its histogram and P2 markers only.
+  static constexpr std::uint32_t kVersion = 3;
 
   ConfigFingerprint config;
   bool finished = false;  ///< checkpoint of an already-finished engine

@@ -35,8 +35,11 @@ struct StreamConfig {
   /// §3 per-connection truncation cap (the Fig 3/9 "truncated" variant).
   std::int32_t truncation_cap = 600;
 
-  /// Inline §3 cleaning screen, applied record-by-record at ingest. Same
-  /// semantics (and accounting) as cdr::clean over a batch dataset.
+  /// Inline §3 cleaning screen, applied record-by-record at ingest through
+  /// cdr::survives_clean, the rule cdr::clean applies to a batch dataset.
+  /// clean.max_plausible_duration_s must be > 0 (the engines throw
+  /// std::invalid_argument otherwise): it caps every routed duration, and
+  /// so the producer's dense duration histogram.
   cdr::CleanOptions clean;
 
   /// Declared fleet size (>= max car id + 1); the Fig 2 denominator. The

@@ -171,13 +171,6 @@ StreamReport ShardedEngine::snapshot() {
 StreamReport ShardedEngine::snapshot_locked() {
   if (!finished_) drain();
 
-  EngineStats engine;
-  engine.shards = config_.shards;
-  engine.watermark = frontend_.watermark();
-  engine.records_offered = frontend_.offered();
-  engine.records_replayed = frontend_.replayed();
-  engine.records_routed = frontend_.routed();
-
   std::vector<ShardSnapshot> snapshots;
   std::vector<DegradedShard> degraded;
   snapshots.reserve(shards_.size());
@@ -197,21 +190,11 @@ StreamReport ShardedEngine::snapshot_locked() {
     }
     snapshots.push_back(shard.state.snapshot());
     if (shard.degraded) {
-      DegradedShard d;
-      d.shard = static_cast<int>(i);
-      d.records_lost = frontend_.routed_per_shard()[i] - snapshots.back().records;
-      d.reason = shard.degraded_reason;
-      // Records parked in a degraded shard's reorder heap will never be
-      // integrated: they are part of records_lost above. Reporting them as
-      // pending too would double-count them and break
-      // routed == integrated + pending + lost.
-      snapshots.back().reorder_pending = 0;
-      degraded.push_back(std::move(d));
+      degraded.push_back({.shard = static_cast<int>(i),
+                          .reason = shard.degraded_reason});
     }
   }
-  return merge_snapshots(config_, snapshots, frontend_.ingest(),
-                         frontend_.clean(), frontend_.durations(), engine,
-                         std::move(degraded));
+  return merge_snapshots(frontend_, std::move(snapshots), std::move(degraded));
 }
 
 Checkpoint ShardedEngine::checkpoint() {

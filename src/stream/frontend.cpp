@@ -1,6 +1,7 @@
 #include "stream/frontend.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -8,6 +9,14 @@ namespace ccms::stream {
 
 Frontend::Frontend(const StreamConfig& config)
     : config_(config), durations_(config.truncation_cap) {
+  // The bound is what keeps every routed duration small enough for the
+  // dense duration histogram; without it one corrupt INT32_MAX record
+  // would ask for a 16 GiB tally.
+  if (config_.clean.max_plausible_duration_s <= 0) {
+    throw std::invalid_argument(
+        "stream::Frontend: clean.max_plausible_duration_s must be > 0 (got " +
+        std::to_string(config_.clean.max_plausible_duration_s) + ")");
+  }
   config_.shards = std::max(1, config_.shards);
   ingest_.mode = cdr::ParseMode::kLenient;
   routed_per_shard_.assign(static_cast<std::size_t>(config_.shards), 0);
@@ -55,21 +64,9 @@ Frontend::Decision Frontend::offer(const cdr::Connection& c,
   }
   ++ingest_.rows_read;
 
-  // Stage 1 — the §3 clean screen, same rules and same precedence as the
-  // batch cdr::clean, so the CleanReport matches it record for record.
-  ++clean_.input_records;
-  if (c.duration_s <= 0) {
-    ++clean_.nonpositive_removed;
-    return Decision::kCleaned;
-  }
-  if (config_.clean.artifact_duration_s > 0 &&
-      c.duration_s == config_.clean.artifact_duration_s) {
-    ++clean_.hour_artifacts_removed;
-    return Decision::kCleaned;
-  }
-  if (config_.clean.max_plausible_duration_s > 0 &&
-      c.duration_s > config_.clean.max_plausible_duration_s) {
-    ++clean_.implausible_removed;
+  // Stage 1 — the §3 clean screen: the batch cdr::clean's own rule, so the
+  // CleanReport matches it record for record.
+  if (!cdr::survives_clean(c, config_.clean, clean_)) {
     return Decision::kCleaned;
   }
 

@@ -5,10 +5,13 @@
 // distributed supervisor (dist/supervisor.h) runs the *same* code path:
 //
 //   stage 0  exactly-once dedup against per-car ack cursors (opt-in)
-//   stage 1  inline §3 clean screen (CleanReport accounting)
+//   stage 1  inline §3 clean screen: cdr::survives_clean, the rule
+//            cdr::clean and run_study's fold apply (CleanReport accounting)
 //   stage 2  watermark check; provably-late records quarantined as
 //            FaultClass::kOutOfOrderRecord with post-dedup ordinals
-//   stage 3  exact global duration tally + per-shard routing counters
+//   stage 3  exact global duration histogram (DurationTally, whose Fig 9
+//            scalars come from core::summarize_cell_sessions at snapshot
+//            time) + per-shard routing counters
 //
 // offer() classifies one arrival-ordered record; only Decision::kRoute
 // records reach shard operators, and by then every counter a StreamReport
@@ -49,7 +52,9 @@ class Frontend {
     kRoute,      ///< accepted; integrate on shard `offer()` returned
   };
 
-  /// `config` should already be normalised (shards >= 1).
+  /// Normalises shards to >= 1. Throws std::invalid_argument unless
+  /// config.clean.max_plausible_duration_s > 0: the bound caps every routed
+  /// duration, and so the size of the duration histogram.
   explicit Frontend(const StreamConfig& config);
 
   /// Classifies one record in arrival order, updating every producer
@@ -64,6 +69,7 @@ class Frontend {
   /// routed_per_shard geometry first.
   void load(const Checkpoint::Producer& p);
 
+  [[nodiscard]] const StreamConfig& config() const { return config_; }
   [[nodiscard]] const cdr::IngestReport& ingest() const { return ingest_; }
   [[nodiscard]] const cdr::CleanReport& clean() const { return clean_; }
   [[nodiscard]] const DurationTally& durations() const { return durations_; }

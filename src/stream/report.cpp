@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "stream/frontend.h"
 #include "util/time.h"
 
 namespace ccms::stream {
@@ -20,86 +21,48 @@ void DurationTally::add(std::int32_t duration_s) {
   const auto d = static_cast<std::size_t>(duration_s);
   if (d >= hist_.size()) hist_.resize(d + 1, 0);
   ++hist_[d];
-  ++count_;
-  sum_full_ += duration_s;
-  sum_trunc_ += cdr::truncated_duration(duration_s, cap_);
   p2_.add(static_cast<double>(duration_s));
 }
 
-double DurationTally::quantile(double q) const {
-  if (count_ == 0) return 0;
-  // Reconstruct the two order statistics type-7 interpolates between from
-  // cumulative multiplicities — exactly what EmpiricalDistribution computes
-  // over the sorted sample, without materialising it.
-  const double h = std::clamp(q, 0.0, 1.0) * static_cast<double>(count_ - 1);
-  const auto lo = static_cast<std::uint64_t>(h);
-  const double frac = h - static_cast<double>(lo);
-  const std::uint64_t hi = std::min<std::uint64_t>(count_ - 1, lo + 1);
-
-  double v_lo = 0;
-  double v_hi = 0;
-  std::uint64_t cum = 0;
-  bool have_lo = false;
-  for (std::size_t d = 0; d < hist_.size(); ++d) {
-    cum += hist_[d];
-    if (!have_lo && cum > lo) {
-      v_lo = static_cast<double>(d);
-      have_lo = true;
-    }
-    if (cum > hi) {
-      v_hi = static_cast<double>(d);
-      break;
-    }
-  }
-  return v_lo + frac * (v_hi - v_lo);
-}
-
-double DurationTally::cdf(std::int32_t x) const {
-  if (count_ == 0) return 0;
-  if (x < 0) return 0;
-  std::uint64_t cum = 0;
-  const std::size_t last =
-      std::min(hist_.size(), static_cast<std::size_t>(x) + 1);
-  for (std::size_t d = 0; d < last; ++d) cum += hist_[d];
-  return static_cast<double>(cum) / static_cast<double>(count_);
-}
-
 core::CellSessionStats DurationTally::to_cell_stats() const {
-  core::CellSessionStats stats;
-  stats.cap = cap_;
-  if (count_ == 0) return stats;
-  stats.median = quantile(0.5);
-  stats.mean_full =
-      static_cast<double>(sum_full_) / static_cast<double>(count_);
-  stats.mean_truncated =
-      static_cast<double>(sum_trunc_) / static_cast<double>(count_);
-  stats.cdf_at_cap = cdf(cap_);
-  return stats;
+  return core::summarize_cell_sessions(
+      stats::EmpiricalDistribution::from_histogram(hist_), cap_);
 }
 
-StreamReport merge_snapshots(const StreamConfig& config,
-                             const std::vector<ShardSnapshot>& shards,
-                             const cdr::IngestReport& ingest,
-                             const cdr::CleanReport& clean,
-                             const DurationTally& durations,
-                             const EngineStats& engine,
+StreamReport merge_snapshots(const Frontend& frontend,
+                             std::vector<ShardSnapshot> shards,
                              std::vector<DegradedShard> degraded) {
+  const StreamConfig& config = frontend.config();
   StreamReport report;
-  report.ingest = ingest;
-  report.clean = clean;
-  report.engine = engine;
-  report.degraded_shards = std::move(degraded);
+  report.ingest = frontend.ingest();
+  report.clean = frontend.clean();
+  report.engine.shards = config.shards;
+  report.engine.watermark = frontend.watermark();
+  report.engine.records_offered = frontend.offered();
+  report.engine.records_replayed = frontend.replayed();
+  report.engine.records_routed = frontend.routed();
+
+  // A degraded shard lost every routed record it never integrated; those
+  // parked in its reorder heap are part of that loss, so reporting them as
+  // pending too would double-count them and break
+  // routed == integrated + pending + lost.
   std::uint64_t lost = 0;
-  for (const DegradedShard& d : report.degraded_shards) {
+  for (DegradedShard& d : degraded) {
+    ShardSnapshot& shard = shards[static_cast<std::size_t>(d.shard)];
+    d.records_lost =
+        frontend.routed_per_shard()[static_cast<std::size_t>(d.shard)] -
+        shard.records;
+    shard.reorder_pending = 0;
     lost += d.records_lost;
   }
+  report.degraded_shards = std::move(degraded);
   report.coverage_fraction =
-      engine.records_routed > 0
+      report.engine.records_routed > 0
           ? 1.0 - static_cast<double>(lost) /
-                      static_cast<double>(engine.records_routed)
+                      static_cast<double>(report.engine.records_routed)
           : 1.0;
-  report.cell_sessions = durations.to_cell_stats();
-  report.duration_p2_median = durations.p2_median();
+  report.cell_sessions = frontend.durations().to_cell_stats();
+  report.duration_p2_median = frontend.durations().p2_median();
 
   // Study horizon: configured, or grown to the latest day any shard saw.
   std::size_t observed_days = 0;
@@ -123,28 +86,8 @@ StreamReport merge_snapshots(const StreamConfig& config,
       cell_days[cell].merge(bits);
     }
   }
-  std::vector<std::uint64_t> cells_per_day(n_days, 0);
-  for (const auto& [cell, bits] : cell_days) {
-    for (std::size_t d = 0; d < n_days; ++d) {
-      if (bits.test(static_cast<std::int64_t>(d))) ++cells_per_day[d];
-    }
-  }
-  report.presence.fleet_size = config.fleet_size;
-  report.presence.ever_touched_cells = cell_days.size();
-  report.presence.cars_fraction.resize(n_days, 0.0);
-  report.presence.cells_fraction.resize(n_days, 0.0);
-  for (std::size_t d = 0; d < n_days; ++d) {
-    report.presence.cars_fraction[d] =
-        report.presence.fleet_size > 0
-            ? static_cast<double>(cars_per_day[d]) / report.presence.fleet_size
-            : 0.0;
-    report.presence.cells_fraction[d] =
-        report.presence.ever_touched_cells > 0
-            ? static_cast<double>(cells_per_day[d]) /
-                  static_cast<double>(report.presence.ever_touched_cells)
-            : 0.0;
-  }
-  core::summarize_presence(report.presence);
+  report.presence =
+      core::presence_from_counts(config.fleet_size, cars_per_day, cell_days);
 
   // --- Per-car totals, merged in ascending car order so the derived
   // vectors line up with the batch for_each_car traversal.

@@ -28,9 +28,10 @@ namespace ccms::stream {
 
 /// Exact global duration statistics, maintained in the single-threaded
 /// producer so they are bit-identical for every shard count. Durations are
-/// small integers (post-clean <= 48 h), so an exact count histogram is tiny
-/// and quantiles can be interpolated from it without keeping the sample —
-/// the streaming replacement for CellSessionStats' sorted vector. A P2
+/// small integers (post-clean <= the plausibility bound), so the tally is a
+/// dense count histogram indexed by duration: one increment per record.
+/// to_cell_stats() hands it to stats::EmpiricalDistribution::from_histogram
+/// and core::summarize_cell_sessions, the batch Fig 9 derivation. A P2
 /// estimator runs alongside as the constant-memory cross-check the paper's
 /// full-scale (1.1 G record) input would require.
 class DurationTally {
@@ -39,19 +40,6 @@ class DurationTally {
 
   /// Adds one post-clean duration (> 0).
   void add(std::int32_t duration_s);
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] std::int64_t sum_full() const { return sum_full_; }
-  [[nodiscard]] std::int64_t sum_truncated() const { return sum_trunc_; }
-  [[nodiscard]] std::int32_t cap() const { return cap_; }
-
-  /// Exact type-7 quantile over the recorded multiset — the same
-  /// interpolation stats::EmpiricalDistribution::quantile computes over the
-  /// sorted sample, reconstructed from cumulative counts.
-  [[nodiscard]] double quantile(double q) const;
-
-  /// Exact empirical CDF: fraction of durations <= x.
-  [[nodiscard]] double cdf(std::int32_t x) const;
 
   /// The P2 running estimate of the median (for error tracking).
   [[nodiscard]] double p2_median() const { return p2_.value(); }
@@ -62,32 +50,21 @@ class DurationTally {
 
   /// Full durable state for checkpoint/restore. The exact histogram and the
   /// P2 markers both round-trip, so a restored tally continues bit-exactly.
+  /// The cap is not part of it: the checkpoint's config fingerprint fixes
+  /// it.
   struct State {
-    std::int32_t cap = 600;
     std::vector<std::uint64_t> hist;
-    std::uint64_t count = 0;
-    std::int64_t sum_full = 0;
-    std::int64_t sum_trunc = 0;
     stats::P2Quantile::State p2;
   };
-  [[nodiscard]] State state() const {
-    return {cap_, hist_, count_, sum_full_, sum_trunc_, p2_.state()};
-  }
+  [[nodiscard]] State state() const { return {hist_, p2_.state()}; }
   void restore(const State& s) {
-    cap_ = s.cap;
     hist_ = s.hist;
-    count_ = s.count;
-    sum_full_ = s.sum_full;
-    sum_trunc_ = s.sum_trunc;
     p2_.restore(s.p2);
   }
 
  private:
   std::int32_t cap_ = 600;
   std::vector<std::uint64_t> hist_;  ///< hist_[d] = multiplicity of d
-  std::uint64_t count_ = 0;
-  std::int64_t sum_full_ = 0;
-  std::int64_t sum_trunc_ = 0;
   stats::P2Quantile p2_{0.5};
 };
 
@@ -161,15 +138,20 @@ struct StreamReport {
   EngineStats engine;
 };
 
-/// Merges shard snapshots and producer accounting into one report.
-/// Distinct-car counts add across shards because cars are partitioned;
-/// per-cell day sets are OR-ed because cells span shards. `degraded` lists
-/// quarantined shards (ascending by index, empty when healthy).
-[[nodiscard]] StreamReport merge_snapshots(
-    const StreamConfig& config, const std::vector<ShardSnapshot>& shards,
-    const cdr::IngestReport& ingest, const cdr::CleanReport& clean,
-    const DurationTally& durations, const EngineStats& engine,
-    std::vector<DegradedShard> degraded = {});
+class Frontend;
+
+/// Merges shard snapshots (`shards[i]` is shard i's) and the frontend's
+/// producer accounting (its config, ingest and clean reports, duration
+/// tally and engine counters) into one report. Distinct-car counts add
+/// across shards because cars are partitioned; per-cell day sets are OR-ed
+/// because cells span shards. `degraded` lists quarantined shards,
+/// ascending by index, with their reason (empty when healthy); each one's
+/// records_lost is filled in here as its routed records minus those it
+/// integrated, and its reorder_pending is zeroed, since its parked records
+/// are part of that loss.
+[[nodiscard]] StreamReport merge_snapshots(const Frontend& frontend,
+                                           std::vector<ShardSnapshot> shards,
+                                           std::vector<DegradedShard> degraded);
 
 /// True iff two stream reports describe bit-identical analytic state: every
 /// counter, distribution, quantile estimate and quarantine entry equal —

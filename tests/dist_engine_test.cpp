@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -221,6 +222,20 @@ TEST(DistEngine, CheckpointInterchangesWithShardedEngine) {
   EXPECT_TRUE(
       stream::reports_identical(dist.snapshot(), resumed.snapshot(), &why))
       << why;
+}
+
+TEST(DistEngine, BothEnginesRejectANonPositivePlausibilityBound) {
+  // Without the bound nothing caps a routed duration, and the producer's
+  // dense duration histogram would size itself to the largest one. Both
+  // engines refuse the config before starting any thread or process.
+  for (const std::int32_t bound : {0, -1}) {
+    DistConfig config = dist_config(2);
+    config.stream.clean.max_plausible_duration_s = bound;
+    EXPECT_THROW(stream::ShardedEngine{config.stream}, std::invalid_argument)
+        << "bound=" << bound;
+    EXPECT_THROW(DistEngine{config}, std::invalid_argument)
+        << "bound=" << bound;
+  }
 }
 
 TEST(DistEngine, PushAfterFinishThrows) {

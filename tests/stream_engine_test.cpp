@@ -6,6 +6,7 @@
 
 #include "cdr/clean.h"
 #include "cdr/session.h"
+#include "core/cell_sessions.h"
 #include "stats/quantile.h"
 #include "stream/feed.h"
 #include "stream/operators.h"
@@ -252,22 +253,32 @@ TEST(StreamOperatorsTest, DayBitsSetTestCountMerge) {
 }
 
 TEST(StreamReportTest, DurationTallyMatchesEmpiricalDistribution) {
+  // Durations on both sides of the cap, with heavy ties (1..4000 over 20k
+  // draws) and the cap itself present, through the tally and through the
+  // batch analysis of the same records. An even count makes the median
+  // interpolate between two order statistics.
   util::Rng rng(12);
   DurationTally tally(600);
-  std::vector<double> sample;
-  for (int i = 0; i < 20000; ++i) {
+  std::vector<cdr::Connection> records;
+  for (int i = 0; i < 19999; ++i) {
     const auto d = static_cast<std::int32_t>(rng.uniform_int(1, 4000));
     tally.add(d);
-    sample.push_back(d);
+    records.push_back(conn(static_cast<std::uint32_t>(i % 50), 0, i * 10, d));
   }
-  stats::EmpiricalDistribution exact(std::move(sample));
-  for (const double q : {0.0, 0.1, 0.5, 0.73, 0.995, 1.0}) {
-    EXPECT_DOUBLE_EQ(tally.quantile(q), exact.quantile(q)) << "q=" << q;
-  }
-  EXPECT_DOUBLE_EQ(tally.cdf(600), exact.cdf(600));
+  tally.add(600);
+  records.push_back(conn(0, 0, 300000, 600));
+  const core::CellSessionStats batch =
+      core::analyze_cell_sessions(test::make_dataset(records), 600);
+
   const core::CellSessionStats stats = tally.to_cell_stats();
-  EXPECT_DOUBLE_EQ(stats.median, exact.median());
-  EXPECT_DOUBLE_EQ(stats.mean_full, exact.mean());
+  EXPECT_EQ(stats.median, batch.median);
+  EXPECT_EQ(stats.mean_full, batch.mean_full);
+  EXPECT_EQ(stats.mean_truncated, batch.mean_truncated);
+  EXPECT_EQ(stats.cdf_at_cap, batch.cdf_at_cap);
+  EXPECT_EQ(stats.cap, batch.cap);
+  EXPECT_TRUE(stats.durations.empty());
+  EXPECT_GT(stats.cdf_at_cap, 0.0);
+  EXPECT_LT(stats.cdf_at_cap, 1.0);
 }
 
 }  // namespace

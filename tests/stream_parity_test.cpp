@@ -39,9 +39,10 @@ struct BatchBaseline {
 // The batch-side figures the stream engine claims parity with, computed by
 // the same analyzers run_study uses (clustering and the other heavy stages
 // are irrelevant to the parity contract and skipped for test speed).
-BatchBaseline batch_study(const cdr::Dataset& raw) {
+BatchBaseline batch_study(const cdr::Dataset& raw,
+                          const cdr::CleanOptions& clean = {}) {
   BatchBaseline batch;
-  const cdr::Dataset cleaned = cdr::clean(raw, {}, batch.report.clean);
+  const cdr::Dataset cleaned = cdr::clean(raw, clean, batch.report.clean);
   batch.report.presence = core::analyze_presence(cleaned);
   batch.report.connected_time = core::analyze_connected_time(cleaned, 600);
   batch.report.days = core::analyze_days_on_network(cleaned);
@@ -57,14 +58,16 @@ BatchBaseline batch_study(const cdr::Dataset& raw) {
 }
 
 void expect_parity(const cdr::Dataset& raw, const BatchBaseline& batch,
-                   int shards, double p2_tolerance = 0.01) {
-  ShardedEngine engine(config_for(raw, shards));
+                   int shards, double p2_tolerance = 0.01,
+                   const cdr::CleanOptions& clean = {}) {
+  StreamConfig config = config_for(raw, shards);
+  config.clean = clean;
+  ShardedEngine engine(config);
   replay(raw, engine);
   const StreamReport stream = engine.snapshot();
 
   SCOPED_TRACE(testing::Message() << "shards=" << shards);
-  EXPECT_EQ(stream.clean.input_records, batch.report.clean.input_records);
-  EXPECT_EQ(stream.clean.total_removed(), batch.report.clean.total_removed());
+  EXPECT_EQ(stream.clean, batch.report.clean);
   EXPECT_EQ(engine.late_records(), 0u);
 
   const ParityReport parity =
@@ -135,6 +138,23 @@ TEST(StreamParityTest, TenThousandCarParity) {
 
   const BatchBaseline batch = batch_study(dataset);
   for (const int shards : {1, 4, 8}) expect_parity(dataset, batch, shards);
+}
+
+TEST(StreamParityTest, NonDefaultCleanOptionsParity) {
+  // The artifact rule off and a 1,000 s plausibility bound: the stream's
+  // inline screen must remove exactly what cdr::clean removes under the
+  // same options, and the figures must still agree with the batch study.
+  cdr::CleanOptions clean;
+  clean.artifact_duration_s = 0;
+  clean.max_plausible_duration_s = 1000;
+  const cdr::Dataset dataset = sim::simulate(sim::SimConfig::quick()).raw;
+
+  const BatchBaseline batch = batch_study(dataset, clean);
+  ASSERT_EQ(batch.report.clean.hour_artifacts_removed, 0u);
+  ASSERT_GT(batch.report.clean.implausible_removed, 0u);
+  for (const int shards : {1, 4}) {
+    expect_parity(dataset, batch, shards, /*p2_tolerance=*/0.05, clean);
+  }
 }
 
 TEST(StreamParityTest, OutOfOrderDeliveryParity) {
