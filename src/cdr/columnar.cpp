@@ -40,21 +40,18 @@ std::uint32_t crc32(const void* data, std::size_t len) {
   return binio::crc32({static_cast<const std::uint8_t*>(data), len});
 }
 
-/// Header/index fault handling shared by strict and lenient opens: strict
-/// throws immediately, lenient counts + quarantines (bounded by the cap).
+/// Structural fault handling (header, index, block decode) shared by the
+/// opens and RecordScreen: strict counts and throws, lenient counts and
+/// quarantines (bounded by the cap).
 void structural_fault(const IngestOptions& options, IngestReport& report,
                       const std::string& label, FaultClass fault,
-                      std::uint64_t offset, const std::string& reason) {
-  ++report.counters[static_cast<std::size_t>(fault)];
+                      std::uint64_t offset, std::string reason) {
   if (options.mode == ParseMode::kStrict) {
+    ++report.counters[static_cast<std::size_t>(fault)];
     throw util::CsvError(reason + " at byte offset " + std::to_string(offset) +
                          " in " + label);
   }
-  if (report.quarantine.size() < options.quarantine_cap) {
-    report.quarantine.push_back(QuarantineEntry{fault, offset, reason, ""});
-  } else {
-    ++report.quarantine_overflow;
-  }
+  report.record_fault(options.quarantine_cap, fault, offset, std::move(reason));
 }
 
 }  // namespace
@@ -522,17 +519,7 @@ ColumnarFile::DecodeStatus ColumnarFile::decode_block(std::size_t b,
 
 void RecordScreen::fault(FaultClass fault, std::uint64_t offset,
                          std::string reason) {
-  ++report_.counters[static_cast<std::size_t>(fault)];
-  if (options_.mode == ParseMode::kStrict) {
-    throw util::CsvError(reason + " at byte offset " + std::to_string(offset) +
-                         " in " + label_);
-  }
-  if (report_.quarantine.size() < options_.quarantine_cap) {
-    report_.quarantine.push_back(
-        QuarantineEntry{fault, offset, std::move(reason), ""});
-  } else {
-    ++report_.quarantine_overflow;
-  }
+  structural_fault(options_, report_, label_, fault, offset, std::move(reason));
 }
 
 bool RecordScreen::enter_block(const ColumnarFile& file, std::size_t b,

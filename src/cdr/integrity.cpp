@@ -1,6 +1,7 @@
 #include "cdr/integrity.h"
 
 #include <iterator>
+#include <utility>
 
 namespace ccms::cdr {
 
@@ -42,6 +43,18 @@ std::uint64_t IngestReport::total_faults() const {
   std::uint64_t total = 0;
   for (const std::uint64_t c : counters) total += c;
   return total;
+}
+
+void IngestReport::record_fault(std::size_t quarantine_cap, FaultClass fault,
+                                std::uint64_t byte_offset, std::string reason,
+                                std::string raw) {
+  ++counters[static_cast<std::size_t>(fault)];
+  if (quarantine.size() < quarantine_cap) {
+    quarantine.push_back(
+        QuarantineEntry{fault, byte_offset, std::move(reason), std::move(raw)});
+  } else {
+    ++quarantine_overflow;
+  }
 }
 
 void IngestReport::merge(IngestReport&& later, std::size_t quarantine_cap) {

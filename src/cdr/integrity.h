@@ -134,6 +134,14 @@ struct IngestReport {
   [[nodiscard]] std::uint64_t total_faults() const;
   [[nodiscard]] bool clean() const { return total_faults() == 0; }
 
+  /// Records one detected fault: counts `fault`, then retains its
+  /// quarantine entry while fewer than `quarantine_cap` are held and counts
+  /// it as overflow otherwise. The caller owns the strict-mode reaction and
+  /// whether the fault also drops a record (records_dropped).
+  void record_fault(std::size_t quarantine_cap, FaultClass fault,
+                    std::uint64_t byte_offset, std::string reason,
+                    std::string raw = {});
+
   /// Folds in the report of the input that directly follows this one's
   /// (the next chunk, block or stage): counters add, quarantines
   /// concatenate in input order, then the global cap is re-applied. Each

@@ -74,8 +74,8 @@ class FaultSink {
 
   void fault(FaultClass fault, std::uint64_t byte_offset, std::string reason,
              std::string raw) {
-    ++out_.report.counters[static_cast<std::size_t>(fault)];
     if (options_.mode == ParseMode::kStrict) {
+      ++out_.report.counters[static_cast<std::size_t>(fault)];
       if (!out_.has_fault) {
         out_.has_fault = true;
         out_.fault_offset = byte_offset;
@@ -84,12 +84,8 @@ class FaultSink {
       }
       return;
     }
-    if (out_.report.quarantine.size() < options_.quarantine_cap) {
-      out_.report.quarantine.push_back(QuarantineEntry{
-          fault, byte_offset, std::move(reason), std::move(raw)});
-    } else {
-      ++out_.report.quarantine_overflow;
-    }
+    out_.report.record_fault(options_.quarantine_cap, fault, byte_offset,
+                             std::move(reason), std::move(raw));
   }
 
   /// Record-level value screening. `duration` is the pre-cast 64-bit value

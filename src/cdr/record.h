@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "util/binio.h"
 #include "util/time.h"
 #include "util/types.h"
 
@@ -35,6 +36,20 @@ struct Connection {
   friend constexpr bool operator==(const Connection&,
                                    const Connection&) = default;
 };
+
+/// Encoded size of one record in the binary formats that carry records
+/// verbatim: the checkpoint image's reorder heap and the wire's kBatch.
+inline constexpr std::uint64_t kConnectionBytes = 20;
+
+/// The binary layout of one record (see util/binio.h), shared by the
+/// checkpoint codec and the wire codec.
+template <class IO, binio::Is<Connection> C>
+void fields(IO& io, C& c) {
+  io.u32(c.car.value);
+  io.u32(c.cell.value);
+  io.i64(c.start);
+  io.i32(c.duration_s);
+}
 
 /// Ordering used throughout: by car, then start time, then cell. Analyses
 /// assume this order within each car's span.

@@ -32,15 +32,7 @@ DistConfig normalized(DistConfig config) {
 void account_fault(cdr::IngestReport& report, std::size_t cap,
                    cdr::FaultClass fault, const std::string& reason) {
   ++report.records_dropped;
-  ++report.counters[static_cast<std::size_t>(fault)];
-  if (report.quarantine.size() < cap) {
-    cdr::QuarantineEntry entry;
-    entry.fault = fault;
-    entry.reason = reason;
-    report.quarantine.push_back(std::move(entry));
-  } else {
-    ++report.quarantine_overflow;
-  }
+  report.record_fault(cap, fault, 0, reason);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@ using binio::Reader;
 using binio::Writer;
 using binio::crc32;
 
-constexpr std::array<char, 4> kMagic = {'C', 'C', 'W', 'F'};
+constexpr std::array<std::uint8_t, 4> kMagic = {'C', 'C', 'W', 'F'};
 constexpr std::size_t kHeaderBytes = 16;  // magic + type + payload_len
 constexpr std::size_t kCrcBytes = 4;
 
@@ -22,8 +22,8 @@ std::vector<std::uint8_t> frame(FrameType type,
                                 const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderBytes + payload.size() + kCrcBytes);
-  out.insert(out.end(), kMagic.begin(), kMagic.end());
   Writer w(out);
+  w.bytes(kMagic);
   w.u32(static_cast<std::uint32_t>(type));
   w.u64(payload.size());
   w.bytes(payload);
@@ -33,90 +33,69 @@ std::vector<std::uint8_t> frame(FrameType type,
   return out;
 }
 
-void write_connection(Writer& w, const cdr::Connection& c) {
-  w.u32(c.car.value);
-  w.u32(c.cell.value);
-  w.i64(c.start);
-  w.i32(c.duration_s);
+// Payload field lists: each frame type's layout once, for both its encoder
+// (IO = Writer) and FrameDecoder::next (IO = Reader, which throws
+// binio::Truncated on malformed input).
+
+template <class IO, binio::Is<HelloFrame> F>
+void fields(IO& io, F& f) {
+  io.u32(f.protocol);
+  io.u32(f.worker);
+  io.u32(f.generation);
 }
 
-cdr::Connection read_connection(Reader& r) {
-  cdr::Connection c;
-  c.car.value = r.u32();
-  c.cell.value = r.u32();
-  c.start = r.i64();
-  c.duration_s = r.i32();
-  return c;
+template <class IO, binio::Is<BatchFrame> F>
+void fields(IO& io, F& f) {
+  io.u64(f.seq_of_last);
+  io.i64(f.watermark);
+  io.seq(f.records, cdr::kConnectionBytes,
+         [](auto& io, auto& c) { fields(io, c); });
 }
 
-// Typed payload parsers. All throw binio::Truncated on malformed input,
-// which FrameDecoder::next maps onto the fault discipline.
-
-HelloFrame parse_hello(Reader& r) {
-  HelloFrame f;
-  f.protocol = r.u32();
-  f.worker = r.u32();
-  f.generation = r.u32();
-  return f;
+template <class IO, binio::Is<CheckpointImageFrame> F>
+void fields(IO& io, F& f) {
+  io.u64(f.applied_seq);
+  io.boolean(f.closed);
+  io.rest(f.image);
 }
 
-BatchFrame parse_batch(Reader& r) {
-  BatchFrame f;
-  f.seq_of_last = r.u64();
-  f.watermark = r.i64();
-  const std::uint64_t n = r.count(r.u64(), 20);
-  f.records.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) f.records.push_back(read_connection(r));
-  return f;
+template <class IO, binio::Is<RestoreFrame> F>
+void fields(IO& io, F& f) {
+  io.rest(f.image);
 }
 
-CheckpointImageFrame parse_checkpoint_image(Reader& r) {
-  CheckpointImageFrame f;
-  f.applied_seq = r.u64();
-  f.closed = r.boolean();
-  f.image = r.rest();
-  return f;
+template <class IO, binio::Is<RestoreResultFrame> F>
+void fields(IO& io, F& f) {
+  io.boolean(f.ok);
+  io.str(f.reason);
 }
 
-RestoreFrame parse_restore(Reader& r) {
-  RestoreFrame f;
-  f.image = r.rest();
-  return f;
+template <class IO, binio::Is<HeartbeatFrame> F>
+void fields(IO& io, F& f) {
+  io.u64(f.applied_seq);
 }
 
-RestoreResultFrame parse_restore_result(Reader& r) {
-  RestoreResultFrame f;
-  f.ok = r.boolean();
-  f.reason = r.str();
-  return f;
-}
-
-HeartbeatFrame parse_heartbeat(Reader& r) {
-  HeartbeatFrame f;
-  f.applied_seq = r.u64();
-  return f;
+/// A complete frame around `f`'s payload; `payload_bytes` is a capacity
+/// hint.
+template <class F>
+std::vector<std::uint8_t> encode_frame(FrameType type, const F& f,
+                                       std::size_t payload_bytes = 0) {
+  std::vector<std::uint8_t> payload;
+  payload.reserve(payload_bytes);
+  Writer w(payload);
+  fields(w, f);
+  return frame(type, payload);
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> encode_hello(const HelloFrame& f) {
-  std::vector<std::uint8_t> payload;
-  Writer w(payload);
-  w.u32(f.protocol);
-  w.u32(f.worker);
-  w.u32(f.generation);
-  return frame(FrameType::kHello, payload);
+  return encode_frame(FrameType::kHello, f);
 }
 
 std::vector<std::uint8_t> encode_batch(const BatchFrame& f) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(24 + 20 * f.records.size());
-  Writer w(payload);
-  w.u64(f.seq_of_last);
-  w.i64(f.watermark);
-  w.u64(f.records.size());
-  for (const cdr::Connection& c : f.records) write_connection(w, c);
-  return frame(FrameType::kBatch, payload);
+  return encode_frame(FrameType::kBatch, f,
+                      24 + cdr::kConnectionBytes * f.records.size());
 }
 
 std::vector<std::uint8_t> encode_checkpoint_request() {
@@ -125,36 +104,19 @@ std::vector<std::uint8_t> encode_checkpoint_request() {
 
 std::vector<std::uint8_t> encode_checkpoint_image(
     const CheckpointImageFrame& f) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(9 + f.image.size());
-  Writer w(payload);
-  w.u64(f.applied_seq);
-  w.boolean(f.closed);
-  w.bytes(f.image);
-  return frame(FrameType::kCheckpointImage, payload);
+  return encode_frame(FrameType::kCheckpointImage, f, 9 + f.image.size());
 }
 
 std::vector<std::uint8_t> encode_restore(const RestoreFrame& f) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(f.image.size());
-  Writer w(payload);
-  w.bytes(f.image);
-  return frame(FrameType::kRestore, payload);
+  return encode_frame(FrameType::kRestore, f, f.image.size());
 }
 
 std::vector<std::uint8_t> encode_restore_result(const RestoreResultFrame& f) {
-  std::vector<std::uint8_t> payload;
-  Writer w(payload);
-  w.boolean(f.ok);
-  w.str(f.reason);
-  return frame(FrameType::kRestoreResult, payload);
+  return encode_frame(FrameType::kRestoreResult, f);
 }
 
 std::vector<std::uint8_t> encode_heartbeat(const HeartbeatFrame& f) {
-  std::vector<std::uint8_t> payload;
-  Writer w(payload);
-  w.u64(f.applied_seq);
-  return frame(FrameType::kHeartbeat, payload);
+  return encode_frame(FrameType::kHeartbeat, f);
 }
 
 std::vector<std::uint8_t> encode_finish() {
@@ -179,16 +141,8 @@ FrameDecoder::Status FrameDecoder::fault(cdr::FaultClass fault_class,
   }
   poisoned_ = true;
   ++report_.records_dropped;
-  ++report_.counters[static_cast<std::size_t>(fault_class)];
-  if (report_.quarantine.size() < options_.quarantine_cap) {
-    cdr::QuarantineEntry entry;
-    entry.fault = fault_class;
-    entry.byte_offset = stream_offset_;
-    entry.reason = reason;
-    report_.quarantine.push_back(std::move(entry));
-  } else {
-    ++report_.quarantine_overflow;
-  }
+  report_.record_fault(options_.quarantine_cap, fault_class, stream_offset_,
+                       reason);
   buffer_.clear();
   return Status::kQuarantined;
 }
@@ -201,9 +155,11 @@ FrameDecoder::Status FrameDecoder::next(Frame& out) {
     return fault(cdr::FaultClass::kBadHeader,
                  "missing or damaged CCWF magic");
   }
+  std::uint32_t raw_type = 0;
+  std::uint64_t len = 0;
   Reader header{std::span(buffer_).subspan(4, 12)};
-  const std::uint32_t raw_type = header.u32();
-  const std::uint64_t len = header.u64();
+  header.u32(raw_type);
+  header.u64(len);
   if (len > kMaxFramePayload) {
     return fault(cdr::FaultClass::kTruncatedPayload,
                  "declared payload length " + std::to_string(len) +
@@ -217,9 +173,11 @@ FrameDecoder::Status FrameDecoder::next(Frame& out) {
       std::span(buffer_).subspan(kHeaderBytes, static_cast<std::size_t>(len));
   const auto covered = std::span(buffer_).subspan(
       kMagic.size(), kHeaderBytes - kMagic.size() + static_cast<std::size_t>(len));
-  Reader crc_frame{std::span(buffer_).subspan(
-      kHeaderBytes + static_cast<std::size_t>(len), kCrcBytes)};
-  if (binio::crc32(covered) != crc_frame.u32()) {
+  std::uint32_t stored_crc = 0;
+  Reader{std::span(buffer_).subspan(kHeaderBytes + static_cast<std::size_t>(len),
+                                    kCrcBytes)}
+      .u32(stored_crc);
+  if (crc32(covered) != stored_crc) {
     return fault(cdr::FaultClass::kChecksumMismatch,
                  "frame CRC32 does not match its header and payload");
   }
@@ -235,25 +193,25 @@ FrameDecoder::Status FrameDecoder::next(Frame& out) {
     Reader r(payload);
     switch (parsed.type) {
       case FrameType::kHello:
-        parsed.hello = parse_hello(r);
+        fields(r, parsed.hello);
         break;
       case FrameType::kBatch:
-        parsed.batch = parse_batch(r);
+        fields(r, parsed.batch);
         break;
       case FrameType::kCheckpointRequest:
       case FrameType::kFinish:
         break;  // no payload
       case FrameType::kCheckpointImage:
-        parsed.image = parse_checkpoint_image(r);
+        fields(r, parsed.image);
         break;
       case FrameType::kRestore:
-        parsed.restore = parse_restore(r);
+        fields(r, parsed.restore);
         break;
       case FrameType::kRestoreResult:
-        parsed.restore_result = parse_restore_result(r);
+        fields(r, parsed.restore_result);
         break;
       case FrameType::kHeartbeat:
-        parsed.heartbeat = parse_heartbeat(r);
+        fields(r, parsed.heartbeat);
         break;
     }
     if (r.remaining() != 0) {

@@ -256,16 +256,8 @@ bool ShardedEngine::restore(const Checkpoint& checkpoint,
       throw util::CsvError("checkpoint: " + reason);
     }
     ++fault_report->records_dropped;
-    ++fault_report->counters[static_cast<std::size_t>(
-        cdr::FaultClass::kCheckpointMismatch)];
-    if (fault_report->quarantine.size() < config_.quarantine_cap) {
-      cdr::QuarantineEntry entry;
-      entry.fault = cdr::FaultClass::kCheckpointMismatch;
-      entry.reason = reason;
-      fault_report->quarantine.push_back(std::move(entry));
-    } else {
-      ++fault_report->quarantine_overflow;
-    }
+    fault_report->record_fault(config_.quarantine_cap,
+                               cdr::FaultClass::kCheckpointMismatch, 0, reason);
     return false;
   }
 

@@ -24,23 +24,15 @@ Frontend::Frontend(const StreamConfig& config)
 
 void Frontend::quarantine_late(const cdr::Connection& c) {
   ++ingest_.records_dropped;
-  ++ingest_.counters[static_cast<std::size_t>(
-      cdr::FaultClass::kOutOfOrderRecord)];
-  if (ingest_.quarantine.size() < config_.quarantine_cap) {
-    cdr::QuarantineEntry entry;
-    entry.fault = cdr::FaultClass::kOutOfOrderRecord;
-    // Post-dedup delivery ordinal, not the raw offer count: re-delivered
-    // duplicates must not shift the ordinals, or a restored run's
-    // quarantine would diverge from the uninterrupted run's.
-    entry.byte_offset = offered_ - replayed_;
-    entry.reason = "arrived past the watermark: start " +
-                   std::to_string(c.start) + " < " +
-                   std::to_string(watermark_) + " (lateness " +
-                   std::to_string(config_.allowed_lateness) + " s)";
-    ingest_.quarantine.push_back(std::move(entry));
-  } else {
-    ++ingest_.quarantine_overflow;
-  }
+  // The offset is the post-dedup delivery ordinal, not the raw offer count:
+  // re-delivered duplicates must not shift the ordinals, or a restored
+  // run's quarantine would diverge from the uninterrupted run's.
+  ingest_.record_fault(
+      config_.quarantine_cap, cdr::FaultClass::kOutOfOrderRecord,
+      offered_ - replayed_,
+      "arrived past the watermark: start " + std::to_string(c.start) + " < " +
+          std::to_string(watermark_) + " (lateness " +
+          std::to_string(config_.allowed_lateness) + " s)");
 }
 
 Frontend::Decision Frontend::offer(const cdr::Connection& c,

@@ -1,0 +1,136 @@
+// Format pins for the two persisted byte layouts: a CCKP checkpoint image of
+// a small deterministic engine (pinned by size and CRC32) and one CCWF frame
+// of every type (pinned byte for byte). The round-trip suites pass whenever
+// the encoder and decoder move together; these pins fail when the layout
+// itself moves, which must come with a Checkpoint::kVersion or
+// kProtocolVersion bump and new pinned values.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "dist/wire.h"
+#include "stream/checkpoint.h"
+#include "stream/engine.h"
+#include "test_helpers.h"
+#include "util/binio.h"
+#include "util/rng.h"
+
+namespace ccms {
+namespace {
+
+using test::conn;
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+/// A mid-stream image with state in every section: clean-screen drops,
+/// quarantined late records, open sessions, held reorder records, active
+/// and folded concurrency bins and exactly-once cursors.
+std::vector<std::uint8_t> engine_image() {
+  stream::StreamConfig config;
+  config.shards = 2;
+  config.allowed_lateness = 300;
+  config.fleet_size = 12;
+  config.study_days = 3;
+  config.batch_records = 8;
+  config.exactly_once = true;
+
+  stream::ShardedEngine engine(config);
+  util::Rng rng(0xC0DEu);
+  time::Seconds t = 500;
+  for (int i = 0; i < 240; ++i) {
+    t += rng.uniform_int(1, 60);
+    auto car = static_cast<std::uint32_t>(rng.uniform_int(0, 10));
+    const auto cell = static_cast<std::uint32_t>(rng.uniform_int(0, 31));
+    auto duration = static_cast<std::int32_t>(rng.uniform_int(1, 900));
+    const double dice = rng.uniform();
+    if (dice < 0.03) duration = 3600;       // hour artifact
+    else if (dice < 0.05) duration = 0;     // nonpositive
+    time::Seconds start = t;
+    if (dice > 0.96 && t > 2000) {
+      // Late, on a car of its own so the exactly-once cursor of a busy car
+      // does not drop it as a re-delivery first.
+      car = 11;
+      start = t - 1200;
+    }
+    engine.push(conn(car, cell, start, duration));
+  }
+  return stream::encode(engine.checkpoint());
+}
+
+TEST(CodecFormatPin, VersionsAreUnchanged) {
+  EXPECT_EQ(stream::Checkpoint::kVersion, 3u);
+  EXPECT_EQ(dist::kProtocolVersion, 1u);
+}
+
+TEST(CodecFormatPin, CheckpointImageSizeAndCrc) {
+  const std::vector<std::uint8_t> image = engine_image();
+  EXPECT_EQ(image.size(), 29247u);
+  EXPECT_EQ(binio::crc32(image), 150137965u);
+
+  // The pin covers every variable-length field list of the image.
+  cdr::IngestReport report;
+  const auto decoded = stream::decode(image, {}, report);
+  ASSERT_TRUE(decoded.has_value());
+  const stream::Checkpoint::Producer& p = decoded->producer;
+  EXPECT_FALSE(p.ingest.quarantine.empty());
+  EXPECT_GT(p.clean.hour_artifacts_removed, 0u);
+  EXPECT_FALSE(p.cursors.empty());
+  bool open_session = false;
+  bool reorder = false;
+  bool active = false;
+  bool folded = false;
+  for (const stream::ShardCheckpoint& s : decoded->shards) {
+    for (const auto& car : s.cars) open_session |= car.session_open;
+    reorder |= !s.reorder.empty();
+    active |= !s.active_bins.empty();
+    folded |= !s.folded_bins.empty();
+  }
+  EXPECT_TRUE(open_session);
+  EXPECT_TRUE(reorder);
+  EXPECT_TRUE(active);
+  EXPECT_TRUE(folded);
+}
+
+TEST(CodecFormatPin, EveryFrameTypeIsByteExact) {
+  using namespace dist;
+  const std::vector<std::uint8_t> image = {0xDE, 0xAD, 0xBE, 0xEF};
+  BatchFrame batch;
+  batch.seq_of_last = 41;
+  batch.watermark = -7;
+  batch.records = {conn(1, 10, 1000, 60), conn(0xABCDEF, 3, 86400, 3600)};
+
+  EXPECT_EQ(hex(encode_hello({kProtocolVersion, 3, 7})),
+            "43435746010000000c00000000000000010000000300000007000000"
+            "d9e12f79");
+  EXPECT_EQ(hex(encode_batch(batch)),
+            "434357460200000040000000000000002900000000000000f9ffffff"
+            "ffffffff0200000000000000010000000a000000e803000000000000"
+            "3c000000efcdab00030000008051010000000000100e000005219220");
+  EXPECT_EQ(hex(encode_checkpoint_request()),
+            "434357460300000000000000000000009f144b0c");
+  EXPECT_EQ(hex(encode_checkpoint_image({77, true, image})),
+            "43435746040000000d000000000000004d0000000000000001deadbe"
+            "ef046eba20");
+  EXPECT_EQ(hex(encode_restore({image})),
+            "43435746050000000400000000000000deadbeef7ad13cc8");
+  EXPECT_EQ(hex(encode_restore_result({false, "skew"})),
+            "43435746060000000d00000000000000000400000000000000736b65"
+            "77cb8720c2");
+  EXPECT_EQ(hex(encode_heartbeat({0x0102030405060708ull})),
+            "4343574607000000080000000000000008070605040302011d906c5d");
+  EXPECT_EQ(hex(encode_finish()),
+            "4343574608000000000000000000000091b0d97d");
+}
+
+}  // namespace
+}  // namespace ccms

@@ -18,6 +18,7 @@
 #include "cdr/integrity.h"
 #include "stream/engine.h"
 #include "test_helpers.h"
+#include "util/binio.h"
 #include "util/csv.h"
 #include "util/rng.h"
 
@@ -203,6 +204,58 @@ TEST(CheckpointFuzz, SectionReordersAreRejected) {
     order.pop_back();
     expect_rejected(reassemble(image(), order), "drop last section");
   }
+}
+
+TEST(CheckpointFuzz, CountBelowTheElementFloorIsRejectedBeforeAllocating) {
+  // Locate shard 0's per-cell duration count: the first payload byte at
+  // which its section differs from one with an extra entry on that list.
+  cdr::IngestReport clean_report;
+  const auto decoded =
+      decode(image(), mode(cdr::ParseMode::kLenient), clean_report);
+  ASSERT_TRUE(decoded.has_value());
+  Checkpoint longer = *decoded;
+  ASSERT_FALSE(longer.shards[0].cell_durations.empty());
+  longer.shards[0].cell_durations.push_back(
+      longer.shards[0].cell_durations.back());
+  const std::vector<std::uint8_t> other = encode(longer);
+
+  const Frame shard0 = frames(image())[2];  // after CONF and PROD
+  const std::size_t payload_begin = shard0.begin + 12;
+  const std::size_t payload_end = shard0.end - 4;
+  const std::size_t at = static_cast<std::size_t>(
+      std::mismatch(image().begin() + payload_begin,
+                    image().begin() + payload_end,
+                    other.begin() + payload_begin)
+          .first -
+      image().begin());
+  ASSERT_LT(at, payload_end);
+
+  // A count that 12 bytes per entry would admit but the 196-byte minimum
+  // of one entry (cell, connections, P2 state) cannot.
+  const std::uint64_t remaining = payload_end - (at + 8);
+  const std::uint64_t count = remaining / 12;
+  ASSERT_GT(count, remaining / 196);
+
+  std::vector<std::uint8_t> damaged = image();
+  for (int i = 0; i < 8; ++i) {
+    damaged[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(count >> (8 * i));
+  }
+  const std::uint32_t crc = binio::crc32(std::span(damaged).subspan(
+      payload_begin, payload_end - payload_begin));
+  for (int i = 0; i < 4; ++i) {
+    damaged[payload_end + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+
+  cdr::IngestReport report;
+  EXPECT_FALSE(
+      decode(damaged, mode(cdr::ParseMode::kLenient), report).has_value());
+  EXPECT_EQ(report.count(cdr::FaultClass::kTruncatedPayload), 1u);
+  ASSERT_EQ(report.quarantine.size(), 1u);
+  EXPECT_EQ(report.quarantine[0].reason,
+            "declared count overruns section payload");
+  expect_rejected(damaged, "declared count between the old and true floor");
 }
 
 }  // namespace
