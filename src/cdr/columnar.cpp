@@ -21,6 +21,11 @@ namespace ccms::cdr {
 
 namespace {
 
+using binio::get_uvarint;
+using binio::put_uvarint;
+using binio::unzigzag64;
+using binio::zigzag64;
+
 constexpr char kMagic2[8] = {'C', 'C', 'D', 'R', '2', '\0', '\0', '\0'};
 
 struct ColumnarHeader {
@@ -55,29 +60,6 @@ void structural_fault(const IngestOptions& options, IngestReport& report,
 }
 
 }  // namespace
-
-void put_uvarint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-bool get_uvarint(const std::uint8_t*& p, const std::uint8_t* end,
-                 std::uint64_t& v) {
-  v = 0;
-  int shift = 0;
-  while (p < end) {
-    const std::uint8_t b = *p++;
-    if (shift == 63 && (b & 0xFE) != 0) return false;  // > 64 bits
-    v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-    if ((b & 0x80) == 0) return true;
-    shift += 7;
-    if (shift > 63) return false;
-  }
-  return false;  // truncated
-}
 
 void ColumnBlock::clear() {
   car.clear();

@@ -46,24 +46,6 @@ namespace ccms::cdr {
 /// has more records than the target (a car never straddles blocks).
 inline constexpr std::size_t kColumnarBlockRecords = std::size_t{1} << 18;
 
-/// Unsigned LEB128. Appends 1-10 bytes.
-void put_uvarint(std::string& out, std::uint64_t v);
-
-/// Decodes one LEB128 value from [p, end). Advances p. Returns false on
-/// truncation or a value wider than 64 bits.
-[[nodiscard]] bool get_uvarint(const std::uint8_t*& p, const std::uint8_t* end,
-                               std::uint64_t& v);
-
-/// Zigzag mapping of signed deltas onto unsigned varints.
-[[nodiscard]] constexpr std::uint64_t zigzag64(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-[[nodiscard]] constexpr std::int64_t unzigzag64(std::uint64_t v) {
-  return static_cast<std::int64_t>(v >> 1) ^
-         -static_cast<std::int64_t>(v & 1);
-}
-
 /// One block's descriptor, as stored in the trailing index.
 struct ColumnarBlockDesc {
   std::uint64_t offset = 0;         ///< payload start, absolute file offset

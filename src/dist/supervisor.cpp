@@ -238,7 +238,7 @@ void DistEngine::mark_lost(Link& link, const std::string& reason) {
   link.gap.clear();
 }
 
-void DistEngine::handle_frame(Link& link, const Frame& frame) {
+void DistEngine::handle_frame(Link& link, Frame& frame) {
   link.last_heard = Clock::now();
   switch (frame.type) {
     case FrameType::kHello:
@@ -255,7 +255,7 @@ void DistEngine::handle_frame(Link& link, const Frame& frame) {
     case FrameType::kHeartbeat:
       break;  // last_heard refresh is the payload
     case FrameType::kCheckpointImage: {
-      link.last_image = frame.image.image;
+      link.last_image = std::move(frame.image.image);
       link.image_seq = frame.image.applied_seq;
       link.image_closed = frame.image.closed;
       // Trim the gap log: every batch at or below the image's applied

@@ -191,7 +191,7 @@ class DistEngine {
                bool bounded);
   void request_image(Link& link);
   void pump(int max_wait_ms);
-  void handle_frame(Link& link, const Frame& frame);
+  void handle_frame(Link& link, Frame& frame);
   void worker_died(Link& link, const std::string& why);
   void restart_worker(Link& link);
   void mark_lost(Link& link, const std::string& reason);

@@ -6,8 +6,20 @@
 namespace ccms::stats {
 
 P2Quantile::P2Quantile(double q) : q_(std::clamp(q, 0.001, 0.999)) {
-  desired_ = {1, 1 + 2 * q_, 1 + 4 * q_, 3 + 2 * q_, 5};
-  increments_ = {0, q_ / 2, q_, (1 + q_) / 2, 1};
+  const Schedule s = schedule(q_, 0);
+  desired_ = s.desired;
+  increments_ = s.increments;
+}
+
+P2Quantile::Schedule P2Quantile::schedule(double q, std::int64_t count) {
+  Schedule s;
+  s.desired = {1, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5};
+  s.increments = {0, q / 2, q, (1 + q) / 2, 1};
+  if (count > 5) {
+    const auto steps = static_cast<double>(count - 5);
+    for (std::size_t i = 0; i < 5; ++i) s.desired[i] += steps * s.increments[i];
+  }
+  return s;
 }
 
 void P2Quantile::insert_sorted(double x) {

@@ -55,6 +55,19 @@ class P2Quantile {
     std::array<double, 5> desired{};
     std::array<double, 5> increments{};
   };
+  /// The desired marker positions and their per-observation increments of
+  /// an estimator of quantile `q` after `count` observations, in closed
+  /// form: the initial positions plus max(0, count - 5) increments. add()
+  /// sums the increments one observation at a time, so its arrays equal
+  /// these bitwise exactly when that running sum is exact, as it is for
+  /// q = 0.5, whose terms are all multiples of 1/4. The checkpoint codec
+  /// stores the arrays only where they differ.
+  struct Schedule {
+    std::array<double, 5> desired{};
+    std::array<double, 5> increments{};
+  };
+  [[nodiscard]] static Schedule schedule(double q, std::int64_t count);
+
   [[nodiscard]] State state() const {
     return {q_, count_, ignored_, heights_, positions_, desired_, increments_};
   }

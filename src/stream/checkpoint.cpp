@@ -1,8 +1,10 @@
 #include "stream/checkpoint.h"
 
 #include <array>
+#include <bit>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "util/binio.h"
@@ -33,18 +35,136 @@ struct ParseFault {
 // state) and decode (IO = Reader). The seq() floors are each element's
 // minimum encoded size.
 
+/// An integer field stored as the uvarint of its 64-bit pattern.
+template <class IO, class T>
+void varint(IO& io, T& v) {
+  if constexpr (IO::kReading) {
+    std::uint64_t u = 0;
+    io.uvarint(u);
+    v = static_cast<T>(u);
+  } else {
+    io.uvarint(static_cast<std::uint64_t>(v));
+  }
+}
+
+/// A double holding a whole number (see whole()), stored as a zigzag varint
+/// or, when `kSigned` is false, as a plain uvarint.
+template <bool kSigned, class IO, class D>
+void whole_f64(IO& io, D& v) {
+  if constexpr (IO::kReading) {
+    std::uint64_t u = 0;
+    io.uvarint(u);
+    v = kSigned ? static_cast<double>(binio::unzigzag64(u))
+                : static_cast<double>(u);
+  } else if constexpr (kSigned) {
+    io.uvarint(binio::zigzag64(static_cast<std::int64_t>(v)));
+  } else {
+    io.uvarint(static_cast<std::uint64_t>(v));
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+bool same_bits(const std::array<double, 5>& a, const std::array<double, 5>& b) {
+  return std::memcmp(a.data(), b.data(), sizeof a) == 0;
+}
+
+/// True if `v` is an integer that round-trips through int64 bit for bit:
+/// not NaN, not out of range, not -0.0.
+bool whole(double v) {
+  return v >= -0x1p63 && v < 0x1p63 &&
+         same_bits(static_cast<double>(static_cast<std::int64_t>(v)), v);
+}
+
+// The P2 state is written compactly (DESIGN.md §11). A leading raw mask has
+// one bit per field group that is not in the canonical form the reader
+// rebuilds; a set bit stores that group as raw f64, so every state, however
+// odd, round-trips bit for bit. Canonical forms: q is 0.5; desired and
+// increments are P2Quantile::schedule(q, count); positions are all +0.0
+// below 5 observations and {1, n1, n2, n3, count} from 5 on, with n1..n3
+// stored as uvarints; a height is a whole number, stored as a zigzag varint.
+constexpr std::uint64_t kRawHeight0 = 1;  // << i for heights[i]
+constexpr std::uint64_t kRawQ = 1u << 5;
+constexpr std::uint64_t kRawPositions = 1u << 6;
+constexpr std::uint64_t kRawSchedule = 1u << 7;
+constexpr std::uint64_t kRawMaskEnd = 1u << 8;
+
+bool canonical_positions(const stats::P2Quantile::State& s) {
+  const auto& p = s.positions;
+  if (s.count < 5) return same_bits(p, {});
+  for (std::size_t i = 1; i <= 3; ++i) {
+    if (!whole(p[i]) || p[i] < 0) return false;
+  }
+  return same_bits(p[0], 1) && same_bits(p[4], static_cast<double>(s.count));
+}
+
+std::uint64_t raw_mask(const stats::P2Quantile::State& s) {
+  std::uint64_t raw = 0;
+  for (std::size_t i = 0; i < 5; ++i) {
+    if (!whole(s.heights[i])) raw |= kRawHeight0 << i;
+  }
+  if (!same_bits(s.q, 0.5)) raw |= kRawQ;
+  if (!canonical_positions(s)) raw |= kRawPositions;
+  const auto schedule = stats::P2Quantile::schedule(s.q, s.count);
+  if (!same_bits(s.desired, schedule.desired) ||
+      !same_bits(s.increments, schedule.increments)) {
+    raw |= kRawSchedule;
+  }
+  return raw;
+}
+
 template <class IO, binio::Is<stats::P2Quantile::State> S>
 void fields(IO& io, S& s) {
-  io.f64(s.q);
-  io.i64(s.count);
-  io.i64(s.ignored);
-  for (auto& v : s.heights) io.f64(v);
-  for (auto& v : s.positions) io.f64(v);
-  for (auto& v : s.desired) io.f64(v);
-  for (auto& v : s.increments) io.f64(v);
+  std::uint64_t raw = 0;
+  if constexpr (!IO::kReading) raw = raw_mask(s);
+  io.uvarint(raw);
+  if constexpr (IO::kReading) {
+    if (raw >= kRawMaskEnd) {
+      throw ParseFault{cdr::FaultClass::kCheckpointMismatch,
+                       "P2 state sets unknown layout bits"};
+    }
+  }
+
+  if ((raw & kRawQ) != 0) {
+    io.f64(s.q);
+  } else if constexpr (IO::kReading) {
+    s.q = 0.5;
+  }
+  varint(io, s.count);
+  varint(io, s.ignored);
+  for (std::size_t i = 0; i < 5; ++i) {
+    if ((raw & (kRawHeight0 << i)) != 0) {
+      io.f64(s.heights[i]);
+    } else {
+      whole_f64<true>(io, s.heights[i]);
+    }
+  }
+
+  if ((raw & kRawPositions) != 0) {
+    for (auto& v : s.positions) io.f64(v);
+  } else if (s.count >= 5) {
+    for (std::size_t i = 1; i <= 3; ++i) whole_f64<false>(io, s.positions[i]);
+    if constexpr (IO::kReading) {
+      s.positions[0] = 1;
+      s.positions[4] = static_cast<double>(s.count);
+    }
+  } else if constexpr (IO::kReading) {
+    s.positions = {};
+  }
+
+  if ((raw & kRawSchedule) != 0) {
+    for (auto& v : s.desired) io.f64(v);
+    for (auto& v : s.increments) io.f64(v);
+  } else if constexpr (IO::kReading) {
+    const auto schedule = stats::P2Quantile::schedule(s.q, s.count);
+    s.desired = schedule.desired;
+    s.increments = schedule.increments;
+  }
 }
-// Encoded size of the P² list above.
-constexpr std::uint64_t kP2Bytes = 24 + 4 * 5 * 8;
+// Smallest encoding of the P2 list above: mask, count, ignored and five
+// heights, one byte each.
+constexpr std::uint64_t kP2MinBytes = 8;
 
 template <class IO, binio::Is<stats::Accumulator::State> S>
 void fields(IO& io, S& s) {
@@ -180,9 +300,26 @@ void shrd(IO& io, std::size_t index, S& s) {
   io.u64(s.sessions_closed);
   fields(io, s.session_span);
 
-  io.seq(s.cell_durations, 4 + 8 + kP2Bytes, [](auto& io, auto& cd) {
-    io.u32(cd.cell);
-    io.u64(cd.connections);
+  // Cell ids strictly ascend, so each is stored as its distance from the
+  // previous entry's (the first from 0).
+  std::uint64_t prev_cell = 0;
+  bool first_cell = true;
+  io.seq(s.cell_durations, 1 + 1 + kP2MinBytes, [&](auto& io, auto& cd) {
+    std::uint64_t delta = 0;
+    if constexpr (!IO::kReading) delta = cd.cell - prev_cell;
+    io.uvarint(delta);
+    if constexpr (IO::kReading) {
+      if ((delta == 0 && !first_cell) ||
+          delta > std::numeric_limits<std::uint32_t>::max() - prev_cell) {
+        throw ParseFault{cdr::FaultClass::kCheckpointMismatch,
+                         "per-cell duration ids do not strictly ascend "
+                         "within u32"};
+      }
+      cd.cell = static_cast<std::uint32_t>(prev_cell + delta);
+    }
+    prev_cell = cd.cell;
+    first_cell = false;
+    varint(io, cd.connections);
     fields(io, cd.median);
   });
 

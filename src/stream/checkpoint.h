@@ -18,9 +18,11 @@
 // with exactly one CONF section (config fingerprint + finished flag), one
 // PROD section (producer state) and one SHRD section per shard, in shard
 // order. Each SHRD payload leads with its own shard index so reordered
-// sections are a kCheckpointMismatch, never a silent shard swap. All
-// integers are little-endian; all associative state inside the payloads is
-// sorted, so equal engine states encode to equal bytes.
+// sections are a kCheckpointMismatch, never a silent shard swap. Fixed-width
+// integers are little-endian; P2 states and per-cell duration entries use
+// LEB128 varints and a compact lossless layout (DESIGN.md §11). All
+// associative state inside the payloads is sorted, so equal engine states
+// encode to equal bytes.
 //
 // Reading obeys the same Strict/Lenient discipline as the CDR readers: a
 // damaged magic/header is kBadHeader, a section whose payload overruns the
@@ -87,8 +89,9 @@ struct AckCursor {
 /// Complete durable image of a quiesced ShardedEngine.
 struct Checkpoint {
   /// v2: SHRD payloads lead with their shard index. v3: the duration
-  /// tally is its histogram and P2 markers only.
-  static constexpr std::uint32_t kVersion = 3;
+  /// tally is its histogram and P2 markers only. v4: P2 states in the
+  /// compact lossless layout, per-cell duration ids delta-coded.
+  static constexpr std::uint32_t kVersion = 4;
 
   ConfigFingerprint config;
   bool finished = false;  ///< checkpoint of an already-finished engine

@@ -22,6 +22,10 @@
 namespace ccms::cdr {
 namespace {
 
+using binio::get_uvarint;
+using binio::put_uvarint;
+using binio::unzigzag64;
+using binio::zigzag64;
 using test::conn;
 using test::make_dataset;
 

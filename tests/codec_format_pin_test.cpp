@@ -68,14 +68,14 @@ std::vector<std::uint8_t> engine_image() {
 }
 
 TEST(CodecFormatPin, VersionsAreUnchanged) {
-  EXPECT_EQ(stream::Checkpoint::kVersion, 3u);
+  EXPECT_EQ(stream::Checkpoint::kVersion, 4u);
   EXPECT_EQ(dist::kProtocolVersion, 1u);
 }
 
 TEST(CodecFormatPin, CheckpointImageSizeAndCrc) {
   const std::vector<std::uint8_t> image = engine_image();
-  EXPECT_EQ(image.size(), 29247u);
-  EXPECT_EQ(binio::crc32(image), 150137965u);
+  EXPECT_EQ(image.size(), 17986u);
+  EXPECT_EQ(binio::crc32(image), 119928716u);
 
   // The pin covers every variable-length field list of the image.
   cdr::IngestReport report;
@@ -89,16 +89,24 @@ TEST(CodecFormatPin, CheckpointImageSizeAndCrc) {
   bool reorder = false;
   bool active = false;
   bool folded = false;
+  bool p2_prefix = false;   // a P2 state below 5 observations
+  bool p2_markers = false;  // and one past them
   for (const stream::ShardCheckpoint& s : decoded->shards) {
     for (const auto& car : s.cars) open_session |= car.session_open;
     reorder |= !s.reorder.empty();
     active |= !s.active_bins.empty();
     folded |= !s.folded_bins.empty();
+    for (const auto& cd : s.cell_durations) {
+      p2_prefix |= cd.median.count < 5;
+      p2_markers |= cd.median.count > 5;
+    }
   }
   EXPECT_TRUE(open_session);
   EXPECT_TRUE(reorder);
   EXPECT_TRUE(active);
   EXPECT_TRUE(folded);
+  EXPECT_TRUE(p2_prefix);
+  EXPECT_TRUE(p2_markers);
 }
 
 TEST(CodecFormatPin, EveryFrameTypeIsByteExact) {

@@ -230,11 +230,13 @@ TEST(CheckpointFuzz, CountBelowTheElementFloorIsRejectedBeforeAllocating) {
       image().begin());
   ASSERT_LT(at, payload_end);
 
-  // A count that 12 bytes per entry would admit but the 196-byte minimum
-  // of one entry (cell, connections, P2 state) cannot.
+  // A count that 2 bytes per entry (the cell delta and connection varints
+  // alone) would admit but the 10-byte minimum of one entry (those two
+  // plus the smallest P2 state: mask, count, ignored and five heights, one
+  // byte each) cannot.
   const std::uint64_t remaining = payload_end - (at + 8);
-  const std::uint64_t count = remaining / 12;
-  ASSERT_GT(count, remaining / 196);
+  const std::uint64_t count = remaining / 2;
+  ASSERT_GT(count, remaining / 10);
 
   std::vector<std::uint8_t> damaged = image();
   for (int i = 0; i < 8; ++i) {
