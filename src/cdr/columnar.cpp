@@ -45,20 +45,6 @@ std::uint32_t crc32(const void* data, std::size_t len) {
   return binio::crc32({static_cast<const std::uint8_t*>(data), len});
 }
 
-/// Structural fault handling (header, index, block decode) shared by the
-/// opens and RecordScreen: strict counts and throws, lenient counts and
-/// quarantines (bounded by the cap).
-void structural_fault(const IngestOptions& options, IngestReport& report,
-                      const std::string& label, FaultClass fault,
-                      std::uint64_t offset, std::string reason) {
-  if (options.mode == ParseMode::kStrict) {
-    ++report.counters[static_cast<std::size_t>(fault)];
-    throw util::CsvError(reason + " at byte offset " + std::to_string(offset) +
-                         " in " + label);
-  }
-  report.record_fault(options.quarantine_cap, fault, offset, std::move(reason));
-}
-
 }  // namespace
 
 void ColumnBlock::clear() {
@@ -214,18 +200,18 @@ ColumnarFile ColumnarFile::parse(std::span<const std::uint8_t> bytes,
                                  const std::string& label) {
   ColumnarFile file;
   file.bytes_ = bytes;
+  RecordScreen book(options, report, label);  // books header/index faults
 
   if (bytes.size() < sizeof(ColumnarHeader)) {
-    structural_fault(options, report, label, FaultClass::kBadHeader, 0,
-                     "file shorter than the CCDR2 header (" +
-                         std::to_string(bytes.size()) + " bytes)");
+    book.fault(FaultClass::kBadHeader, 0,
+               "file shorter than the CCDR2 header (" +
+                   std::to_string(bytes.size()) + " bytes)");
     return file;
   }
   ColumnarHeader header{};
   std::memcpy(&header, bytes.data(), sizeof header);
   if (std::memcmp(header.magic, kMagic2, sizeof kMagic2) != 0) {
-    structural_fault(options, report, label, FaultClass::kBadHeader, 0,
-                     "bad CCDR2 magic");
+    book.fault(FaultClass::kBadHeader, 0, "bad CCDR2 magic");
     return file;
   }
   file.fleet_size_ = header.fleet_size;
@@ -239,25 +225,23 @@ ColumnarFile ColumnarFile::parse(std::span<const std::uint8_t> bytes,
   if (header.index_offset < sizeof(ColumnarHeader) ||
       header.index_offset > bytes.size() ||
       index_bytes > bytes.size() - header.index_offset) {
-    structural_fault(options, report, label, FaultClass::kTruncatedPayload,
-                     offsetof(ColumnarHeader, index_offset),
-                     "index (" + std::to_string(header.block_count) +
-                         " blocks) does not fit the file");
+    book.fault(FaultClass::kTruncatedPayload,
+               offsetof(ColumnarHeader, index_offset),
+               "index (" + std::to_string(header.block_count) +
+                   " blocks) does not fit the file");
     return file;
   }
   if (bytes.size() - header.index_offset - index_bytes < sizeof(std::uint32_t)) {
-    structural_fault(options, report, label, FaultClass::kTruncatedPayload,
-                     header.index_offset + index_bytes,
-                     "index checksum missing");
+    book.fault(FaultClass::kTruncatedPayload,
+               header.index_offset + index_bytes, "index checksum missing");
     return file;
   }
   std::uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, bytes.data() + header.index_offset + index_bytes,
               sizeof stored_crc);
   if (crc32(bytes.data() + header.index_offset, index_bytes) != stored_crc) {
-    structural_fault(options, report, label, FaultClass::kChecksumMismatch,
-                     header.index_offset,
-                     "block index CRC32 does not match its bytes");
+    book.fault(FaultClass::kChecksumMismatch, header.index_offset,
+               "block index CRC32 does not match its bytes");
     return file;
   }
 
@@ -282,10 +266,9 @@ ColumnarFile ColumnarFile::parse(std::span<const std::uint8_t> bytes,
         std::uint64_t{col[0]} + col[1] + col[2] + col[3] == d.payload_bytes &&
         d.records <= std::min({col[0], col[1], col[2], col[3]});
     if (!in_bounds) {
-      structural_fault(options, report, label, FaultClass::kTruncatedPayload,
-                       d.offset,
-                       "block " + std::to_string(b) +
-                           " descriptor outside the payload region");
+      book.fault(FaultClass::kTruncatedPayload, d.offset,
+                 "block " + std::to_string(b) +
+                     " descriptor outside the payload region");
       continue;
     }
     valid.push_back(d);
@@ -296,11 +279,11 @@ ColumnarFile ColumnarFile::parse(std::span<const std::uint8_t> bytes,
   }
   if (file.record_count_ != header.record_count &&
       file.index_.size() == header.block_count) {
-    structural_fault(options, report, label, FaultClass::kTruncatedPayload,
-                     offsetof(ColumnarHeader, record_count),
-                     "header claims " + std::to_string(header.record_count) +
-                         " records, index holds " +
-                         std::to_string(file.record_count_));
+    book.fault(FaultClass::kTruncatedPayload,
+               offsetof(ColumnarHeader, record_count),
+               "header claims " + std::to_string(header.record_count) +
+                   " records, index holds " +
+                   std::to_string(file.record_count_));
   }
   return file;
 }
@@ -497,76 +480,24 @@ ColumnarFile::DecodeStatus ColumnarFile::decode_block(std::size_t b,
   return DecodeStatus::kOk;
 }
 
-// --- Record screening ------------------------------------------------------
+// --- Block entry -----------------------------------------------------------
 
-void RecordScreen::fault(FaultClass fault, std::uint64_t offset,
-                         std::string reason) {
-  structural_fault(options_, report_, label_, fault, offset, std::move(reason));
-}
-
-bool RecordScreen::enter_block(const ColumnarFile& file, std::size_t b,
-                               ColumnBlock& out) {
-  have_previous_ = false;
+bool enter_block(const ColumnarFile& file, std::size_t b, ColumnBlock& out,
+                 RecordScreen& screen) {
+  screen.reset();
   const ColumnarFile::DecodeStatus status = file.decode_block(b, out);
   if (status == ColumnarFile::DecodeStatus::kOk) return true;
   const ColumnarBlockDesc& desc = file.blocks()[b];
   const bool crc = status == ColumnarFile::DecodeStatus::kChecksumMismatch;
-  fault(crc ? FaultClass::kChecksumMismatch : FaultClass::kTruncatedPayload,
-        desc.offset,
-        "block " + std::to_string(b) +
-            (crc ? " payload CRC32 does not match"
-                 : " column stream is malformed"));
-  report_.rows_read += desc.records;
-  report_.records_dropped += desc.records;
+  screen.fault(
+      crc ? FaultClass::kChecksumMismatch : FaultClass::kTruncatedPayload,
+      desc.offset,
+      "block " + std::to_string(b) +
+          (crc ? " payload CRC32 does not match"
+               : " column stream is malformed"));
+  screen.report().rows_read += desc.records;
+  screen.report().records_dropped += desc.records;
   return false;
-}
-
-bool RecordScreen::screen(const Connection& c, std::uint64_t offset) {
-  ++report_.rows_read;
-  if (c.duration_s < 0) {
-    fault(FaultClass::kNegativeDuration, offset,
-          "negative duration " + std::to_string(c.duration_s));
-    ++report_.records_dropped;
-    return false;
-  }
-  if (options_.max_duration_s > 0 && c.duration_s > options_.max_duration_s) {
-    fault(FaultClass::kOverflowDuration, offset,
-          "duration " + std::to_string(c.duration_s) + " beyond ceiling");
-    ++report_.records_dropped;
-    return false;
-  }
-  if (options_.horizon_s > 0 && (c.start < 0 || c.start >= options_.horizon_s)) {
-    fault(FaultClass::kClockSkew, offset,
-          "start " + std::to_string(c.start) + " outside [0, " +
-              std::to_string(options_.horizon_s) + ")");
-    ++report_.records_dropped;
-    return false;
-  }
-  if (options_.cell_universe > 0 && c.cell.value >= options_.cell_universe) {
-    fault(FaultClass::kUnknownCell, offset,
-          "cell " + std::to_string(c.cell.value) + " outside universe of " +
-              std::to_string(options_.cell_universe));
-    ++report_.records_dropped;
-    return false;
-  }
-  if (have_previous_) {
-    if (options_.check_duplicates && c == previous_) {
-      fault(FaultClass::kDuplicateRecord, offset,
-            "exact duplicate of the previous record");
-      ++report_.records_repaired;
-      previous_ = c;
-      return false;
-    }
-    if (options_.check_order && ByCarThenStart{}(c, previous_)) {
-      fault(FaultClass::kOutOfOrderRecord, offset,
-            "record sorts before its predecessor");
-      ++report_.records_repaired;
-    }
-  }
-  previous_ = c;
-  have_previous_ = true;
-  ++report_.records_accepted;
-  return true;
 }
 
 // --- Dataset materializer --------------------------------------------------
@@ -582,7 +513,7 @@ Dataset materialize_columnar(const ColumnarFile& file,
   RecordScreen screen(options, report, label);
   ColumnBlock block;
   for (std::size_t b = 0; b < file.blocks().size(); ++b) {
-    if (!screen.enter_block(file, b, block)) continue;
+    if (!enter_block(file, b, block, screen)) continue;
     const std::uint64_t offset = file.blocks()[b].offset;
     for (std::size_t i = 0; i < block.size(); ++i) {
       const Connection c{CarId{block.car[i]}, CellId{block.cell[i]},

@@ -27,7 +27,10 @@
 // (DESIGN.md §7): a damaged header is kBadHeader, a chopped file or index
 // is kTruncatedPayload, a payload whose CRC32 does not match is
 // kChecksumMismatch — strict throws at the first fault, lenient drops the
-// damaged block, keeps counting, and returns the survivors.
+// damaged block, keeps counting, and returns the survivors. Header, index
+// and block faults are booked by cdr::RecordScreen::fault, and decoded
+// records are screened by the same RecordScreen the CSV reader uses
+// (cdr/integrity.h).
 #pragma once
 
 #include <cstdint>
@@ -193,50 +196,23 @@ class ColumnarFile {
   int fd_ = -1;
 };
 
-/// Record-level screening mirroring the CSV reader's (io.cpp): value ranges
-/// first (negative duration, overflow, clock skew, unknown cell), then
-/// duplicate / out-of-order checks against the previous surviving record.
-/// Shared by read_columnar's materializer and run_study_columnar's
-/// streaming sweep.
-/// Both enter every block through enter_block, which resets the sequence
-/// state at the block boundary (blocks are car-aligned, so neither a
-/// duplicate pair nor a same-car order inversion can span one). That is
-/// what lets block chunks screen independently and still merge to exactly
-/// the sequential accounting.
-class RecordScreen {
- public:
-  RecordScreen(const IngestOptions& options, IngestReport& report,
-               const std::string& label)
-      : options_(options), report_(report), label_(label) {}
-
-  /// Books a structural fault (decode failure): counter + bounded
-  /// quarantine; throws util::CsvError in strict mode.
-  void fault(FaultClass fault, std::uint64_t offset, std::string reason);
-
-  /// Enters block `b` of `file`: forgets the previous record and decodes
-  /// the block into `out`. A block that fails its CRC or its decode is lost
-  /// whole but stays counted — its declared records enter rows_read and
-  /// records_dropped, so the ingest partition (rows == accepted + dropped +
-  /// deduped) still tiles — and the fault is booked (strict mode throws).
-  /// Returns false for a lost block.
-  [[nodiscard]] bool enter_block(const ColumnarFile& file, std::size_t b,
-                                 ColumnBlock& out);
-
-  /// Screens one record. Returns true if it survives; updates the report.
-  [[nodiscard]] bool screen(const Connection& c, std::uint64_t offset);
-
- private:
-  const IngestOptions& options_;
-  IngestReport& report_;
-  const std::string& label_;
-  Connection previous_{};
-  bool have_previous_ = false;
-};
+/// Enters block `b` of `file` through `screen`: resets the screen at the
+/// block boundary and decodes the block into `out`. Blocks are car-aligned,
+/// so neither a duplicate pair nor a same-car order inversion can span one;
+/// the reset is what lets block chunks screen independently and still merge
+/// to exactly the sequential accounting. A block that fails its CRC or its
+/// decode is lost whole but stays counted: its declared records enter
+/// rows_read and records_dropped, so the ingest partition (rows == accepted
+/// + dropped + deduped) still tiles, and the fault is booked through the
+/// screen (strict mode throws). Returns false for a lost block. Used by
+/// read_columnar's materializer and run_study_columnar's chunks alike.
+[[nodiscard]] bool enter_block(const ColumnarFile& file, std::size_t b,
+                               ColumnBlock& out, RecordScreen& screen);
 
 /// Reads a CCDR2 file into an in-memory Dataset, honouring `options` and
-/// filling `report`: the CSV readers' record screening (value ranges,
-/// order, duplicates) on top of the block-level CRC discipline. The
-/// returned dataset is finalized.
+/// filling `report`: the §7 RecordScreen (value ranges, order, duplicates)
+/// on top of the block-level CRC discipline. The returned dataset is
+/// finalized.
 [[nodiscard]] Dataset read_columnar(const std::string& path,
                                     const IngestOptions& options,
                                     IngestReport& report);

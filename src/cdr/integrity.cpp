@@ -3,6 +3,8 @@
 #include <iterator>
 #include <utility>
 
+#include "util/csv.h"
+
 namespace ccms::cdr {
 
 const char* name(FaultClass fault) {
@@ -70,10 +72,59 @@ void IngestReport::merge(IngestReport&& later, std::size_t quarantine_cap) {
                     std::make_move_iterator(later.quarantine.begin()),
                     std::make_move_iterator(later.quarantine.end()));
   quarantine_overflow += later.quarantine_overflow;
+  cap_quarantine(quarantine_cap);
+}
+
+void IngestReport::cap_quarantine(std::size_t quarantine_cap) {
   if (quarantine.size() > quarantine_cap) {
     quarantine_overflow += quarantine.size() - quarantine_cap;
     quarantine.resize(quarantine_cap);
   }
+}
+
+void RecordScreen::fault(FaultClass fault, std::uint64_t offset,
+                         std::string reason, std::string_view raw) {
+  if (options_.mode == ParseMode::kStrict) {
+    ++report_.counters[static_cast<std::size_t>(fault)];
+    throw util::CsvError(reason + " at byte offset " + std::to_string(offset) +
+                         " in " + label_);
+  }
+  report_.record_fault(options_.quarantine_cap, fault, offset,
+                       std::move(reason), std::string(raw));
+}
+
+void RecordScreen::drop(FaultClass fault, std::int64_t start,
+                        std::uint32_t cell, std::int64_t duration,
+                        std::uint64_t offset, std::string_view raw) {
+  std::string reason;
+  switch (fault) {
+    case FaultClass::kNegativeDuration:
+      reason = "negative duration " + std::to_string(duration);
+      break;
+    case FaultClass::kOverflowDuration:
+      reason = "duration " + std::to_string(duration) + " beyond ceiling";
+      break;
+    case FaultClass::kClockSkew:
+      reason = "start " + std::to_string(start) + " outside [0, " +
+               std::to_string(options_.horizon_s) + ")";
+      break;
+    default:  // kUnknownCell
+      reason = "cell " + std::to_string(cell) + " outside universe of " +
+               std::to_string(options_.cell_universe);
+      break;
+  }
+  this->fault(fault, offset, std::move(reason), raw);
+  ++report_.records_dropped;
+}
+
+void RecordScreen::repair(FaultClass fault, std::uint64_t offset,
+                          std::string_view raw) {
+  this->fault(fault, offset,
+              fault == FaultClass::kDuplicateRecord
+                  ? "exact duplicate of the previous record"
+                  : "record sorts before its predecessor",
+              raw);
+  ++report_.records_repaired;
 }
 
 }  // namespace ccms::cdr

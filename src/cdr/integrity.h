@@ -1,5 +1,5 @@
 // Ingest integrity accounting: the fault taxonomy, Strict/Lenient parse
-// modes and the per-stage IngestReport.
+// modes, the per-stage IngestReport and the §7 RecordScreen.
 //
 // The paper's methodology (§3) is built around surviving dirty telemetry:
 // exactly-1-hour reporting artifacts are dropped, stuck-modem connections
@@ -10,12 +10,20 @@
 // with the byte offset of the first fault, for pipelines that require
 // canonical input. The same taxonomy is used by ccms::faults to *inject*
 // faults, so tests can assert detected counters == injected counts.
+//
+// RecordScreen is the one implementation of the per-record rules: the CSV
+// reader's chunks and chunk seams (cdr/io.h), the CCDR2 reader and the
+// batch fold's CCDR2 source (cdr/columnar.h) all screen through it.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "cdr/record.h"
 
 namespace ccms::cdr {
 
@@ -151,7 +159,108 @@ struct IngestReport {
   /// and `bytes_consumed` describe the whole input and are left alone.
   void merge(IngestReport&& later, std::size_t quarantine_cap);
 
+  /// Keeps the first `quarantine_cap` quarantine entries and counts the
+  /// rest as overflow (merge's re-cap; also a restored report's, whose cap
+  /// is the restoring engine's).
+  void cap_quarantine(std::size_t quarantine_cap);
+
   friend bool operator==(const IngestReport&, const IngestReport&) = default;
+};
+
+/// The §7 record screen, booking into one IngestReport:
+///   1. value checks, in this order: duration below zero, duration above
+///      int32 or max_duration_s, start outside [0, horizon_s), cell id at or
+///      past cell_universe. A failing record is dropped (records_dropped).
+///   2. the sequence rule against the previously screened record: an exact
+///      copy is a duplicate and is dropped, else a record that sorts before
+///      it is out of order and kept (Dataset::finalize re-sorts it). Both
+///      count as repaired (records_repaired).
+/// Every fault, record-level or structural, is booked by fault(): strict
+/// mode counts it and throws util::CsvError("<reason> at byte offset N in
+/// <label>"); lenient mode hands it to IngestReport::record_fault, with the
+/// raw row where the input has one (CSV does, CCDR2 does not). Accepting a
+/// record builds no string; only a fault does.
+class RecordScreen {
+ public:
+  RecordScreen(const IngestOptions& options, IngestReport& report,
+               const std::string& label)
+      : options_(options), report_(report), label_(label) {}
+
+  /// The report every fault is booked into.
+  [[nodiscard]] IngestReport& report() const { return report_; }
+
+  /// Books one fault as described above. Throws in strict mode.
+  void fault(FaultClass fault, std::uint64_t offset, std::string reason,
+             std::string_view raw = {});
+
+  /// The value checks. `duration` is the value before it is narrowed to
+  /// int32, so a CSV field too large for a record fails the same check.
+  /// Returns false for a dropped record.
+  [[nodiscard]] bool values(std::int64_t start, std::uint32_t cell,
+                            std::int64_t duration, std::uint64_t offset,
+                            std::string_view raw = {}) {
+    FaultClass fault = FaultClass::kCount;
+    if (duration < 0) {
+      fault = FaultClass::kNegativeDuration;
+    } else if (duration > std::numeric_limits<std::int32_t>::max() ||
+               (options_.max_duration_s > 0 &&
+                duration > options_.max_duration_s)) {
+      fault = FaultClass::kOverflowDuration;
+    } else if (options_.horizon_s > 0 &&
+               (start < 0 || start >= options_.horizon_s)) {
+      fault = FaultClass::kClockSkew;
+    } else if (options_.cell_universe > 0 && cell >= options_.cell_universe) {
+      fault = FaultClass::kUnknownCell;
+    }
+    if (fault == FaultClass::kCount) return true;
+    drop(fault, start, cell, duration, offset, raw);
+    return false;
+  }
+
+  /// The sequence rule; `c` becomes the previous record. Returns false for
+  /// a dropped duplicate.
+  [[nodiscard]] bool sequence(const Connection& c, std::uint64_t offset,
+                              std::string_view raw = {}) {
+    FaultClass fault = FaultClass::kCount;
+    if (have_previous_) {
+      if (options_.check_duplicates && c == previous_) {
+        fault = FaultClass::kDuplicateRecord;
+      } else if (options_.check_order && ByCarThenStart{}(c, previous_)) {
+        fault = FaultClass::kOutOfOrderRecord;
+      }
+    }
+    previous_ = c;
+    have_previous_ = true;
+    if (fault == FaultClass::kCount) return true;
+    repair(fault, offset, raw);
+    return fault != FaultClass::kDuplicateRecord;
+  }
+
+  /// One whole record of an input without raw rows (CCDR2): counts it read,
+  /// runs both checks and counts it accepted if it survives.
+  [[nodiscard]] bool screen(const Connection& c, std::uint64_t offset) {
+    ++report_.rows_read;
+    if (!values(c.start, c.cell.value, c.duration_s, offset) ||
+        !sequence(c, offset)) {
+      return false;
+    }
+    ++report_.records_accepted;
+    return true;
+  }
+
+  /// Forgets the previous record, so the next one starts a new sequence.
+  void reset() { have_previous_ = false; }
+
+ private:
+  void drop(FaultClass fault, std::int64_t start, std::uint32_t cell,
+            std::int64_t duration, std::uint64_t offset, std::string_view raw);
+  void repair(FaultClass fault, std::uint64_t offset, std::string_view raw);
+
+  const IngestOptions& options_;
+  IngestReport& report_;
+  const std::string& label_;
+  Connection previous_{};
+  bool have_previous_ = false;
 };
 
 }  // namespace ccms::cdr

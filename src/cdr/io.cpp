@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "exec/thread_pool.h"
 #include "util/csv.h"
@@ -33,145 +34,44 @@ IngestOptions legacy_options() {
 /// the result is bitwise identical to a single sequential pass.
 struct ChunkOutcome {
   std::vector<Connection> accepted;
-  IngestReport report;  ///< this chunk's slice; byte offsets are absolute
+  /// This chunk's slice of the accounting (byte offsets are absolute), cut
+  /// where its first record reaches the sequence rule: `lead` holds what
+  /// came before, `report` that record on. The record's sequence check
+  /// needs the previous chunk's last record, so the merge books it between
+  /// the two halves, where the sequential pass booked it.
+  IngestReport lead;
+  IngestReport report;
 
-  /// Sequence-chain stitching state: the order/duplicate screen compares
-  /// each record against its predecessor, which crosses chunk seams. The
-  /// merge re-applies the check between the previous chunk's last screened
-  /// record and this chunk's first.
-  bool has_seen = false;  ///< a record reached the sequence screen
+  bool has_seen = false;  ///< a record reached the sequence rule
   Connection first_seen{};
-  Connection last_seen{};
   std::uint64_t first_seen_offset = 0;
   std::string first_seen_raw;
-  std::uint64_t rows_at_first_seen = 0;  ///< rows_read incl. first_seen
+  Connection last_seen{};
 
   /// CSV metadata rows seen in this chunk (last value wins, as in the
   /// sequential pass).
   std::optional<std::uint32_t> meta_fleet_size;
   std::optional<int> meta_study_days;
 
-  /// Strict mode: the chunk's first fault, captured instead of thrown so
+  /// Strict mode: the chunk's first fault, caught instead of propagated so
   /// the merge can rethrow the fault with the *lowest byte offset* — the
   /// same fault a sequential strict pass would hit first.
   bool has_fault = false;
-  std::uint64_t fault_offset = 0;
   std::string fault_message;
 };
 
-/// Fault sink for the CSV chunk parser. Lenient mode
-/// quarantines and counts; strict mode captures the first fault and stops
-/// the chunk (the caller rethrows the earliest fault across chunks, so a
-/// single-chunk parse throws exactly what the pre-chunking reader did).
-class FaultSink {
- public:
-  FaultSink(const IngestOptions& options, ChunkOutcome& out,
-            const std::string& label)
-      : options_(options), out_(out), label_(label) {}
-
-  /// True once a strict-mode fault stopped this chunk.
-  [[nodiscard]] bool stopped() const { return out_.has_fault; }
-
-  void fault(FaultClass fault, std::uint64_t byte_offset, std::string reason,
-             std::string raw) {
-    if (options_.mode == ParseMode::kStrict) {
-      ++out_.report.counters[static_cast<std::size_t>(fault)];
-      if (!out_.has_fault) {
-        out_.has_fault = true;
-        out_.fault_offset = byte_offset;
-        out_.fault_message = reason + " at byte offset " +
-                             std::to_string(byte_offset) + " in " + label_;
-      }
-      return;
-    }
-    out_.report.record_fault(options_.quarantine_cap, fault, byte_offset,
-                             std::move(reason), std::move(raw));
-  }
-
-  /// Record-level value screening. `duration` is the pre-cast 64-bit value
-  /// so text overflow is caught before narrowing. Returns true if the record
-  /// is acceptable.
-  bool validate(std::int64_t start, std::uint32_t cell, std::int64_t duration,
-                std::uint64_t byte_offset, std::string_view raw) {
-    if (duration < 0) {
-      fault(FaultClass::kNegativeDuration, byte_offset,
-            "negative duration " + std::to_string(duration), std::string(raw));
-      return false;
-    }
-    if (duration > std::numeric_limits<std::int32_t>::max() ||
-        (options_.max_duration_s > 0 && duration > options_.max_duration_s)) {
-      fault(FaultClass::kOverflowDuration, byte_offset,
-            "duration " + std::to_string(duration) + " beyond ceiling",
-            std::string(raw));
-      return false;
-    }
-    if (options_.horizon_s > 0 && (start < 0 || start >= options_.horizon_s)) {
-      fault(FaultClass::kClockSkew, byte_offset,
-            "start " + std::to_string(start) + " outside [0, " +
-                std::to_string(options_.horizon_s) + ")",
-            std::string(raw));
-      return false;
-    }
-    if (options_.cell_universe > 0 && cell >= options_.cell_universe) {
-      fault(FaultClass::kUnknownCell, byte_offset,
-            "cell " + std::to_string(cell) + " outside universe of " +
-                std::to_string(options_.cell_universe),
-            std::string(raw));
-      return false;
-    }
-    return true;
-  }
-
-  /// Order/duplicate screening against the previously screened record of
-  /// this chunk. Returns true if the record should be appended.
-  bool sequence(const Connection& c, std::uint64_t byte_offset,
-                std::string_view raw) {
-    if (!out_.has_seen) {
-      out_.has_seen = true;
-      out_.first_seen = c;
-      out_.first_seen_offset = byte_offset;
-      out_.first_seen_raw = std::string(raw);
-      out_.rows_at_first_seen = out_.report.rows_read;
-    }
-    bool accept = true;
-    if (have_previous_) {
-      if (options_.check_duplicates && c == previous_) {
-        fault(FaultClass::kDuplicateRecord, byte_offset,
-              "exact duplicate of the previous record", std::string(raw));
-        // The surviving copy stands in for it (not counted when a strict
-        // fault stopped the chunk — the sequential pass throws before this).
-        if (!stopped()) ++out_.report.records_repaired;
-        accept = false;
-      } else if (options_.check_order && ByCarThenStart{}(c, previous_)) {
-        fault(FaultClass::kOutOfOrderRecord, byte_offset,
-              "record sorts before its predecessor", std::string(raw));
-        if (!stopped()) ++out_.report.records_repaired;
-      }
-    }
-    previous_ = c;
-    have_previous_ = true;
-    out_.last_seen = c;
-    return accept && !stopped();
-  }
-
- private:
-  const IngestOptions& options_;
-  ChunkOutcome& out_;
-  const std::string& label_;
-  Connection previous_{};
-  bool have_previous_ = false;
-};
-
 /// Line-oriented CSV chunk parser; the caller feeds raw lines (without
-/// '\n') plus their absolute byte offsets.
+/// '\n') plus their absolute byte offsets. Every fault is booked through
+/// the §7 RecordScreen, so a strict-mode fault throws util::CsvError out of
+/// process_line.
 class CsvIngester {
  public:
   CsvIngester(const IngestOptions& options, ChunkOutcome& out,
               const std::string& label, bool first_chunk)
-      : out_(out), sink_(options, out, label), first_line_(first_chunk) {}
+      : out_(out), screen_(options, out.report, label),
+        first_line_(first_chunk) {}
 
   void process_line(std::string_view line, std::uint64_t offset) {
-    if (sink_.stopped()) return;
     if (first_line_) {
       first_line_ = false;
       if (line.substr(0, kBom.size()) == kBom) {
@@ -191,8 +91,7 @@ class CsvIngester {
       fields = util::split_csv_line(line);
     } catch (const util::CsvError& e) {
       ++out_.report.rows_read;
-      ++out_.report.records_dropped;
-      sink_.fault(FaultClass::kBadField, offset, e.what(), std::string(line));
+      drop(FaultClass::kBadField, offset, e.what(), line);
       return;
     }
     if (fields.empty() || fields[0].empty()) return;
@@ -200,11 +99,9 @@ class CsvIngester {
 
     ++out_.report.rows_read;
     if (fields.size() < 4) {
-      ++out_.report.records_dropped;
-      sink_.fault(FaultClass::kTruncatedLine, offset,
-                  "row has " + std::to_string(fields.size()) +
-                      " fields, need 4",
-                  std::string(line));
+      drop(FaultClass::kTruncatedLine, offset,
+           "row has " + std::to_string(fields.size()) + " fields, need 4",
+           line);
       return;
     }
 
@@ -215,33 +112,43 @@ class CsvIngester {
       start = util::parse_i64(fields[2]);
       duration = util::parse_i64(fields[3]);
     } catch (const util::CsvError& e) {
-      ++out_.report.records_dropped;
-      sink_.fault(FaultClass::kBadField, offset, e.what(), std::string(line));
+      drop(FaultClass::kBadField, offset, e.what(), line);
       return;
     }
     constexpr std::int64_t kIdMax = std::numeric_limits<std::uint32_t>::max();
     if (car < 0 || car > kIdMax || cell < 0 || cell > kIdMax) {
-      ++out_.report.records_dropped;
-      sink_.fault(FaultClass::kBadField, offset,
-                  "car/cell id outside uint32 range", std::string(line));
+      drop(FaultClass::kBadField, offset, "car/cell id outside uint32 range",
+           line);
       return;
     }
-    if (!sink_.validate(start, static_cast<std::uint32_t>(cell), duration,
+    if (!screen_.values(start, static_cast<std::uint32_t>(cell), duration,
                         offset, line)) {
-      // A strict fault throws mid-validate in the sequential pass, before
-      // the drop is recorded; match that here.
-      if (!sink_.stopped()) ++out_.report.records_dropped;
       return;
     }
     const Connection c{CarId{static_cast<std::uint32_t>(car)},
                        CellId{static_cast<std::uint32_t>(cell)}, start,
                        static_cast<std::int32_t>(duration)};
-    if (!sink_.sequence(c, offset, line)) return;
+    if (!out_.has_seen) {
+      out_.has_seen = true;
+      out_.first_seen = c;
+      out_.first_seen_offset = offset;
+      out_.first_seen_raw = std::string(line);
+      out_.lead = std::exchange(out_.report, IngestReport{});
+    }
+    out_.last_seen = c;
+    if (!screen_.sequence(c, offset, line)) return;
     out_.accepted.push_back(c);
     ++out_.report.records_accepted;
   }
 
  private:
+  /// A row that never became a record: counted dropped, then booked.
+  void drop(FaultClass fault, std::uint64_t offset, std::string reason,
+            std::string_view line) {
+    ++out_.report.records_dropped;
+    screen_.fault(fault, offset, std::move(reason), line);
+  }
+
   void parse_metadata(std::string_view line) {
     // Metadata row: "#fleet_size=N,study_days=M".
     try {
@@ -267,7 +174,7 @@ class CsvIngester {
   }
 
   ChunkOutcome& out_;
-  FaultSink sink_;
+  RecordScreen screen_;
   bool first_line_;
 };
 
@@ -278,76 +185,40 @@ void apply_meta(Dataset& dataset, const ChunkOutcome& part) {
 
 /// Stitches chunk outcomes back into one Dataset + IngestReport, in chunk
 /// (= byte) order. `report` arrives pre-seeded with mode/bytes_consumed.
-/// Re-applies the
-/// order/duplicate screen across chunk seams, merges the chunk reports in
-/// offset order (IngestReport::merge re-applies the global quarantine cap),
-/// and — in strict mode — throws the earliest fault with a report state
-/// identical to where the sequential pass would have stopped.
+/// Books each chunk's first sequence check against the previous chunk's
+/// last record, merges the chunk reports in offset order
+/// (IngestReport::merge re-applies the global quarantine cap), and — in
+/// strict mode — throws the earliest fault with a report state identical to
+/// where the sequential pass would have stopped.
 Dataset merge_outcomes(std::vector<ChunkOutcome>& parts,
                        const IngestOptions& options, IngestReport& report,
                        const std::string& label, exec::ThreadPool* pool) {
   Dataset dataset;
-  const bool strict = options.mode == ParseMode::kStrict;
   std::size_t total_accepted = 0;
   const ChunkOutcome* prev = nullptr;
 
   for (ChunkOutcome& part : parts) {
-    // Seam screen: this chunk's first screened record vs the previous
-    // chunk's last. Within-chunk screening already matched the sequential
-    // pass (the screen is a 1-step chain over *screened* records), so the
-    // seam comparison is the only missing link.
+    report.merge(std::move(part.lead), options.quarantine_cap);
+    // Seam: the sequential pass screened this chunk's first record right
+    // after the previous chunk's last, so replay that pair through the
+    // screen (the first of them has no predecessor and cannot fault). In
+    // strict mode a seam fault throws here, after the lead: every row of
+    // this chunk up to and including the seam record was read.
     if (prev != nullptr && part.has_seen) {
-      const Connection& prior = prev->last_seen;
-      const Connection& cur = part.first_seen;
-      FaultClass seam = FaultClass::kCount;
-      std::string reason;
-      if (options.check_duplicates && cur == prior) {
-        seam = FaultClass::kDuplicateRecord;
-        reason = "exact duplicate of the previous record";
-      } else if (options.check_order && ByCarThenStart{}(cur, prior)) {
-        seam = FaultClass::kOutOfOrderRecord;
-        reason = "record sorts before its predecessor";
-      }
-      if (seam != FaultClass::kCount) {
-        if (strict) {
-          // Sequential parity: every row of this chunk up to and including
-          // the seam record was read, and all but the seam record accepted
-          // (an earlier in-chunk fault would have preempted this seam).
-          report.rows_read += part.rows_at_first_seen;
-          report.records_accepted += part.rows_at_first_seen - 1;
-          ++report.counters[static_cast<std::size_t>(seam)];
-          throw util::CsvError(reason + " at byte offset " +
-                               std::to_string(part.first_seen_offset) +
-                               " in " + label);
-        }
-        ++part.report.counters[static_cast<std::size_t>(seam)];
-        ++part.report.records_repaired;
-        if (seam == FaultClass::kDuplicateRecord) {
-          // The seam record is this chunk's first accepted record; the
-          // surviving copy lives at the tail of an earlier chunk.
-          part.accepted.erase(part.accepted.begin());
-          --part.report.records_accepted;
-        }
-        QuarantineEntry entry{seam, part.first_seen_offset, std::move(reason),
-                              part.first_seen_raw};
-        auto& q = part.report.quarantine;
-        const auto pos = std::lower_bound(
-            q.begin(), q.end(), entry.byte_offset,
-            [](const QuarantineEntry& e, std::uint64_t off) {
-              return e.byte_offset < off;
-            });
-        q.insert(pos, std::move(entry));
+      RecordScreen seam(options, report, label);
+      (void)seam.sequence(prev->last_seen, 0);
+      if (!seam.sequence(part.first_seen, part.first_seen_offset,
+                         part.first_seen_raw)) {
+        // A duplicate: its surviving copy ends an earlier chunk.
+        part.accepted.erase(part.accepted.begin());
+        --part.report.records_accepted;
       }
     }
-
-    if (strict && part.has_fault) {
-      // Chunks before this one merged fault-free; this chunk's slice stops
-      // at its first fault — exactly the sequential pass's state.
-      report.merge(std::move(part.report), options.quarantine_cap);
-      throw util::CsvError(part.fault_message);
-    }
-
+    // Chunks before this one merged fault-free; this chunk's slice stops
+    // at its first fault — exactly the sequential pass's state.
     report.merge(std::move(part.report), options.quarantine_cap);
+    if (part.has_fault) throw util::CsvError(part.fault_message);
+
     apply_meta(dataset, part);
     total_accepted += part.accepted.size();
     if (part.has_seen) prev = &part;
@@ -441,11 +312,18 @@ Dataset read_csv_text(std::string_view text, const IngestOptions& options,
     out.accepted.reserve((end - begin) / 16);  // >= lines in the chunk
     CsvIngester ingester(options, out, label, /*first_chunk=*/c == 0);
     std::size_t offset = begin;
-    while (offset < end) {
-      auto eol = text.find('\n', offset);
-      if (eol == std::string_view::npos || eol >= end) eol = end;
-      ingester.process_line(text.substr(offset, eol - offset), offset);
-      offset = eol + 1;
+    try {
+      while (offset < end) {
+        auto eol = text.find('\n', offset);
+        if (eol == std::string_view::npos || eol >= end) eol = end;
+        ingester.process_line(text.substr(offset, eol - offset), offset);
+        offset = eol + 1;
+      }
+    } catch (const util::CsvError& e) {
+      // Strict mode: the chunk stops at its first fault; the merge
+      // rethrows the earliest one across chunks.
+      out.has_fault = true;
+      out.fault_message = e.what();
     }
   });
 

@@ -7,9 +7,11 @@
 // re-imports with identical percentages.
 //
 // Ingest is hardened (see cdr/integrity.h): every reader takes IngestOptions
-// and fills an IngestReport. ParseMode::kStrict throws util::CsvError at the
-// first fault with its byte offset; ParseMode::kLenient quarantines faulty
-// records and never throws on record-level damage. Both modes tolerate a
+// and fills an IngestReport. Parsed rows are screened and every fault is
+// booked by cdr::RecordScreen, the same screen the CCDR2 reader uses.
+// ParseMode::kStrict throws util::CsvError at the first fault with its byte
+// offset; ParseMode::kLenient quarantines faulty records, with their raw
+// rows, and never throws on record-level damage. Both modes tolerate a
 // UTF-8 BOM, CRLF line endings and blank lines.
 #pragma once
 

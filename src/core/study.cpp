@@ -14,7 +14,7 @@
 //      thread count), and chunks merge in ascending order — so every pool
 //      width folds and merges the identical operation sequence.
 //   3. CCDR2 record screening (§7) resets its previous-record state at every
-//      block boundary on the sequential path too (see cdr::RecordScreen), so
+//      block boundary on the sequential path too (see cdr::enter_block), so
 //      the per-chunk ingest accounting tiles exactly. Dataset records were
 //      screened when they were ingested, so that source skips the screen.
 //
@@ -204,7 +204,7 @@ class ColumnarSource {
     const std::size_t hi =
         std::min(file_.blocks().size(), lo + kBlocksPerChunk);
     for (std::size_t b = lo; b < hi; ++b) {
-      if (!screen.enter_block(file_, b, s.block)) continue;
+      if (!cdr::enter_block(file_, b, s.block, screen)) continue;
       const std::uint64_t offset = file_.blocks()[b].offset;
       const cdr::ColumnBlock& block = s.block;
       for (std::size_t i = 0; i < block.size(); ++i) {

@@ -57,14 +57,17 @@ void ThreadPool::run_slice() {
     try {
       (*fn)(i);
     } catch (...) {
-      record_exception();
+      record_exception(i);
     }
   }
 }
 
-void ThreadPool::record_exception() {
+void ThreadPool::record_exception(std::size_t index) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (!error_) error_ = std::current_exception();
+  if (!error_ || index < error_index_) {
+    error_ = std::current_exception();
+    error_index_ = index;
+  }
   abort_.store(true, std::memory_order_relaxed);
 }
 

@@ -41,15 +41,18 @@ class ThreadPool {
 
   /// Runs fn(0) .. fn(n-1), each exactly once, across the pool and the
   /// calling thread. Blocks until every index finished. If any invocation
-  /// throws, the first exception (in completion order) is rethrown here
-  /// after all threads stop picking up new indices; the pool stays usable.
+  /// throws, threads stop picking up new indices and the exception of the
+  /// lowest throwing index is rethrown here. Indices are claimed in
+  /// ascending order, so every index below a thrower has run: that is the
+  /// exception a sequential loop would throw, whatever the timing. The pool
+  /// stays usable.
   /// Not reentrant: fn must not call parallel_for on the same pool.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
   void worker_loop();
   void run_slice();
-  void record_exception();
+  void record_exception(std::size_t index);
 
   std::vector<std::thread> workers_;
 
@@ -61,6 +64,7 @@ class ThreadPool {
   std::uint64_t generation_ = 0;  ///< bumped per job (guarded by mutex_)
   std::size_t inflight_ = 0;      ///< workers still on the current job
   std::exception_ptr error_;      // guarded by mutex_
+  std::size_t error_index_ = 0;   ///< index that threw error_ (mutex_)
   bool stop_ = false;
 
   std::atomic<std::size_t> next_{0};  ///< next unclaimed index

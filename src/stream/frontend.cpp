@@ -115,11 +115,7 @@ void Frontend::load(const Checkpoint::Producer& p) {
   // Re-cap the loaded quarantine to *this* engine's cap (quarantine_cap is
   // a tunable, not part of the fingerprint) — the same discipline as the
   // chunk-merge re-cap in parallel ingest.
-  if (ingest_.quarantine.size() > config_.quarantine_cap) {
-    ingest_.quarantine_overflow +=
-        ingest_.quarantine.size() - config_.quarantine_cap;
-    ingest_.quarantine.resize(config_.quarantine_cap);
-  }
+  ingest_.cap_quarantine(config_.quarantine_cap);
   clean_ = p.clean;
   durations_.restore(p.durations);
   max_start_ = p.max_start;

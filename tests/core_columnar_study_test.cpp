@@ -196,6 +196,39 @@ TEST(ColumnarStudyTest, StrictModeThrowsOnCorruptBlock) {
                util::CsvError);
 }
 
+TEST(ColumnarStudyTest, StrictModeNamesTheFirstCorruptBlockAtEveryWidth) {
+  // Blocks 1 and 5 sit in different chunks of the same wave (4 blocks per
+  // chunk); whichever chunk fails first in time, every width must report
+  // block 1, the fault a sequential sweep hits first.
+  const sim::Study& study = fixture_study();
+  const CellLoad load = CellLoad::from_background(study.background);
+  std::string bytes = small_block_buffer();
+  StudyOptions options = columnar_options();
+  {
+    cdr::IngestReport probe;
+    const cdr::ColumnarFile file =
+        cdr::ColumnarFile::from_buffer(bytes, options.ingest, probe);
+    ASSERT_GE(file.blocks().size(), 6u);
+    for (const std::size_t b : {1, 5}) {
+      bytes[static_cast<std::size_t>(file.blocks()[b].offset + 3)] ^= 0x08;
+    }
+  }
+  options.ingest.mode = cdr::ParseMode::kStrict;
+  for (const int width : {1, 2, 8}) {
+    options.threads = width;
+    std::string message;
+    try {
+      (void)run_study_columnar_buffer(bytes, study.topology.cells(), load,
+                                      options);
+      ADD_FAILURE() << "width " << width << ": no throw";
+    } catch (const util::CsvError& e) {
+      message = e.what();
+    }
+    EXPECT_EQ(message.rfind("block 1 payload CRC32 does not match", 0), 0u)
+        << "width " << width << ": " << message;
+  }
+}
+
 TEST(ColumnarStudyTest, HeaderWithoutStudyDaysMatchesMaterializedStudy) {
   // A CCDR2 header with study_days = 0 leaves the geometry unknown until
   // every record is seen: the sweep materializes the file and folds the

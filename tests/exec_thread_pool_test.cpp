@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/parallel.h"
@@ -66,6 +69,35 @@ TEST(ThreadPoolTest, ExceptionPropagatesAndPoolStaysUsable) {
   std::atomic<int> calls{0};
   pool.parallel_for(100, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 100);
+}
+
+TEST(ThreadPoolTest, LowestThrowingIndexWinsOverFirstToThrow) {
+  // Index 3 throws first; index 0 throws only after it. The rethrown
+  // exception is still index 0's, the one a sequential loop throws.
+  ThreadPool pool(4);
+  std::atomic<bool> three_threw{false};
+  std::string caught;
+  try {
+    pool.parallel_for(4, [&](std::size_t i) {
+      if (i == 3) {
+        three_threw = true;
+        throw std::runtime_error("index 3");
+      }
+      if (i != 0) return;
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!three_threw && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      // Let index 3's exception reach the pool before this one does.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      throw std::runtime_error("index 0");
+    });
+  } catch (const std::runtime_error& e) {
+    caught = e.what();
+  }
+  EXPECT_TRUE(three_threw.load());
+  EXPECT_EQ(caught, "index 0");
 }
 
 TEST(ThreadPoolTest, ResolveThreads) {
