@@ -8,6 +8,7 @@
 
 #include "util/binio.h"
 #include "util/csv.h"
+#include "util/file_io.h"
 
 #ifdef __unix__
 #include <fcntl.h>
@@ -335,12 +336,9 @@ ColumnarFile ColumnarFile::open(const std::string& path,
 #else
   // Portable fallback: slurp the file and keep the buffer alive in the
   // mapping slot.
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw util::CsvError("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) throw util::CsvError("read failed: " + path);
-  auto* owned = new std::string(std::move(buffer).str());
+  std::optional<std::string> bytes = util::read_file(path);
+  if (!bytes) throw util::CsvError("cannot open for reading: " + path);
+  auto* owned = new std::string(std::move(*bytes));
   report.bytes_consumed = owned->size();
   ColumnarFile file = parse(
       std::span<const std::uint8_t>(

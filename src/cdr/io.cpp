@@ -9,6 +9,7 @@
 
 #include "exec/thread_pool.h"
 #include "util/csv.h"
+#include "util/file_io.h"
 
 namespace ccms::cdr {
 
@@ -333,13 +334,9 @@ Dataset read_csv_text(std::string_view text, const IngestOptions& options,
 
 Dataset read_csv(const std::string& path, const IngestOptions& options,
                  IngestReport& report) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw util::CsvError("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) throw util::CsvError("read failed: " + path);
-  const std::string text = std::move(buffer).str();
-  return read_csv_text(text, options, report, path);
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text) throw util::CsvError("cannot open for reading: " + path);
+  return read_csv_text(*text, options, report, path);
 }
 
 Dataset read_csv(const std::string& path) {

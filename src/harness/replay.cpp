@@ -1,34 +1,17 @@
 #include "harness/replay.h"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <set>
 #include <stdexcept>
 #include <string>
 
 #include "util/csv.h"
+#include "util/file_io.h"
 
 namespace ccms::harness {
 namespace {
 
 namespace fs = std::filesystem;
-
-void write_file(const fs::path& path, std::string_view bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw util::CsvError("cannot open " + path.string());
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-  if (!out) throw util::CsvError("write failed: " + path.string());
-}
-
-bool read_file(const fs::path& path, std::string& bytes) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  bytes = buffer.str();
-  return in.good() || in.eof();
-}
 
 std::string checkpoint_name(std::size_t index) {
   return "checkpoint_" + std::to_string(index) + ".bin";
@@ -41,38 +24,23 @@ std::string serialize_violation(const CheckResult& violation) {
          "\ndetail=" + violation.detail + "\n";
 }
 
-bool parse_violation(const std::string& text, CheckResult& violation,
+bool parse_violation(std::string_view text, CheckResult& violation,
                      std::string* error) {
-  std::istringstream in(text);
-  std::string line;
-  bool have_invariant = false;
-  bool have_stage = false;
-  bool have_detail = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      if (error != nullptr) *error = "violation.txt: malformed line: " + line;
-      return false;
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    if (key == "invariant") {
-      violation.invariant = value;
-      have_invariant = true;
-    } else if (key == "stage") {
-      violation.stage = value;
-      have_stage = true;
-    } else if (key == "detail") {
-      violation.detail = value;
-      have_detail = true;
-    } else {
-      if (error != nullptr) *error = "violation.txt: unknown key: " + key;
-      return false;
-    }
-  }
-  if (!have_invariant || !have_stage || !have_detail) {
-    if (error != nullptr) *error = "violation.txt: missing field";
+  std::set<std::string_view> seen;
+  std::string why = read_key_values(
+      text, [&](std::string_view key, std::string_view value) -> std::string {
+        std::string* field = key == "invariant" ? &violation.invariant
+                             : key == "stage"   ? &violation.stage
+                             : key == "detail"  ? &violation.detail
+                                                : nullptr;
+        if (field == nullptr) return "unknown key: " + std::string(key);
+        *field = std::string(value);
+        seen.insert(key);
+        return {};
+      });
+  if (why.empty() && seen.size() < 3) why = "missing field";
+  if (!why.empty()) {
+    if (error != nullptr) *error = "violation.txt: " + why;
     return false;
   }
   violation.pass = false;
@@ -92,14 +60,15 @@ std::string write_bundle(const std::string& dir, const Scenario& scenario,
   fs::create_directories(root, ec);
   if (ec) throw util::CsvError("cannot create " + root.string());
 
-  write_file(root / "scenario.txt",
-             serialize_scenario(scenario, result.seed));
-  write_file(root / "violation.txt", serialize_violation(*failure));
+  util::write_file(root / "scenario.txt",
+                   serialize_scenario(scenario, result.seed));
+  util::write_file(root / "violation.txt", serialize_violation(*failure));
   for (std::size_t i = 0; i < result.checkpoint_images.size(); ++i) {
     const std::vector<std::uint8_t>& image = result.checkpoint_images[i];
-    write_file(root / checkpoint_name(i),
-               std::string_view(reinterpret_cast<const char*>(image.data()),
-                                image.size()));
+    util::write_file(
+        root / checkpoint_name(i),
+        std::string_view(reinterpret_cast<const char*>(image.data()),
+                         image.size()));
   }
   return root.string();
 }
@@ -109,35 +78,37 @@ std::optional<ReplayBundle> load_bundle(const std::string& dir,
   const fs::path root(dir);
   ReplayBundle bundle;
 
-  std::string scenario_text;
-  if (!read_file(root / "scenario.txt", scenario_text)) {
+  const std::optional<std::string> scenario_text =
+      util::read_file(root / "scenario.txt");
+  if (!scenario_text) {
     if (error != nullptr) *error = "cannot read scenario.txt in " + dir;
     return std::nullopt;
   }
   const std::optional<ParsedScenario> parsed =
-      parse_scenario(scenario_text, error);
+      parse_scenario(*scenario_text, error);
   if (!parsed.has_value()) return std::nullopt;
   bundle.scenario = parsed->scenario;
   bundle.seed = parsed->seed;
 
-  std::string violation_text;
-  if (!read_file(root / "violation.txt", violation_text)) {
+  const std::optional<std::string> violation_text =
+      util::read_file(root / "violation.txt");
+  if (!violation_text) {
     if (error != nullptr) *error = "cannot read violation.txt in " + dir;
     return std::nullopt;
   }
-  if (!parse_violation(violation_text, bundle.violation, error)) {
+  if (!parse_violation(*violation_text, bundle.violation, error)) {
     return std::nullopt;
   }
 
   for (std::size_t i = 0;; ++i) {
     const fs::path path = root / checkpoint_name(i);
     if (!fs::exists(path)) break;
-    std::string bytes;
-    if (!read_file(path, bytes)) {
+    const std::optional<std::string> bytes = util::read_file(path);
+    if (!bytes) {
       if (error != nullptr) *error = "cannot read " + path.string();
       return std::nullopt;
     }
-    bundle.checkpoint_images.emplace_back(bytes.begin(), bytes.end());
+    bundle.checkpoint_images.emplace_back(bytes->begin(), bytes->end());
   }
   return bundle;
 }

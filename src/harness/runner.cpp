@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <set>
 #include <span>
@@ -135,6 +136,39 @@ faults::FlakyFeedConfig flaky_config(const Scenario& scenario) {
   return config;
 }
 
+/// The one at-least-once delivery loop: pushes `feed` into `sink` until it
+/// is exhausted or has delivered `stop_after` records, acking every
+/// kAckInterval deliveries. No final ack — a killed first life's acked() is
+/// its resume point, so each caller makes that choice itself.
+template <class Sink>
+void pump(faults::FlakyFeed& feed, Sink&& sink,
+          std::uint64_t stop_after = std::numeric_limits<std::uint64_t>::max()) {
+  std::size_t since_ack = 0;
+  while (!feed.exhausted() && feed.delivered() < stop_after) {
+    sink(feed.next());
+    if (++since_ack >= kAckInterval) {
+      feed.ack();
+      since_ack = 0;
+    }
+  }
+}
+
+/// Delivers the whole plan into `sink` — a fresh FlakyFeed acked through to
+/// the end for flaky plans, the fixed sequence otherwise — and returns the
+/// known re-deliveries among the pushes.
+template <class Sink>
+std::uint64_t deliver_plan(const Scenario& scenario, const DeliveryPlan& plan,
+                           std::uint64_t feed_seed, Sink&& sink) {
+  if (plan.kind != FeedKind::kFlaky) {
+    for (const cdr::Connection& c : plan.sequence) sink(c);
+    return plan.planned_duplicates;
+  }
+  faults::FlakyFeed feed(plan.arrivals, feed_seed, flaky_config(scenario));
+  pump(feed, sink);
+  feed.ack();
+  return feed.duplicates();
+}
+
 /// Engine config for the scenario. The operator hook (when the plan kills a
 /// shard) counts integrations on the target shard with a counter fresh per
 /// engine, so reruns die at exactly the same record.
@@ -225,22 +259,7 @@ DriveResult run_stream_once(const Scenario& scenario, const DeliveryPlan& plan,
     }
   };
 
-  if (plan.kind == FeedKind::kFlaky) {
-    faults::FlakyFeed feed(plan.arrivals, feed_seed, flaky_config(scenario));
-    std::size_t since_ack = 0;
-    while (!feed.exhausted()) {
-      deliver(feed.next());
-      if (++since_ack >= kAckInterval) {
-        feed.ack();
-        since_ack = 0;
-      }
-    }
-    feed.ack();
-    out.duplicates = feed.duplicates();
-  } else {
-    for (const cdr::Connection& c : plan.sequence) deliver(c);
-    out.duplicates = plan.planned_duplicates;
-  }
+  out.duplicates = deliver_plan(scenario, plan, feed_seed, deliver);
   engine.finish();
 
   if (checker != nullptr && scenario.expect_degraded) {
@@ -510,14 +529,8 @@ void run_restore_stage(const Scenario& scenario, const DeliveryPlan& plan,
     stream::ShardedEngine first(base_config);
     const auto kill_after = static_cast<std::uint64_t>(
         kill_point * static_cast<double>(plan.arrivals.size()));
-    std::size_t since_ack = 0;
-    while (!first_feed.exhausted() && first_feed.delivered() < kill_after) {
-      first.push(first_feed.next());
-      if (++since_ack >= kAckInterval) {
-        first_feed.ack();
-        since_ack = 0;
-      }
-    }
+    pump(first_feed, [&](const cdr::Connection& c) { first.push(c); },
+         kill_after);
     const stream::Checkpoint saved = first.checkpoint();
     const std::vector<std::uint8_t> image = stream::encode(saved);
     result.checkpoint_images.push_back(image);
@@ -540,14 +553,7 @@ void run_restore_stage(const Scenario& scenario, const DeliveryPlan& plan,
     std::string why;
     bool identical = false;
     if (restored) {
-      std::size_t ack = 0;
-      while (!second_feed.exhausted()) {
-        second.push(second_feed.next());
-        if (++ack >= kAckInterval) {
-          second_feed.ack();
-          ack = 0;
-        }
-      }
+      pump(second_feed, [&](const cdr::Connection& c) { second.push(c); });
       second.finish();
       identical = stream::reports_identical(reference, second.snapshot(), &why);
     }
@@ -593,20 +599,8 @@ void run_dist_stage(const Scenario& scenario, const DeliveryPlan& plan,
   }
 
   dist::DistEngine engine(config);
-  if (plan.kind == FeedKind::kFlaky) {
-    faults::FlakyFeed feed(plan.arrivals, feed_seed, flaky_config(scenario));
-    std::size_t since_ack = 0;
-    while (!feed.exhausted()) {
-      engine.push(feed.next());
-      if (++since_ack >= kAckInterval) {
-        feed.ack();
-        since_ack = 0;
-      }
-    }
-    feed.ack();
-  } else {
-    for (const cdr::Connection& c : plan.sequence) engine.push(c);
-  }
+  deliver_plan(scenario, plan, feed_seed,
+               [&](const cdr::Connection& c) { engine.push(c); });
   engine.finish();
   const stream::StreamReport report = engine.snapshot();
 

@@ -1,9 +1,11 @@
 #include "harness/scenario.h"
 
 #include <charconv>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+
+#include "util/binio.h"
 
 namespace ccms::harness {
 
@@ -204,12 +206,6 @@ Scenario dist_worker_lost() {
   return s;
 }
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 }  // namespace
 
 const std::vector<Scenario>& named_scenarios() {
@@ -241,72 +237,102 @@ const Scenario* find_scenario(std::string_view name) {
   return nullptr;
 }
 
-std::string serialize_scenario(const Scenario& s, std::uint64_t seed) {
-  std::ostringstream out;
-  out << "format=ccms-harness-scenario-v1\n";
-  out << "name=" << s.name << "\n";
-  out << "seed=" << seed << "\n";
-  out << "cars=" << s.workload.cars << "\n";
-  out << "days=" << s.workload.days << "\n";
-  out << "grid=" << s.workload.grid << "\n";
-  out << "pristine=" << (s.workload.pristine ? 1 : 0) << "\n";
-  out << "shards=" << s.shards << "\n";
-  out << "exactly_once=" << (s.exactly_once ? 1 : 0) << "\n";
-  out << "allowed_lateness=" << s.allowed_lateness << "\n";
-  out << "csv_corruption=" << fmt_double(s.faults.csv_corruption) << "\n";
-  out << "feed_late_rate=" << fmt_double(s.faults.feed_late_rate) << "\n";
-  out << "feed_max_delay=" << s.faults.feed_max_delay << "\n";
-  out << "disconnect_rate=" << fmt_double(s.faults.disconnect_rate) << "\n";
-  out << "reorder_rate=" << fmt_double(s.faults.reorder_rate) << "\n";
-  out << "duplicate_factor=" << s.faults.duplicate_factor << "\n";
-  out << "kill_shard=" << s.faults.kill_shard << "\n";
-  out << "kill_shard_after=" << s.faults.kill_shard_after << "\n";
-  out << "kill_points=";
-  for (std::size_t i = 0; i < s.faults.kill_points.size(); ++i) {
-    if (i > 0) out << ";";
-    out << fmt_double(s.faults.kill_points[i]);
-  }
-  out << "\n";
-  out << "quarantine_cap=" << s.faults.quarantine_cap << "\n";
-  out << "queue_batches=" << s.faults.queue_batches << "\n";
-  out << "batch_records=" << s.faults.batch_records << "\n";
-  out << "sabotage_drop=" << (s.faults.sabotage_drop ? 1 : 0) << "\n";
-  out << "dist_kill_worker=" << s.faults.dist_kill_worker << "\n";
-  out << "dist_kill_after=" << s.faults.dist_kill_after << "\n";
-  out << "dist_hang_worker=" << s.faults.dist_hang_worker << "\n";
-  out << "dist_hang_after=" << s.faults.dist_hang_after << "\n";
-  out << "dist_fault_generations=" << s.faults.dist_fault_generations << "\n";
-  out << "dist_max_restarts=" << s.faults.dist_max_restarts << "\n";
-  out << "dist_checkpoint_every=" << s.faults.dist_checkpoint_every << "\n";
-  out << "run_batch=" << (s.run_batch ? 1 : 0) << "\n";
-  out << "run_stream=" << (s.run_stream ? 1 : 0) << "\n";
-  out << "run_restore=" << (s.run_restore ? 1 : 0) << "\n";
-  out << "check_parity=" << (s.check_parity ? 1 : 0) << "\n";
-  out << "expect_degraded=" << (s.expect_degraded ? 1 : 0) << "\n";
-  out << "check_rerun_determinism=" << (s.check_rerun_determinism ? 1 : 0)
-      << "\n";
-  out << "check_checkpoint_idempotence="
-      << (s.check_checkpoint_idempotence ? 1 : 0) << "\n";
-  out << "check_columnar=" << (s.check_columnar ? 1 : 0) << "\n";
-  out << "run_dist=" << (s.run_dist ? 1 : 0) << "\n";
-  out << "dist_expect_lost=" << (s.dist_expect_lost ? 1 : 0) << "\n";
-  out << "description=" << s.description << "\n";
-  return out.str();
-}
-
 namespace {
 
-bool parse_u64(std::string_view v, std::uint64_t& out) {
+constexpr std::string_view kFormatKey = "format";
+constexpr std::string_view kFormat = "ccms-harness-scenario-v1";
+
+/// The scenario.txt key list (DESIGN.md §12), in file order after the
+/// leading `format` line. serialize_scenario and parse_scenario both run
+/// it, so each key is bound to its member in this one place. The
+/// description stays last: it is free text and may itself contain '='.
+template <class IO, binio::Is<Scenario> S, binio::Is<std::uint64_t> Seed>
+void keys(IO& io, S& s, Seed& seed) {
+  auto& w = s.workload;
+  auto& f = s.faults;
+  io("name", s.name);
+  io("seed", seed);
+  io("cars", w.cars);
+  io("days", w.days);
+  io("grid", w.grid);
+  io("pristine", w.pristine);
+  io("shards", s.shards);
+  io("exactly_once", s.exactly_once);
+  io("allowed_lateness", s.allowed_lateness);
+  io("csv_corruption", f.csv_corruption);
+  io("feed_late_rate", f.feed_late_rate);
+  io("feed_max_delay", f.feed_max_delay);
+  io("disconnect_rate", f.disconnect_rate);
+  io("reorder_rate", f.reorder_rate);
+  io("duplicate_factor", f.duplicate_factor);
+  io("kill_shard", f.kill_shard);
+  io("kill_shard_after", f.kill_shard_after);
+  io("kill_points", f.kill_points);
+  io("quarantine_cap", f.quarantine_cap);
+  io("queue_batches", f.queue_batches);
+  io("batch_records", f.batch_records);
+  io("sabotage_drop", f.sabotage_drop);
+  io("dist_kill_worker", f.dist_kill_worker);
+  io("dist_kill_after", f.dist_kill_after);
+  io("dist_hang_worker", f.dist_hang_worker);
+  io("dist_hang_after", f.dist_hang_after);
+  io("dist_fault_generations", f.dist_fault_generations);
+  io("dist_max_restarts", f.dist_max_restarts);
+  io("dist_checkpoint_every", f.dist_checkpoint_every);
+  io("run_batch", s.run_batch);
+  io("run_stream", s.run_stream);
+  io("run_restore", s.run_restore);
+  io("check_parity", s.check_parity);
+  io("expect_degraded", s.expect_degraded);
+  io("check_rerun_determinism", s.check_rerun_determinism);
+  io("check_checkpoint_idempotence", s.check_checkpoint_idempotence);
+  io("check_columnar", s.check_columnar);
+  io("run_dist", s.run_dist);
+  io("dist_expect_lost", s.dist_expect_lost);
+  io("description", s.description);
+}
+
+// One typed writer and one typed reader per member type.
+
+void put(std::string& out, bool v) { out += v ? '1' : '0'; }
+
+template <std::integral T>
+void put(std::string& out, T v) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, end);
+}
+
+void put(std::string& out, double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  out += buf;
+}
+
+void put(std::string& out, std::string_view v) { out += v; }
+
+void put(std::string& out, const std::vector<double>& v) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) out += ';';
+    put(out, v[i]);
+  }
+}
+
+bool get(std::string_view v, bool& out) {
+  if (v != "0" && v != "1") return false;
+  out = v == "1";
+  return true;
+}
+
+/// std::from_chars on the member's own type, so a value outside its range
+/// is malformed instead of silently narrowed.
+template <std::integral T>
+bool get(std::string_view v, T& out) {
   const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
   return ec == std::errc() && ptr == v.data() + v.size();
 }
 
-bool parse_i64(std::string_view v, std::int64_t& out) {
-  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  return ec == std::errc() && ptr == v.data() + v.size();
-}
-
-bool parse_double(std::string_view v, double& out) {
+bool get(std::string_view v, double& out) {
   // std::from_chars<double> is unavailable on some libstdc++ configurations;
   // strtod on a bounded copy is equivalent for our own serialized output.
   const std::string copy(v);
@@ -315,160 +341,103 @@ bool parse_double(std::string_view v, double& out) {
   return end == copy.c_str() + copy.size() && !copy.empty();
 }
 
-bool parse_bool(std::string_view v, bool& out) {
-  if (v == "0") { out = false; return true; }
-  if (v == "1") { out = true; return true; }
-  return false;
+bool get(std::string_view v, std::string& out) {
+  out = std::string(v);
+  return true;
 }
+
+bool get(std::string_view v, std::vector<double>& out) {
+  out.clear();
+  for (std::size_t p = 0; p < v.size();) {
+    std::size_t semi = v.find(';', p);
+    if (semi == std::string_view::npos) semi = v.size();
+    if (!get(v.substr(p, semi - p), out.emplace_back())) return false;
+    p = semi + 1;
+  }
+  return true;
+}
+
+struct KeyWriter {
+  std::string out;
+  template <class T>
+  void operator()(std::string_view key, const T& value) {
+    out += key;
+    out += '=';
+    put(out, value);
+    out += '\n';
+  }
+};
+
+/// Stores one `key=value` line into whichever member the key names.
+struct KeyReader {
+  std::string_view key;
+  std::string_view value;
+  bool matched = false;
+  bool ok = false;
+  template <class T>
+  void operator()(std::string_view k, T& member) {
+    if (k != key) return;
+    matched = true;
+    ok = get(value, member);
+  }
+};
 
 }  // namespace
 
-std::optional<ParsedScenario> parse_scenario(std::string_view text,
-                                             std::string* error) {
-  ParsedScenario parsed;
-  Scenario& s = parsed.scenario;
-  bool saw_format = false;
-
-  auto fail = [&](const std::string& why) -> std::optional<ParsedScenario> {
-    if (error != nullptr) *error = why;
-    return std::nullopt;
-  };
-
+std::string read_key_values(
+    std::string_view text,
+    const std::function<std::string(std::string_view, std::string_view)>&
+        visit) {
   std::size_t pos = 0;
   while (pos < text.size()) {
     std::size_t eol = text.find('\n', pos);
     if (eol == std::string_view::npos) eol = text.size();
-    std::string_view line = text.substr(pos, eol - pos);
+    const std::string_view line = text.substr(pos, eol - pos);
     pos = eol + 1;
     if (line.empty()) continue;
     const std::size_t eq = line.find('=');
     if (eq == std::string_view::npos) {
-      return fail("malformed line (no '='): " + std::string(line));
+      return "malformed line (no '='): " + std::string(line);
     }
-    const std::string_view key = line.substr(0, eq);
-    const std::string_view value = line.substr(eq + 1);
-
-    bool ok = true;
-    std::uint64_t u = 0;
-    std::int64_t i = 0;
-    double d = 0;
-    if (key == "format") {
-      saw_format = value == "ccms-harness-scenario-v1";
-      ok = saw_format;
-    } else if (key == "name") {
-      s.name = std::string(value);
-    } else if (key == "description") {
-      s.description = std::string(value);
-    } else if (key == "seed") {
-      ok = parse_u64(value, parsed.seed);
-    } else if (key == "cars") {
-      ok = parse_u64(value, u);
-      s.workload.cars = static_cast<std::uint32_t>(u);
-    } else if (key == "days") {
-      ok = parse_i64(value, i);
-      s.workload.days = static_cast<int>(i);
-    } else if (key == "grid") {
-      ok = parse_i64(value, i);
-      s.workload.grid = static_cast<int>(i);
-    } else if (key == "pristine") {
-      ok = parse_bool(value, s.workload.pristine);
-    } else if (key == "shards") {
-      ok = parse_i64(value, i);
-      s.shards = static_cast<int>(i);
-    } else if (key == "exactly_once") {
-      ok = parse_bool(value, s.exactly_once);
-    } else if (key == "allowed_lateness") {
-      ok = parse_i64(value, i);
-      s.allowed_lateness = i;
-    } else if (key == "csv_corruption") {
-      ok = parse_double(value, s.faults.csv_corruption);
-    } else if (key == "feed_late_rate") {
-      ok = parse_double(value, s.faults.feed_late_rate);
-    } else if (key == "feed_max_delay") {
-      ok = parse_i64(value, i);
-      s.faults.feed_max_delay = i;
-    } else if (key == "disconnect_rate") {
-      ok = parse_double(value, s.faults.disconnect_rate);
-    } else if (key == "reorder_rate") {
-      ok = parse_double(value, s.faults.reorder_rate);
-    } else if (key == "duplicate_factor") {
-      ok = parse_i64(value, i);
-      s.faults.duplicate_factor = static_cast<int>(i);
-    } else if (key == "kill_shard") {
-      ok = parse_i64(value, i);
-      s.faults.kill_shard = static_cast<int>(i);
-    } else if (key == "kill_shard_after") {
-      ok = parse_u64(value, s.faults.kill_shard_after);
-    } else if (key == "kill_points") {
-      s.faults.kill_points.clear();
-      std::size_t p = 0;
-      while (p < value.size() && ok) {
-        std::size_t semi = value.find(';', p);
-        if (semi == std::string_view::npos) semi = value.size();
-        ok = parse_double(value.substr(p, semi - p), d);
-        if (ok) s.faults.kill_points.push_back(d);
-        p = semi + 1;
-      }
-    } else if (key == "quarantine_cap") {
-      ok = parse_u64(value, u);
-      s.faults.quarantine_cap = static_cast<std::size_t>(u);
-    } else if (key == "queue_batches") {
-      ok = parse_u64(value, u);
-      s.faults.queue_batches = static_cast<std::size_t>(u);
-    } else if (key == "batch_records") {
-      ok = parse_u64(value, u);
-      s.faults.batch_records = static_cast<std::size_t>(u);
-    } else if (key == "sabotage_drop") {
-      ok = parse_bool(value, s.faults.sabotage_drop);
-    } else if (key == "dist_kill_worker") {
-      ok = parse_i64(value, i);
-      s.faults.dist_kill_worker = static_cast<int>(i);
-    } else if (key == "dist_kill_after") {
-      ok = parse_u64(value, s.faults.dist_kill_after);
-    } else if (key == "dist_hang_worker") {
-      ok = parse_i64(value, i);
-      s.faults.dist_hang_worker = static_cast<int>(i);
-    } else if (key == "dist_hang_after") {
-      ok = parse_u64(value, s.faults.dist_hang_after);
-    } else if (key == "dist_fault_generations") {
-      ok = parse_i64(value, i);
-      s.faults.dist_fault_generations = static_cast<int>(i);
-    } else if (key == "dist_max_restarts") {
-      ok = parse_i64(value, i);
-      s.faults.dist_max_restarts = static_cast<int>(i);
-    } else if (key == "dist_checkpoint_every") {
-      ok = parse_u64(value, s.faults.dist_checkpoint_every);
-    } else if (key == "run_batch") {
-      ok = parse_bool(value, s.run_batch);
-    } else if (key == "run_stream") {
-      ok = parse_bool(value, s.run_stream);
-    } else if (key == "run_restore") {
-      ok = parse_bool(value, s.run_restore);
-    } else if (key == "check_parity") {
-      ok = parse_bool(value, s.check_parity);
-    } else if (key == "expect_degraded") {
-      ok = parse_bool(value, s.expect_degraded);
-    } else if (key == "check_rerun_determinism") {
-      ok = parse_bool(value, s.check_rerun_determinism);
-    } else if (key == "check_checkpoint_idempotence") {
-      ok = parse_bool(value, s.check_checkpoint_idempotence);
-    } else if (key == "check_columnar") {
-      ok = parse_bool(value, s.check_columnar);
-    } else if (key == "run_dist") {
-      ok = parse_bool(value, s.run_dist);
-    } else if (key == "dist_expect_lost") {
-      ok = parse_bool(value, s.dist_expect_lost);
-    } else {
-      return fail("unknown key: " + std::string(key));
-    }
-    if (!ok) {
-      return fail("malformed value for " + std::string(key) + ": " +
-                  std::string(value));
-    }
+    std::string error = visit(line.substr(0, eq), line.substr(eq + 1));
+    if (!error.empty()) return error;
   }
-  if (!saw_format) return fail("missing or unsupported format line");
-  if (s.name.empty()) return fail("missing scenario name");
-  return parsed;
+  return {};
+}
+
+std::string serialize_scenario(const Scenario& s, std::uint64_t seed) {
+  KeyWriter writer;
+  writer(kFormatKey, kFormat);
+  keys(writer, s, seed);
+  return std::move(writer.out);
+}
+
+std::optional<ParsedScenario> parse_scenario(std::string_view text,
+                                             std::string* error) {
+  ParsedScenario parsed;
+  bool saw_format = false;
+  std::string why = read_key_values(
+      text, [&](std::string_view key, std::string_view value) -> std::string {
+        KeyReader reader{key, value};
+        if (key == kFormatKey) {
+          saw_format = reader.ok = value == kFormat;
+        } else {
+          keys(reader, parsed.scenario, parsed.seed);
+          if (!reader.matched) return "unknown key: " + std::string(key);
+        }
+        if (!reader.ok) {
+          return "malformed value for " + std::string(key) + ": " +
+                 std::string(value);
+        }
+        return {};
+      });
+  if (why.empty() && !saw_format) why = "missing or unsupported format line";
+  if (why.empty() && parsed.scenario.name.empty()) {
+    why = "missing scenario name";
+  }
+  if (why.empty()) return parsed;
+  if (error != nullptr) *error = std::move(why);
+  return std::nullopt;
 }
 
 }  // namespace ccms::harness

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -147,7 +148,7 @@ struct Scenario {
   bool dist_expect_lost = false;
 };
 
-/// The shipped scenario pack (~10 scenarios; see file comment).
+/// The shipped scenario pack (nine scenarios; see file comment).
 [[nodiscard]] const std::vector<Scenario>& named_scenarios();
 
 /// The distributed pack: dist::DistEngine scenarios (baseline parity,
@@ -161,7 +162,9 @@ struct Scenario {
 [[nodiscard]] const Scenario* find_scenario(std::string_view name);
 
 /// Serializes (scenario, seed) as deterministic `key=value` lines — the
-/// flight-recorder format. parse() round-trips it exactly.
+/// flight-recorder format: `format=ccms-harness-scenario-v1` first, then
+/// one line per key of the key list in scenario.cpp, `description` last.
+/// parse_scenario runs the same key list, so it round-trips exactly.
 [[nodiscard]] std::string serialize_scenario(const Scenario& scenario,
                                              std::uint64_t seed);
 
@@ -175,5 +178,14 @@ struct ParsedScenario {
 /// `error`.
 [[nodiscard]] std::optional<ParsedScenario> parse_scenario(
     std::string_view text, std::string* error = nullptr);
+
+/// The line reader of the harness's `key=value` text records (scenario.txt,
+/// violation.txt): calls `visit(key, value)` for each non-blank line, split
+/// at its first '='. Returns the first error — a line without '=', or the
+/// first non-empty message `visit` returns — or an empty string.
+[[nodiscard]] std::string read_key_values(
+    std::string_view text,
+    const std::function<std::string(std::string_view key,
+                                    std::string_view value)>& visit);
 
 }  // namespace ccms::harness

@@ -3,12 +3,12 @@
 #include <array>
 #include <bit>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <utility>
 
 #include "util/binio.h"
 #include "util/csv.h"
+#include "util/file_io.h"
 
 namespace ccms::stream {
 
@@ -509,23 +509,16 @@ std::optional<Checkpoint> decode(std::span<const std::uint8_t> bytes,
 
 void save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
   const std::vector<std::uint8_t> bytes = encode(checkpoint);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw util::CsvError("checkpoint: cannot open " + path + " for writing");
-  }
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
-    throw util::CsvError("checkpoint: short write to " + path);
-  }
+  util::write_file(path,
+                   std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                                    bytes.size()));
 }
 
 std::optional<Checkpoint> load_checkpoint(const std::string& path,
                                           const cdr::IngestOptions& options,
                                           cdr::IngestReport& report) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> bytes = util::read_file(path);
+  if (!bytes) {
     if (options.mode == cdr::ParseMode::kStrict) {
       throw util::CsvError("checkpoint: cannot open " + path);
     }
@@ -533,9 +526,9 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path,
                   "cannot open " + path, 0);
     return std::nullopt;
   }
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  return decode(bytes, options, report);
+  return decode(std::span(reinterpret_cast<const std::uint8_t*>(bytes->data()),
+                          bytes->size()),
+                options, report);
 }
 
 }  // namespace ccms::stream

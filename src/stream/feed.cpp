@@ -26,32 +26,8 @@ std::vector<cdr::Connection> arrival_order(const cdr::Dataset& dataset) {
   return arrivals;
 }
 
-std::vector<cdr::Connection> arrival_order(const cdr::ColumnarFile& file) {
-  std::vector<cdr::Connection> arrivals;
-  arrivals.reserve(static_cast<std::size_t>(file.record_count()));
-  cdr::ColumnBlock block;
-  for (std::size_t b = 0; b < file.blocks().size(); ++b) {
-    if (file.decode_block(b, block) != cdr::ColumnarFile::DecodeStatus::kOk) {
-      continue;  // damaged block: lenient ingest drops it, so do we
-    }
-    for (std::size_t i = 0; i < block.size(); ++i) {
-      arrivals.push_back(cdr::Connection{CarId{block.car[i]},
-                                         CellId{block.cell[i]},
-                                         block.start[i], block.duration[i]});
-    }
-  }
-  std::sort(arrivals.begin(), arrivals.end(), ByArrival{});
-  return arrivals;
-}
-
 void replay(const cdr::Dataset& dataset, ShardedEngine& engine) {
   const std::vector<cdr::Connection> arrivals = arrival_order(dataset);
-  engine.push(std::span<const cdr::Connection>(arrivals));
-  engine.finish();
-}
-
-void replay(const cdr::ColumnarFile& file, ShardedEngine& engine) {
-  const std::vector<cdr::Connection> arrivals = arrival_order(file);
   engine.push(std::span<const cdr::Connection>(arrivals));
   engine.finish();
 }
@@ -61,14 +37,6 @@ StreamConfig config_for(const cdr::Dataset& dataset, int shards) {
   config.shards = shards;
   config.fleet_size = dataset.fleet_size();
   config.study_days = dataset.study_days();
-  return config;
-}
-
-StreamConfig config_for(const cdr::ColumnarFile& file, int shards) {
-  StreamConfig config;
-  config.shards = shards;
-  config.fleet_size = file.fleet_size();
-  config.study_days = file.study_days();
   return config;
 }
 

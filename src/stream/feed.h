@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "cdr/columnar.h"
 #include "cdr/dataset.h"
 #include "stream/engine.h"
 
@@ -21,28 +20,14 @@ namespace ccms::stream {
 [[nodiscard]] std::vector<cdr::Connection> arrival_order(
     const cdr::Dataset& dataset);
 
-/// Same, decoded straight from an open CCDR2 file — no Dataset (and none of
-/// its indexes) in between. Damaged blocks are skipped, matching lenient
-/// ingest; the record *multiset* equals read_columnar's, so the sorted
-/// arrival sequence is identical.
-[[nodiscard]] std::vector<cdr::Connection> arrival_order(
-    const cdr::ColumnarFile& file);
-
 /// Replays the whole dataset through `engine` in arrival order and finishes
 /// the stream. Convenience wrapper for one-shot parity runs.
 void replay(const cdr::Dataset& dataset, ShardedEngine& engine);
-
-/// Same, from an open CCDR2 file.
-void replay(const cdr::ColumnarFile& file, ShardedEngine& engine);
 
 /// StreamConfig matching a dataset's geometry (fleet size, study days) with
 /// everything else at its default, so a replayed snapshot is comparable to
 /// run_study over the same dataset.
 [[nodiscard]] StreamConfig config_for(const cdr::Dataset& dataset,
-                                      int shards = 1);
-
-/// Same geometry, read from a CCDR2 header.
-[[nodiscard]] StreamConfig config_for(const cdr::ColumnarFile& file,
                                       int shards = 1);
 
 /// Clocked replay for live consumers: feeds records as stream time passes.

@@ -12,6 +12,7 @@
 #include <string_view>
 
 #include "util/csv.h"
+#include "util/file_io.h"
 
 namespace ccms::util {
 
@@ -84,11 +85,7 @@ class JsonArray {
 /// Writes `json` (plus a trailing newline) to `path`, truncating. Throws
 /// util::CsvError on I/O failure.
 inline void write_json_file(const std::string& path, const std::string& json) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw CsvError("cannot open " + path + " for writing");
-  out << json << "\n";
-  out.close();
-  if (!out) throw CsvError("write failed: " + path);
+  write_file(path, json + "\n");
 }
 
 }  // namespace ccms::util

@@ -106,7 +106,9 @@ TEST(DistWire, ReassemblesFromSingleByteFragments) {
     decoder.feed(std::span(&byte, 1));
     while (decoder.next(frame) == FrameDecoder::Status::kFrame) {
       ++frames;
-      if (frames == 1) EXPECT_EQ(frame.type, FrameType::kHeartbeat);
+      if (frames == 1) {
+        EXPECT_EQ(frame.type, FrameType::kHeartbeat);
+      }
       if (frames == 2) {
         EXPECT_EQ(frame.type, FrameType::kBatch);
         ASSERT_EQ(frame.batch.records.size(), 1u);
