@@ -19,11 +19,6 @@ using stream::StreamStateError;
 constexpr int kPumpSliceMs = 10;
 
 DistConfig normalized(DistConfig config) {
-  config.stream.shards = std::max(1, config.stream.shards);
-  config.stream.batch_records =
-      std::max<std::size_t>(1, config.stream.batch_records);
-  config.stream.queue_batches =
-      std::max<std::size_t>(1, config.stream.queue_batches);
   config.max_restarts = std::max(0, config.max_restarts);
   config.checkpoint_every = std::max<std::uint64_t>(1, config.checkpoint_every);
   return config;
@@ -39,6 +34,7 @@ void account_fault(cdr::IngestReport& report, std::size_t cap,
 
 DistEngine::DistEngine(DistConfig config)
     : config_(normalized(std::move(config))), frontend_(config_.stream) {
+  config_.stream = frontend_.config();  // the Frontend's clamp is the only one
   wire_report_.mode = cdr::ParseMode::kLenient;
 
   links_.reserve(static_cast<std::size_t>(config_.stream.shards));
@@ -50,23 +46,26 @@ DistEngine::DistEngine(DistConfig config)
     // deterministically so a run still reproduces bit for bit.
     backoff_config.seed = config_.backoff.seed + static_cast<std::uint64_t>(i);
     link->backoff = util::Backoff(backoff_config);
-    link->pending.reserve(config_.stream.batch_records);
     links_.push_back(std::move(link));
   }
   for (auto& link : links_) spawn(*link);
 }
 
 DistEngine::~DistEngine() {
-  for (auto& link : links_) {
-    if (link->fd >= 0) {
-      close(link->fd);
-      link->fd = -1;
-    }
-    if (link->pid > 0) {
-      kill_hard(link->pid);
-      link->pid = -1;
-    }
+  for (auto& link : links_) hang_up(*link);
+}
+
+void DistEngine::hang_up(Link& link) {
+  if (link.fd >= 0) {
+    close(link.fd);
+    link.fd = -1;
   }
+  if (link.pid > 0) {
+    kill_hard(link.pid);
+    link.pid = -1;
+  }
+  link.sendq.clear();
+  link.sendq_off = 0;
 }
 
 void DistEngine::spawn(Link& link) {
@@ -87,9 +86,7 @@ void DistEngine::spawn(Link& link) {
   link.pid = spawned.pid;
   link.fd = spawned.fd;
   fcntl(link.fd, F_SETFL, O_NONBLOCK);
-  link.decoder = FrameDecoder();
-  link.sendq.clear();
-  link.sendq_off = 0;
+  link.decoder = FrameDecoder();  // the send queue was emptied by hang_up
   link.image_requested = false;
   link.state = Link::State::kRunning;
   link.last_heard = Clock::now();
@@ -101,12 +98,7 @@ void DistEngine::push(const cdr::Connection& c) {
         "DistEngine::push after finish(): the stream is closed; "
         "snapshot()/checkpoint() remain valid");
   }
-  std::size_t shard = 0;
-  if (frontend_.offer(c, &shard) != stream::Frontend::Decision::kRoute) return;
-
-  Link& link = *links_[shard];
-  link.pending.push_back(c);
-  if (link.pending.size() >= config_.stream.batch_records) flush_worker(link);
+  if (const auto full = frontend_.offer(c)) flush_worker(*links_[*full]);
 }
 
 void DistEngine::push(std::span<const cdr::Connection> records) {
@@ -114,32 +106,16 @@ void DistEngine::push(std::span<const cdr::Connection> records) {
 }
 
 void DistEngine::flush_worker(Link& link) {
-  if (link.pending.empty()) return;
+  BatchFrame batch = frontend_.flush(static_cast<std::size_t>(link.worker));
+  if (batch.records.empty()) return;
+  link.routed_seq = batch.seq_of_last;
+  // A lost shard's records stay routed (the frontend counted them); the
+  // loss shows up in the merge as routed_per_shard - integrated.
+  if (link.state == Link::State::kLost) return;
 
-  if (link.state == Link::State::kLost) {
-    // The shard is gone; account the records as routed (the frontend
-    // already did) and let the loss show up in the merge as
-    // routed_per_shard - integrated.
-    link.routed_seq += link.pending.size();
-    link.pending.clear();
-    return;
-  }
-
-  Link::GapBatch batch;
-  batch.first_seq = link.routed_seq + 1;
-  batch.watermark = frontend_.watermark();
-  batch.records = std::move(link.pending);
-  link.pending.clear();
-  link.pending.reserve(config_.stream.batch_records);
-  link.routed_seq += batch.records.size();
   link.gap.push_back(std::move(batch));
-
   if (link.state == Link::State::kRunning) {
-    BatchFrame frame;
-    frame.watermark = link.gap.back().watermark;
-    frame.seq_of_last = link.routed_seq;
-    frame.records = link.gap.back().records;
-    enqueue(link, encode_batch(frame), /*bounded=*/true);
+    enqueue(link, encode_batch(link.gap.back()), /*bounded=*/true);
     if (link.routed_seq - link.image_seq >= config_.checkpoint_every &&
         !link.image_requested) {
       request_image(link);
@@ -171,16 +147,7 @@ void DistEngine::enqueue(Link& link, std::vector<std::uint8_t> frame_bytes,
 }
 
 void DistEngine::worker_died(Link& link, const std::string& why) {
-  if (link.fd >= 0) {
-    close(link.fd);
-    link.fd = -1;
-  }
-  if (link.pid > 0) {
-    kill_hard(link.pid);
-    link.pid = -1;
-  }
-  link.sendq.clear();
-  link.sendq_off = 0;
+  hang_up(link);
   link.image_requested = false;
   link.decoder = FrameDecoder();
   if (link.state != Link::State::kRunning) return;
@@ -206,12 +173,8 @@ void DistEngine::restart_worker(Link& link) {
   // applied sequence, in the original order and under its original
   // flush-time watermark, so the restarted worker re-runs the identical
   // offer/advance sequence the dead one saw.
-  for (const Link::GapBatch& batch : link.gap) {
-    BatchFrame frame;
-    frame.watermark = batch.watermark;
-    frame.seq_of_last = batch.first_seq + batch.records.size() - 1;
-    frame.records = batch.records;
-    enqueue(link, encode_batch(frame), /*bounded=*/false);
+  for (const BatchFrame& batch : link.gap) {
+    enqueue(link, encode_batch(batch), /*bounded=*/false);
     gap_replayed_ += batch.records.size();
   }
   if (link.routed_seq - link.image_seq >= config_.checkpoint_every) {
@@ -223,18 +186,9 @@ void DistEngine::restart_worker(Link& link) {
 }
 
 void DistEngine::mark_lost(Link& link, const std::string& reason) {
-  if (link.fd >= 0) {
-    close(link.fd);
-    link.fd = -1;
-  }
-  if (link.pid > 0) {
-    kill_hard(link.pid);
-    link.pid = -1;
-  }
+  hang_up(link);
   link.state = Link::State::kLost;
   link.lost_reason = reason;
-  link.sendq.clear();
-  link.sendq_off = 0;
   link.gap.clear();
 }
 
@@ -263,8 +217,7 @@ void DistEngine::handle_frame(Link& link, Frame& frame) {
       // Workers checkpoint only between batches, so the image never splits
       // a batch.
       while (!link.gap.empty() &&
-             link.gap.front().first_seq + link.gap.front().records.size() - 1 <=
-                 link.image_seq) {
+             link.gap.front().seq_of_last <= link.image_seq) {
         link.gap.pop_front();
       }
       link.image_requested = false;
@@ -482,17 +435,17 @@ void DistEngine::finish() {
   finished_ = true;
 }
 
-void DistEngine::load_state(const Link& link, stream::ShardState& state) const {
-  if (link.last_image.empty()) return;
+std::optional<stream::ShardCheckpoint> DistEngine::shard_image(
+    const Link& link) const {
+  if (link.last_image.empty()) return std::nullopt;
   cdr::IngestOptions options;
   options.mode = cdr::ParseMode::kLenient;
   cdr::IngestReport report;
   report.mode = cdr::ParseMode::kLenient;
-  const auto image = stream::decode(link.last_image, options, report);
-  if (image.has_value() &&
-      image->shards.size() > static_cast<std::size_t>(link.worker)) {
-    state.load(image->shards[static_cast<std::size_t>(link.worker)]);
-  }
+  auto image = stream::decode(link.last_image, options, report);
+  const auto index = static_cast<std::size_t>(link.worker);
+  if (!image.has_value() || image->shards.size() <= index) return std::nullopt;
+  return std::move(image->shards[index]);
 }
 
 stream::StreamReport DistEngine::snapshot() {
@@ -503,10 +456,10 @@ stream::StreamReport DistEngine::snapshot() {
   snapshots.reserve(links_.size());
   for (const auto& link : links_) {
     stream::ShardState state(config_.stream, link->worker);
-    load_state(*link, state);
+    if (auto image = shard_image(*link)) state.load(*image);
     if (!finished_ && link->state != Link::State::kLost &&
         !link->image_closed) {
-      // Mirror ShardedEngine::snapshot: a live, mid-run snapshot is
+      // As in ShardedEngine::snapshot, a live, mid-run snapshot is
       // watermark-consistent. The worker's own state is untouched — this is
       // a scratch copy — which cannot diverge the final report because
       // integration order is globally sorted (DESIGN.md §14).
@@ -531,15 +484,16 @@ stream::Checkpoint DistEngine::checkpoint() {
   }
   if (!finished_) drain_images();
 
-  stream::Checkpoint image;
-  image.config = stream::fingerprint_of(config_.stream);
-  image.finished = finished_;
+  stream::Checkpoint image = stream::image_skeleton(config_.stream, finished_);
   frontend_.save(image.producer);
-  image.shards.resize(links_.size());
   for (const auto& link : links_) {
-    stream::ShardState state(config_.stream, link->worker);
-    load_state(*link, state);
-    state.save(image.shards[static_cast<std::size_t>(link->worker)]);
+    auto& shard = image.shards[static_cast<std::size_t>(link->worker)];
+    if (auto decoded = shard_image(*link)) {
+      shard = std::move(*decoded);
+    } else {
+      // No image yet: what a fresh worker would save.
+      stream::ShardState(config_.stream, link->worker).save(shard);
+    }
   }
   return image;
 }

@@ -2,10 +2,12 @@
 // served by worker *processes* under failure supervision.
 //
 // DistEngine keeps the producer frontend (stream/frontend.h) in-process —
-// the single-threaded stages 0-3 that make every engine bitwise comparable —
-// and routes accepted records over the wire protocol (dist/wire.h) to one
-// worker process per shard (dist/worker.h). Supervision makes failure a
-// first-class path rather than an abort:
+// the single-threaded stages 0-4 that make every engine bitwise comparable,
+// batching included — and ships each batch the frontend cuts over the wire
+// protocol (dist/wire.h) to one worker process per shard (dist/worker.h).
+// The gap log keeps those batches, so a replay resends the identical wire
+// batches. Supervision makes failure a first-class path rather than an
+// abort:
 //
 //   heartbeat deadlines   every frame from a worker refreshes its liveness;
 //                         a worker silent past heartbeat_timeout_ms is
@@ -30,12 +32,15 @@
 //                         marked lost immediately — skew must never
 //                         silently diverge
 //
-// Because the frontend is shared code, batches carry the flush-time
-// watermark exactly like in-process shard queues, and replay-after-restart
-// reconstructs the identical per-shard record sequence, a DistEngine's final
-// StreamReport is bitwise identical (reports_identical) to an in-process
-// ShardedEngine over the same feed — including runs where workers were
-// killed and recovered. The argument lives in DESIGN.md §14.
+// Because the frontend is shared code, the workers receive the very batches
+// (records, boundaries, flush-time watermarks) an in-process engine's shard
+// queues would, and replay-after-restart resends them unchanged, a
+// DistEngine's final StreamReport is bitwise identical (reports_identical)
+// to an in-process ShardedEngine over the same feed — including runs where
+// workers were killed and recovered. Its checkpoint() starts from the same
+// stream::image_skeleton and takes each worker's decoded shard image as is,
+// so the two engines' images are byte-identical too. The argument lives in
+// DESIGN.md §14.
 //
 // Threading contract: DistEngine is single-threaded — push/finish/snapshot/
 // checkpoint all come from one caller thread. All socket I/O, deadline
@@ -48,6 +53,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,7 +72,8 @@
 namespace ccms::dist {
 
 struct DistConfig {
-  /// Engine configuration; stream.shards is the worker process count.
+  /// Engine configuration; stream.shards is the worker process count. The
+  /// engine keeps it as its Frontend clamped it.
   stream::StreamConfig stream;
 
   /// Worker idle heartbeat interval.
@@ -152,23 +159,15 @@ class DistEngine {
     int generation = 0;
     FrameDecoder decoder;
 
-    std::vector<cdr::Connection> pending;  ///< producer-side batch buffer
-
-    /// One flushed batch retained for replay: the original flush-time
-    /// watermark rides along so a restarted worker re-runs the *identical*
-    /// offer/advance sequence — replaying under a later watermark could
-    /// integrate late records in a different order and diverge the report.
-    struct GapBatch {
-      std::uint64_t first_seq = 0;  ///< per-worker seq of records.front()
-      time::Seconds watermark = 0;  ///< watermark the batch was flushed at
-      std::vector<cdr::Connection> records;
-    };
-    /// Gap log: batches routed after the last acknowledged image, in order.
-    /// Workers answer a checkpoint request only between batches, so an
-    /// image's applied_seq always lands on a batch boundary and the log
-    /// trims whole batches.
-    std::deque<GapBatch> gap;
-    std::uint64_t routed_seq = 0;     ///< records routed to this worker
+    /// Gap log: the wire batches routed after the last acknowledged image,
+    /// in order. Each keeps its original flush-time watermark, so a
+    /// restarted worker re-runs the *identical* offer/advance sequence —
+    /// replaying under a later watermark could integrate late records in a
+    /// different order and diverge the report. Workers answer a checkpoint
+    /// request only between batches, so an image's applied_seq always lands
+    /// on a batch boundary and the log trims whole batches.
+    std::deque<BatchFrame> gap;
+    std::uint64_t routed_seq = 0;     ///< seq_of_last of the last batch cut
     std::uint64_t image_seq = 0;      ///< applied_seq of last_image
     std::vector<std::uint8_t> last_image;  ///< empty = no image yet
     bool image_closed = false;
@@ -186,6 +185,10 @@ class DistEngine {
   };
 
   void spawn(Link& link);
+  /// Closes the link's socket, SIGKILLs and reaps its worker, and drops
+  /// its unsent frames.
+  void hang_up(Link& link);
+  /// Cuts the link's pending batch in the Frontend and ships it.
   void flush_worker(Link& link);
   void enqueue(Link& link, std::vector<std::uint8_t> frame_bytes,
                bool bounded);
@@ -196,8 +199,10 @@ class DistEngine {
   void restart_worker(Link& link);
   void mark_lost(Link& link, const std::string& reason);
   void drain_images();
-  /// Loads the link's last checkpoint image (if any) into a scratch state.
-  void load_state(const Link& link, stream::ShardState& state) const;
+  /// The link's own shard image out of its last checkpoint image; nullopt
+  /// before the first image.
+  [[nodiscard]] std::optional<stream::ShardCheckpoint> shard_image(
+      const Link& link) const;
 
   DistConfig config_;
   stream::Frontend frontend_;

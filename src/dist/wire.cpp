@@ -18,21 +18,6 @@ constexpr std::array<std::uint8_t, 4> kMagic = {'C', 'C', 'W', 'F'};
 constexpr std::size_t kHeaderBytes = 16;  // magic + type + payload_len
 constexpr std::size_t kCrcBytes = 4;
 
-std::vector<std::uint8_t> frame(FrameType type,
-                                const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + payload.size() + kCrcBytes);
-  Writer w(out);
-  w.bytes(kMagic);
-  w.u32(static_cast<std::uint32_t>(type));
-  w.u64(payload.size());
-  w.bytes(payload);
-  // The CRC spans type + length + payload (everything after the magic), so
-  // no header bit flip can silently re-type or re-size a frame.
-  w.u32(crc32(std::span(out).subspan(kMagic.size())));
-  return out;
-}
-
 // Payload field lists: each frame type's layout once, for both its encoder
 // (IO = Writer) and FrameDecoder::next (IO = Reader, which throws
 // binio::Truncated on malformed input).
@@ -75,52 +60,63 @@ void fields(IO& io, F& f) {
   io.u64(f.applied_seq);
 }
 
-/// A complete frame around `f`'s payload; `payload_bytes` is a capacity
-/// hint.
-template <class F>
-std::vector<std::uint8_t> encode_frame(FrameType type, const F& f,
-                                       std::size_t payload_bytes = 0) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(payload_bytes);
-  Writer w(payload);
-  fields(w, f);
-  return frame(type, payload);
+/// A complete frame carrying `f`'s fields (no payload without `f`), written
+/// into one buffer; `payload_bytes` is a capacity hint.
+template <class... F>
+std::vector<std::uint8_t> encode_frame(FrameType type,
+                                       std::size_t payload_bytes,
+                                       const F&... f) {
+  std::vector<std::uint8_t> out;
+  out.reserve(kHeaderBytes + payload_bytes + kCrcBytes);
+  Writer w(out);
+  w.bytes(kMagic);
+  w.u32(static_cast<std::uint32_t>(type));
+  w.u64(0);  // payload_len, patched below
+  (fields(w, f), ...);
+  const std::uint64_t len = out.size() - kHeaderBytes;
+  for (std::size_t i = 0; i < 8; ++i) {  // little-endian, as Writer::u64
+    out[kMagic.size() + 4 + i] = static_cast<std::uint8_t>(len >> (8 * i));
+  }
+  // The CRC spans type + length + payload (everything after the magic), so
+  // no header bit flip can silently re-type or re-size a frame.
+  w.u32(crc32(std::span(out).subspan(kMagic.size())));
+  return out;
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> encode_hello(const HelloFrame& f) {
-  return encode_frame(FrameType::kHello, f);
+  return encode_frame(FrameType::kHello, 12, f);
 }
 
 std::vector<std::uint8_t> encode_batch(const BatchFrame& f) {
-  return encode_frame(FrameType::kBatch, f,
-                      24 + cdr::kConnectionBytes * f.records.size());
+  return encode_frame(FrameType::kBatch,
+                      24 + cdr::kConnectionBytes * f.records.size(), f);
 }
 
 std::vector<std::uint8_t> encode_checkpoint_request() {
-  return frame(FrameType::kCheckpointRequest, {});
+  return encode_frame(FrameType::kCheckpointRequest, 0);
 }
 
 std::vector<std::uint8_t> encode_checkpoint_image(
     const CheckpointImageFrame& f) {
-  return encode_frame(FrameType::kCheckpointImage, f, 9 + f.image.size());
+  return encode_frame(FrameType::kCheckpointImage, 9 + f.image.size(), f);
 }
 
 std::vector<std::uint8_t> encode_restore(const RestoreFrame& f) {
-  return encode_frame(FrameType::kRestore, f, f.image.size());
+  return encode_frame(FrameType::kRestore, f.image.size(), f);
 }
 
 std::vector<std::uint8_t> encode_restore_result(const RestoreResultFrame& f) {
-  return encode_frame(FrameType::kRestoreResult, f);
+  return encode_frame(FrameType::kRestoreResult, 9 + f.reason.size(), f);
 }
 
 std::vector<std::uint8_t> encode_heartbeat(const HeartbeatFrame& f) {
-  return encode_frame(FrameType::kHeartbeat, f);
+  return encode_frame(FrameType::kHeartbeat, 8, f);
 }
 
 std::vector<std::uint8_t> encode_finish() {
-  return frame(FrameType::kFinish, {});
+  return encode_frame(FrameType::kFinish, 0);
 }
 
 FrameDecoder::FrameDecoder(cdr::IngestOptions options) : options_(options) {

@@ -8,13 +8,16 @@
 //
 // The CRC covers the type and length fields as well as the payload, so a
 // bit flip anywhere past the magic — including one that would silently
-// re-type a frame — is a kChecksumMismatch, never a misparse.
+// re-type a frame — is a kChecksumMismatch, never a misparse. Each encoder
+// writes the header, the payload fields and the CRC into one buffer and
+// patches the length field afterwards, so no payload is copied twice.
 //
-// mirroring the checkpoint image framing (stream/checkpoint.h) — and reusing
-// its payload encoding outright where state crosses the wire: kRestore and
-// kCheckpointImage carry a complete stream::Checkpoint image as their
-// payload, so worker state travels in the exact format the engine already
-// knows how to fingerprint, validate and fuzz.
+// The framing mirrors the checkpoint image framing (stream/checkpoint.h),
+// and the payloads reuse the engine's own types where state crosses the
+// wire: kBatch's payload is the stream::Batch the Frontend cut, and
+// kRestore and kCheckpointImage carry a complete stream::Checkpoint image,
+// so worker state travels in the exact format the engine already knows how
+// to fingerprint, validate and fuzz.
 //
 // Frame types (direction in parentheses):
 //
@@ -52,7 +55,7 @@
 
 #include "cdr/integrity.h"
 #include "cdr/record.h"
-#include "util/time.h"
+#include "stream/frontend.h"
 
 namespace ccms::dist {
 
@@ -80,11 +83,10 @@ struct HelloFrame {
   std::uint32_t generation = 0;
 };
 
-struct BatchFrame {
-  std::uint64_t seq_of_last = 0;  ///< per-worker routed seq of records.back()
-  time::Seconds watermark = 0;    ///< producer watermark at flush time
-  std::vector<cdr::Connection> records;
-};
+/// kBatch's payload is the Frontend's batch as cut: seq_of_last is the
+/// worker's routed seq of records.back(), watermark the producer watermark
+/// at flush time.
+using BatchFrame = stream::Batch;
 
 struct CheckpointImageFrame {
   std::uint64_t applied_seq = 0;    ///< per-worker routed seq integrated

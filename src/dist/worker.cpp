@@ -28,15 +28,10 @@ std::vector<std::uint8_t> WorkerCore::checkpoint_image(bool closed) {
   // applied sequence travels durably inside the image as
   // producer.routed_per_shard[worker]. A supervisor restarting this worker
   // later hands the image straight back in a kRestore frame.
-  stream::Checkpoint image;
-  image.config = stream::fingerprint_of(config_);
-  image.finished = closed;
-  image.producer.routed_per_shard.assign(
-      static_cast<std::size_t>(image.config.shards), 0);
+  stream::Checkpoint image = stream::image_skeleton(config_, closed);
   image.producer.routed_per_shard[static_cast<std::size_t>(worker_)] =
       applied_seq_;
   image.producer.routed = applied_seq_;
-  image.shards.resize(static_cast<std::size_t>(image.config.shards));
   state_.save(image.shards[static_cast<std::size_t>(worker_)]);
 
   CheckpointImageFrame f;
@@ -82,12 +77,7 @@ WorkerCore::Action WorkerCore::on_frame(
                       ? "image does not decode"
                       : std::string(cdr::name(report.quarantine.front().fault)) +
                             ": " + report.quarantine.front().reason;
-      } else if (image->config != stream::fingerprint_of(config_) ||
-                 image->shards.size() !=
-                     static_cast<std::size_t>(
-                         std::max(1, config_.shards)) ||
-                 image->producer.routed_per_shard.size() !=
-                     image->shards.size()) {
+      } else if (!stream::image_fits(*image, config_)) {
         refusal = std::string(cdr::name(cdr::FaultClass::kCheckpointMismatch)) +
                   ": image fingerprint does not match this worker's "
                   "configuration";

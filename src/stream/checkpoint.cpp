@@ -397,6 +397,23 @@ ConfigFingerprint fingerprint_of(const StreamConfig& config) {
   return f;
 }
 
+Checkpoint image_skeleton(const StreamConfig& config, bool finished) {
+  Checkpoint image;
+  image.config = fingerprint_of(config);
+  image.finished = finished;
+  const auto shards = static_cast<std::size_t>(image.config.shards);
+  image.producer.routed_per_shard.assign(shards, 0);
+  image.shards.resize(shards);
+  return image;
+}
+
+bool image_fits(const Checkpoint& image, const StreamConfig& config) {
+  const ConfigFingerprint fingerprint = fingerprint_of(config);
+  const auto shards = static_cast<std::size_t>(fingerprint.shards);
+  return image.config == fingerprint && image.shards.size() == shards &&
+         image.producer.routed_per_shard.size() == shards;
+}
+
 std::vector<std::uint8_t> encode(const Checkpoint& checkpoint) {
   std::vector<std::uint8_t> out(kMagic.begin(), kMagic.end());
   Writer(out).u32(Checkpoint::kVersion);

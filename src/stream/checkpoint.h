@@ -115,6 +115,19 @@ struct Checkpoint {
   std::vector<ShardCheckpoint> shards;
 };
 
+/// The skeleton every image starts from (ShardedEngine's, DistEngine's, a
+/// dist worker's): `config`'s fingerprint, the finished flag, and
+/// producer.routed_per_shard plus shards sized to its shard count.
+[[nodiscard]] Checkpoint image_skeleton(const StreamConfig& config,
+                                        bool finished);
+
+/// The one resume check: equal fingerprints, and shards and
+/// producer.routed_per_shard sized to `config`'s shard count. A CRC-valid
+/// image can still carry a table of the wrong length (decode does not know
+/// the live shard count); resizing it would fabricate or drop state.
+[[nodiscard]] bool image_fits(const Checkpoint& image,
+                              const StreamConfig& config);
+
 /// Serializes a checkpoint to its framed binary image. Deterministic: equal
 /// checkpoints encode to equal bytes.
 [[nodiscard]] std::vector<std::uint8_t> encode(const Checkpoint& checkpoint);

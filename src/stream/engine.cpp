@@ -1,6 +1,5 @@
 #include "stream/engine.h"
 
-#include <algorithm>
 #include <exception>
 #include <string>
 #include <utility>
@@ -11,18 +10,13 @@
 
 namespace ccms::stream {
 
-ShardedEngine::ShardedEngine(StreamConfig config)
-    : config_(config), frontend_(config) {
-  config_.shards = std::max(1, config_.shards);
-  config_.batch_records = std::max<std::size_t>(1, config_.batch_records);
-  config_.queue_batches = std::max<std::size_t>(1, config_.queue_batches);
-
-  shards_.reserve(static_cast<std::size_t>(config_.shards));
-  for (int i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(config_, i));
+ShardedEngine::ShardedEngine(StreamConfig config) : frontend_(config) {
+  const StreamConfig& clamped = frontend_.config();
+  shards_.reserve(static_cast<std::size_t>(clamped.shards));
+  for (int i = 0; i < clamped.shards; ++i) {
+    shards_.push_back(std::make_unique<Shard>(clamped, i));
   }
   for (auto& shard : shards_) {
-    shard->pending.reserve(config_.batch_records);
     shard->worker = std::thread([this, s = shard.get()] { worker_loop(*s); });
   }
 }
@@ -74,26 +68,25 @@ void ShardedEngine::worker_loop(Shard& shard) {
   }
 }
 
-void ShardedEngine::flush(Shard& shard) {
-  if (shard.pending.empty()) return;
-  Batch batch;
-  batch.records.swap(shard.pending);
-  batch.watermark = frontend_.watermark();
-  shard.pending.reserve(config_.batch_records);
+void ShardedEngine::flush(std::size_t index) {
+  Batch batch = frontend_.flush(index);
+  if (batch.records.empty()) return;
 
+  Shard& shard = *shards_[index];
   std::unique_lock lock(shard.queue_mutex);
   shard.queue_space.wait(
-      lock, [&] { return shard.queue.size() < config_.queue_batches; });
+      lock, [&] { return shard.queue.size() < config().queue_batches; });
   shard.queue.push_back(std::move(batch));
   shard.queue_ready.notify_one();
 }
 
 void ShardedEngine::drain() {
-  for (auto& shard : shards_) {
-    flush(*shard);
-    std::unique_lock lock(shard->queue_mutex);
-    shard->queue_space.wait(
-        lock, [&] { return shard->queue.empty() && !shard->in_flight; });
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    flush(i);
+    Shard& shard = *shards_[i];
+    std::unique_lock lock(shard.queue_mutex);
+    shard.queue_space.wait(
+        lock, [&] { return shard.queue.empty() && !shard.in_flight; });
   }
 }
 
@@ -105,14 +98,9 @@ void ShardedEngine::push(const cdr::Connection& c) {
         "snapshot()/checkpoint() remain valid");
   }
 
-  // Stages 0-3 (dedup, clean screen, watermark, global accounting) live in
-  // the shared Frontend; only routed records reach a shard queue.
-  std::size_t shard_index = 0;
-  if (frontend_.offer(c, &shard_index) != Frontend::Decision::kRoute) return;
-
-  Shard& shard = *shards_[shard_index];
-  shard.pending.push_back(c);
-  if (shard.pending.size() >= config_.batch_records) flush(shard);
+  // Stages 0-4 (dedup, clean screen, watermark, global accounting,
+  // batching) live in the shared Frontend; a full batch goes to its shard.
+  if (const auto full = frontend_.offer(c)) flush(*full);
 }
 
 void ShardedEngine::push(std::span<const cdr::Connection> records) {
@@ -126,7 +114,7 @@ void ShardedEngine::finish() {
 
 void ShardedEngine::finish_locked() {
   if (finished_) return;
-  for (auto& shard : shards_) flush(*shard);
+  for (std::size_t i = 0; i < shards_.size(); ++i) flush(i);
   for (auto& shard : shards_) {
     std::lock_guard lock(shard->queue_mutex);
     shard->closed = true;
@@ -201,12 +189,8 @@ Checkpoint ShardedEngine::checkpoint() {
   std::lock_guard lock(producer_mutex_);
   if (!finished_) drain();
 
-  Checkpoint image;
-  image.config = fingerprint_of(config_);
-  image.finished = finished_;
+  Checkpoint image = image_skeleton(config(), finished_);
   frontend_.save(image.producer);
-
-  image.shards.resize(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     std::lock_guard state_lock(shard.state_mutex);
@@ -241,14 +225,7 @@ bool ShardedEngine::restore(const Checkpoint& checkpoint,
     }
   }
 
-  // The image must match this engine's analytic fingerprint *and* its shard
-  // geometry everywhere the geometry appears: a CRC-valid image can still
-  // carry a routed_per_shard table of the wrong length (decode does not know
-  // the live shard count), and silently resizing it would fabricate or drop
-  // per-shard routing history.
-  if (checkpoint.config != fingerprint_of(config_) ||
-      checkpoint.shards.size() != shards_.size() ||
-      checkpoint.producer.routed_per_shard.size() != shards_.size()) {
+  if (!image_fits(checkpoint, config())) {
     const std::string reason =
         "checkpoint fingerprint does not match the restoring engine's "
         "analytic configuration";
@@ -256,7 +233,7 @@ bool ShardedEngine::restore(const Checkpoint& checkpoint,
       throw util::CsvError("checkpoint: " + reason);
     }
     ++fault_report->records_dropped;
-    fault_report->record_fault(config_.quarantine_cap,
+    fault_report->record_fault(config().quarantine_cap,
                                cdr::FaultClass::kCheckpointMismatch, 0, reason);
     return false;
   }

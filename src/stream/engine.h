@@ -4,14 +4,10 @@
 // maintained study report:
 //
 //   push(record)                               [producer thread]
-//     -> exactly-once dedup against per-car ack cursors (opt-in; replayed
-//        duplicates are dropped before *any* accounting)
-//     -> inline §3 clean screen (CleanReport accounting)
-//     -> watermark check: records older than max-start-seen minus the
-//        allowed lateness are quarantined into an IngestReport
-//        (FaultClass::kOutOfOrderRecord), never silently dropped
-//     -> exact global duration tally (shard-count independent)
-//     -> batched onto the owning shard's bounded queue (car % shards)
+//     -> the Frontend (stream/frontend.h): exactly-once dedup, §3 clean
+//        screen, watermark quarantine (never a silent drop), exact global
+//        tallies, and batching per shard (car % shards)
+//     -> each batch the Frontend cuts joins its shard's bounded queue
 //   worker threads                             [one per shard]
 //     -> reorder window + incremental operators (stream/operators.h)
 //     -> supervised: an operator failure degrades (quarantines) the shard
@@ -129,14 +125,12 @@ class ShardedEngine {
   /// Re-delivered records dropped by the exactly-once cursors so far.
   [[nodiscard]] std::uint64_t replayed_records() const;
 
-  [[nodiscard]] const StreamConfig& config() const { return config_; }
+  /// The config as the Frontend clamped it.
+  [[nodiscard]] const StreamConfig& config() const {
+    return frontend_.config();
+  }
 
  private:
-  struct Batch {
-    std::vector<cdr::Connection> records;
-    time::Seconds watermark = 0;
-  };
-
   /// One shard: its bounded batch queue, worker thread and state. The state
   /// mutex serialises the worker against snapshot()/checkpoint(); the
   /// degraded flag lives under it too.
@@ -156,17 +150,17 @@ class ShardedEngine {
     bool degraded = false;        ///< operator failure: shard quarantined
     std::string degraded_reason;  ///< what() of the first failure
 
-    std::vector<cdr::Connection> pending;  ///< producer-side batch buffer
     std::thread worker;
   };
 
   void worker_loop(Shard& shard);
-  void flush(Shard& shard);
+  /// Cuts shard `index`'s pending batch and queues it (blocking while the
+  /// queue is full).
+  void flush(std::size_t index);
   void drain();
   void finish_locked();
   StreamReport snapshot_locked();
 
-  StreamConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
   bool finished_ = false;
 
@@ -175,10 +169,11 @@ class ShardedEngine {
   /// a drain() (which waits on the workers) cannot deadlock.
   mutable std::mutex producer_mutex_;
 
-  /// Producer-side stages 0-3 + exact global accounting (stream/frontend.h);
-  /// mutated only under producer_mutex_ and single-threaded in the hot path,
-  /// so bit-identical for every shard count — and shared verbatim with the
-  /// distributed supervisor.
+  /// Producer-side stages 0-4: exact global accounting and batching
+  /// (stream/frontend.h); mutated only under producer_mutex_ and
+  /// single-threaded in the hot path, so bit-identical for every shard
+  /// count — and shared verbatim with the distributed supervisor. Its
+  /// config never changes after construction, so config() needs no lock.
   Frontend frontend_;
 };
 

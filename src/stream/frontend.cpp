@@ -18,8 +18,12 @@ Frontend::Frontend(const StreamConfig& config)
         std::to_string(config_.clean.max_plausible_duration_s) + ")");
   }
   config_.shards = std::max(1, config_.shards);
+  config_.batch_records = std::max<std::size_t>(1, config_.batch_records);
+  config_.queue_batches = std::max<std::size_t>(1, config_.queue_batches);
   ingest_.mode = cdr::ParseMode::kLenient;
   routed_per_shard_.assign(static_cast<std::size_t>(config_.shards), 0);
+  pending_.resize(static_cast<std::size_t>(config_.shards));
+  for (auto& records : pending_) records.reserve(config_.batch_records);
 }
 
 void Frontend::quarantine_late(const cdr::Connection& c) {
@@ -35,8 +39,7 @@ void Frontend::quarantine_late(const cdr::Connection& c) {
           std::to_string(config_.allowed_lateness) + " s)");
 }
 
-Frontend::Decision Frontend::offer(const cdr::Connection& c,
-                                   std::size_t* shard) {
+std::optional<std::size_t> Frontend::offer(const cdr::Connection& c) {
   ++offered_;
 
   // Stage 0 — exactly-once dedup. An at-least-once feed re-delivers from
@@ -49,7 +52,7 @@ Frontend::Decision Frontend::offer(const cdr::Connection& c,
     if (!inserted) {
       if (key <= it->second) {
         ++replayed_;
-        return Decision::kDuplicate;
+        return std::nullopt;
       }
       it->second = key;
     }
@@ -58,31 +61,41 @@ Frontend::Decision Frontend::offer(const cdr::Connection& c,
 
   // Stage 1 — the §3 clean screen: the batch cdr::clean's own rule, so the
   // CleanReport matches it record for record.
-  if (!cdr::survives_clean(c, config_.clean, clean_)) {
-    return Decision::kCleaned;
-  }
+  if (!cdr::survives_clean(c, config_.clean, clean_)) return std::nullopt;
 
   // Stage 2 — the watermark. Only clean records advance it: a corrupt
   // timestamp must not eject a window's worth of good records.
   if (c.start < watermark_) {
     quarantine_late(c);
-    return Decision::kLate;
+    return std::nullopt;
   }
   if (c.start > max_start_) {
     max_start_ = c.start;
     watermark_ = max_start_ - config_.allowed_lateness;
   }
 
-  // Stage 3 — exact global accounting, then hand the owning shard back.
+  // Stage 3 — exact global accounting.
   ++ingest_.records_accepted;
   ++routed_;
   durations_.add(c.duration_s);
 
-  const auto shard_index = static_cast<std::size_t>(
+  // Stage 4 — onto the owning shard's pending batch.
+  const auto shard = static_cast<std::size_t>(
       c.car.value % static_cast<std::uint32_t>(config_.shards));
-  ++routed_per_shard_[shard_index];
-  if (shard != nullptr) *shard = shard_index;
-  return Decision::kRoute;
+  ++routed_per_shard_[shard];
+  pending_[shard].push_back(c);
+  if (pending_[shard].size() < config_.batch_records) return std::nullopt;
+  return shard;
+}
+
+Batch Frontend::flush(std::size_t shard) {
+  Batch batch;
+  if (pending_[shard].empty()) return batch;
+  batch.seq_of_last = routed_per_shard_[shard];
+  batch.watermark = watermark_;
+  batch.records.swap(pending_[shard]);
+  pending_[shard].reserve(config_.batch_records);
+  return batch;
 }
 
 std::vector<AckCursor> Frontend::ack_cursors() const {
@@ -124,7 +137,6 @@ void Frontend::load(const Checkpoint::Producer& p) {
   routed_ = p.routed;
   replayed_ = p.replayed;
   routed_per_shard_ = p.routed_per_shard;
-  routed_per_shard_.resize(static_cast<std::size_t>(config_.shards), 0);
   cursors_.clear();
   cursors_.reserve(p.cursors.size());
   for (const AckCursor& cursor : p.cursors) {

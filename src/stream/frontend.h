@@ -1,8 +1,8 @@
 // The producer-side front end of the streaming engine.
 //
-// Frontend owns stages 0-2 of the push pipeline plus the exact global
-// accounting of stage 3, factored out of ShardedEngine so that the
-// distributed supervisor (dist/supervisor.h) runs the *same* code path:
+// Frontend owns stages 0-4 of the push pipeline, factored out of
+// ShardedEngine so that the distributed supervisor (dist/supervisor.h) runs
+// the *same* code path:
 //
 //   stage 0  exactly-once dedup against per-car ack cursors (opt-in)
 //   stage 1  inline §3 clean screen: cdr::survives_clean, the rule
@@ -12,21 +12,24 @@
 //   stage 3  exact global duration histogram (DurationTally, whose Fig 9
 //            scalars come from core::summarize_cell_sessions at snapshot
 //            time) + per-shard routing counters
+//   stage 4  batching: a shard's pending records are cut as one Batch when
+//            they fill it or when flush() is called
 //
-// offer() classifies one arrival-ordered record; only Decision::kRoute
-// records reach shard operators, and by then every counter a StreamReport
-// derives from the producer has been updated. Because the whole class is
-// single-threaded and shard-count independent, any two engines fed the same
-// record sequence have bitwise-identical frontends — the keystone of the
-// in-process vs. distributed parity argument (DESIGN.md §14).
+// Because the whole class is single-threaded and shard-count independent,
+// any two engines fed the same record sequence have bitwise-identical
+// frontends and cut identical batches — the keystone of the in-process vs.
+// distributed parity argument (DESIGN.md §14). Its clamp of the config is
+// the only one; both engines read the clamped config().
 //
-// save()/load() round-trip the complete state through Checkpoint::Producer;
-// load() re-caps the quarantine to the live config's cap (quarantine_cap is
-// a tunable, not part of the fingerprint).
+// save()/load() round-trip the complete state through Checkpoint::Producer
+// (the engines save with every batch flushed); load() re-caps the
+// quarantine to the live config's cap (quarantine_cap is a tunable, not
+// part of the fingerprint).
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -40,33 +43,41 @@
 
 namespace ccms::stream {
 
+/// One shard's run of routed records, cut by Frontend and integrated by a
+/// shard in order: offer() each record, then advance() to the watermark.
+/// The dist wire carries it as the kBatch payload (dist::BatchFrame), and
+/// the supervisor's gap log replays it as is.
+struct Batch {
+  std::uint64_t seq_of_last = 0;  ///< shard's routed seq of records.back()
+  time::Seconds watermark = 0;    ///< producer watermark at flush time
+  std::vector<cdr::Connection> records;
+};
+
 class Frontend {
  public:
-  /// What became of an offered record. Only kRoute records carry state the
-  /// owning shard must integrate; all other outcomes are fully accounted
-  /// inside the frontend.
-  enum class Decision {
-    kDuplicate,  ///< dropped by the exactly-once cursor (stage 0)
-    kCleaned,    ///< removed by the §3 clean screen (stage 1)
-    kLate,       ///< quarantined past the watermark (stage 2)
-    kRoute,      ///< accepted; integrate on shard `offer()` returned
-  };
-
-  /// Normalises shards to >= 1. Throws std::invalid_argument unless
-  /// config.clean.max_plausible_duration_s > 0: the bound caps every routed
-  /// duration, and so the size of the duration histogram.
+  /// Clamps shards, batch_records and queue_batches to >= 1. Throws
+  /// std::invalid_argument unless config.clean.max_plausible_duration_s > 0:
+  /// the bound caps every routed duration, and so the size of the duration
+  /// histogram.
   explicit Frontend(const StreamConfig& config);
 
   /// Classifies one record in arrival order, updating every producer
-  /// counter. On kRoute, `*shard` is the owning shard (car % shards).
-  Decision offer(const cdr::Connection& c, std::size_t* shard);
+  /// counter; a routed record joins its shard's (car % shards) pending
+  /// batch. Returns that shard when its batch just reached batch_records:
+  /// the caller cuts it with flush() now.
+  [[nodiscard]] std::optional<std::size_t> offer(const cdr::Connection& c);
+
+  /// Cuts `shard`'s pending records as one Batch, stamped with the current
+  /// watermark and the shard's routed sequence. Empty records if none are
+  /// pending.
+  [[nodiscard]] Batch flush(std::size_t shard);
 
   /// Serialises the complete producer state (cursors sorted by car).
   void save(Checkpoint::Producer& p) const;
 
   /// Restores from a producer image, re-capping the quarantine to this
-  /// config's quarantine_cap. The caller validates the fingerprint and the
-  /// routed_per_shard geometry first.
+  /// config's quarantine_cap. The caller validates the image with
+  /// image_fits() first.
   void load(const Checkpoint::Producer& p);
 
   [[nodiscard]] const StreamConfig& config() const { return config_; }
@@ -101,6 +112,7 @@ class Frontend {
   std::uint64_t routed_ = 0;
   std::uint64_t replayed_ = 0;
   std::vector<std::uint64_t> routed_per_shard_;
+  std::vector<std::vector<cdr::Connection>> pending_;  ///< per shard
 
   /// Exactly-once ack cursors: per car, the largest (start, cell, duration)
   /// delivery key seen. Only populated when config.exactly_once.

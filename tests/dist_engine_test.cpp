@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "stream/checkpoint.h"
 #include "stream/engine.h"
 #include "stream/report.h"
 #include "test_helpers.h"
@@ -203,25 +204,42 @@ TEST(DistEngine, CheckpointInterchangesWithShardedEngine) {
   const auto records = feed(800, 0xCC99u);
   const std::size_t cut = records.size() / 2;
 
-  DistEngine dist(dist_config(2));
-  for (std::size_t i = 0; i < cut; ++i) dist.push(records[i]);
-  const stream::Checkpoint image = dist.checkpoint();
+  for (const int shards : {1, 2, 4}) {
+    DistEngine dist(dist_config(shards));
+    stream::ShardedEngine sharded(engine_config(shards));
+    for (std::size_t i = 0; i < cut; ++i) {
+      dist.push(records[i]);
+      sharded.push(records[i]);
+    }
+    const stream::Checkpoint image = dist.checkpoint();
+    // Both engines compose their images the same way, from the same
+    // frontend and the same shard states: the encoded bytes are equal.
+    EXPECT_EQ(stream::encode(image), stream::encode(sharded.checkpoint()))
+        << "mid-stream, shards=" << shards;
 
-  // The distributed engine's composed image restores into an in-process
-  // engine, which then finishes the feed bit-identically to the distributed
-  // run that never stopped.
-  stream::ShardedEngine resumed(engine_config(2));
-  ASSERT_TRUE(resumed.restore(image));
-  for (std::size_t i = cut; i < records.size(); ++i) {
-    resumed.push(records[i]);
-    dist.push(records[i]);
+    // The distributed engine's composed image restores into an in-process
+    // engine, which then finishes the feed bit-identically to the
+    // distributed run that never stopped.
+    stream::ShardedEngine resumed(engine_config(shards));
+    ASSERT_TRUE(resumed.restore(image)) << "shards=" << shards;
+    for (std::size_t i = cut; i < records.size(); ++i) {
+      resumed.push(records[i]);
+      dist.push(records[i]);
+      sharded.push(records[i]);
+    }
+    resumed.finish();
+    dist.finish();
+    sharded.finish();
+    std::string why;
+    EXPECT_TRUE(
+        stream::reports_identical(dist.snapshot(), resumed.snapshot(), &why))
+        << "shards=" << shards << ": " << why;
+    const auto final_image = stream::encode(dist.checkpoint());
+    EXPECT_EQ(final_image, stream::encode(sharded.checkpoint()))
+        << "finished, shards=" << shards;
+    EXPECT_EQ(final_image, stream::encode(resumed.checkpoint()))
+        << "finished, shards=" << shards;
   }
-  resumed.finish();
-  dist.finish();
-  std::string why;
-  EXPECT_TRUE(
-      stream::reports_identical(dist.snapshot(), resumed.snapshot(), &why))
-      << why;
 }
 
 TEST(DistEngine, BothEnginesRejectANonPositivePlausibilityBound) {

@@ -1,6 +1,6 @@
 // WorkerCore, frame-driven (no sockets): batch integration + heartbeat
 // replies, checkpoint/restore round trips that continue bit-exactly, clean
-// refusal of config-fingerprint and checkpoint-version skew
+// refusal of config-fingerprint, shard-geometry and checkpoint-version skew
 // (kCheckpointMismatch), deterministic fault injection, and protocol-error
 // handling.
 #include "dist/worker.h"
@@ -210,6 +210,46 @@ TEST(DistWorker, RestoreRefusesCheckpointVersionSkew) {
       << result.restore_result.reason;
   EXPECT_NE(result.restore_result.reason.find("version"), std::string::npos)
       << result.restore_result.reason;
+}
+
+TEST(DistWorker, RestoreRefusesARoutedTableOfTheWrongLength) {
+  const auto config = two_shard_config();
+  WorkerCore producer(config, 1, {});
+  std::vector<std::vector<std::uint8_t>> out;
+  producer.on_frame(batch_frame({conn(1, 3, 1000, 60)}, 1, 700), out);
+  Frame request;
+  request.type = FrameType::kCheckpointRequest;
+  out.clear();
+  producer.on_frame(request, out);
+  const Frame reply = decode_reply(out[0]);
+
+  // Same fingerprint and shard sections, but a routed_per_shard table one
+  // entry too long: re-encoded, so every CRC is valid and only the shared
+  // geometry check can catch it.
+  cdr::IngestOptions options;
+  options.mode = cdr::ParseMode::kLenient;
+  cdr::IngestReport report;
+  report.mode = cdr::ParseMode::kLenient;
+  auto image = stream::decode(reply.image.image, options, report);
+  ASSERT_TRUE(image.has_value());
+  ASSERT_EQ(image->config, stream::fingerprint_of(config));
+  image->producer.routed_per_shard.push_back(0);
+
+  WorkerCore restored(config, 1, {});
+  Frame restore;
+  restore.type = FrameType::kRestore;
+  restore.restore.image = stream::encode(*image);
+  out.clear();
+  EXPECT_EQ(restored.on_frame(restore, out), WorkerCore::Action::kRefused);
+  ASSERT_EQ(out.size(), 1u);
+  const Frame result = decode_reply(out[0]);
+  ASSERT_EQ(result.type, FrameType::kRestoreResult);
+  EXPECT_FALSE(result.restore_result.ok);
+  EXPECT_NE(result.restore_result.reason.find(
+                cdr::name(cdr::FaultClass::kCheckpointMismatch)),
+            std::string::npos)
+      << result.restore_result.reason;
+  EXPECT_EQ(restored.applied_seq(), 0u);
 }
 
 TEST(DistWorker, CrashFaultFiresMidBatchWithNoReplies) {

@@ -1,12 +1,14 @@
 // The distributed scenario pack end to end: dist-parity across seeds for
 // the kill-one-worker scenario (the recovered report must be bitwise
 // identical to the in-process engine), the whole pack green, degraded-loss
-// accounting closing, and flight-recorder round trips of the dist fields.
+// accounting closing, check details that repeat across runs of a seed, and
+// flight-recorder round trips of the dist fields.
 #include "harness/runner.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "harness/scenario.h"
@@ -71,6 +73,38 @@ TEST(HarnessDist, ExhaustedBudgetDegradesWithClosedAccounting) {
   EXPECT_GE(dist_checks(r, "dist-supervision"), 2u);
   EXPECT_EQ(dist_checks(r, "coverage-accounting"), 1u);
   EXPECT_GE(dist_checks(r, "conservation-routed"), 1u);
+}
+
+TEST(HarnessDist, DistDetailsRepeatAcrossRuns) {
+  // Every check's detail is a pure function of (scenario, seed): a replay
+  // bundle must reproduce its own detail string, even though restart and
+  // replay volumes depend on process timing.
+  using Signature =
+      std::vector<std::tuple<std::string, std::string, bool, std::string>>;
+  const auto signature = [](const ScenarioResult& r) {
+    Signature out;
+    for (const CheckResult& c : r.checks) {
+      out.emplace_back(c.invariant, c.stage, c.pass, c.detail);
+    }
+    return out;
+  };
+  for (const char* name : {"dist-worker-kill", "dist-restart-storm"}) {
+    const Scenario* s = find_scenario(name);
+    ASSERT_NE(s, nullptr) << name;
+    const Signature first = signature(run_scenario(*s, 20170901));
+    EXPECT_GE(first.size(), 1u) << name;
+    for (int run = 1; run < 3; ++run) {
+      const Signature again = signature(run_scenario(*s, 20170901));
+      ASSERT_EQ(again.size(), first.size()) << name << " run " << run;
+      for (std::size_t i = 0; i < first.size(); ++i) {
+        EXPECT_EQ(again[i], first[i])
+            << name << " run " << run << ": " << std::get<0>(first[i])
+            << " @ " << std::get<1>(first[i]) << " was \""
+            << std::get<3>(first[i]) << "\", now \"" << std::get<3>(again[i])
+            << "\"";
+      }
+    }
+  }
 }
 
 TEST(HarnessDist, ScenarioSerializationRoundTripsDistFields) {
