@@ -1,5 +1,6 @@
 #include "stream/checkpoint.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -255,6 +256,46 @@ void fields(IO& io, P& p) {
   });
 }
 
+/// True when key(element) strictly ascends along `v`.
+template <class T, class Key>
+bool strictly_ascending(const std::vector<T>& v, Key key) {
+  return std::adjacent_find(v.begin(), v.end(),
+                            [&](const T& a, const T& b) {
+                              return key(a) >= key(b);
+                            }) == v.end();
+}
+
+/// Rejects active-bin lists save() never writes: bins, cars, cells and
+/// member cars must strictly ascend and no member list may be empty. A
+/// shard appends these lists and counts them as sets, so a non-canonical
+/// image would restore to counts that differ from what its bytes show (an
+/// empty member list restores as no cell at all).
+void check_active_bins(const std::vector<ShardCheckpoint::ActiveBin>& bins) {
+  const auto reject = [](const std::string& what) {
+    throw ParseFault{cdr::FaultClass::kCheckpointMismatch,
+                     "active-bin " + what};
+  };
+  const auto itself = [](std::uint32_t v) { return v; };
+  if (!strictly_ascending(bins, [](const auto& b) { return b.bin; })) {
+    reject("indices do not strictly ascend");
+  }
+  for (const ShardCheckpoint::ActiveBin& bin : bins) {
+    if (!strictly_ascending(bin.cars, itself)) {
+      reject("cars do not strictly ascend");
+    }
+    if (!strictly_ascending(bin.per_cell,
+                            [](const auto& c) { return c.first; })) {
+      reject("cells do not strictly ascend");
+    }
+    for (const auto& [cell, members] : bin.per_cell) {
+      if (members.empty()) reject("cell has an empty member list");
+      if (!strictly_ascending(members, itself)) {
+        reject("member cars do not strictly ascend");
+      }
+    }
+  }
+}
+
 /// The SHRD payload: the shard's index, then its image. The index lets
 /// decode reject reordered sections: SHRD sections all carry the same tag,
 /// so without it two swapped (individually valid) shard images would
@@ -335,6 +376,7 @@ void shrd(IO& io, std::size_t index, S& s) {
       io.vec_u32(cell.second);
     });
   });
+  if constexpr (IO::kReading) check_active_bins(s.active_bins);
 
   io.seq(s.folded_bins, 8 + 4 + 1 + 8, [](auto& io, auto& bin) {
     io.i64(bin.bin);

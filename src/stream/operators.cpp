@@ -6,9 +6,59 @@
 #include <utility>
 
 #include "cdr/clean.h"
+#include "core/passes.h"
 #include "util/time.h"
 
 namespace ccms::stream {
+
+namespace {
+
+template <class T>
+void sort_unique(std::vector<T>& values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+}
+
+/// A bin key, (cell << 32) | car: sorted keys group by cell.
+std::uint64_t bin_key(std::uint32_t cell, std::uint32_t car) {
+  return (std::uint64_t{cell} << 32) | car;
+}
+
+std::uint32_t key_cell(std::uint64_t key) {
+  return static_cast<std::uint32_t>(key >> 32);
+}
+
+}  // namespace
+
+void ShardState::ActiveBin::add(std::uint32_t car, std::uint32_t cell) {
+  cars.push_back(car);
+  keys.push_back(bin_key(cell, car));
+  // Bounds a bin's duplicates the way the batch accumulators bound their
+  // pending buffers; counting from the last compaction keeps a bin with
+  // many distinct keys from sorting on every observation.
+  if (keys.size() - compacted >= core::kPassFlushRecords) compact();
+}
+
+void ShardState::ActiveBin::compact() {
+  sort_unique(cars);
+  sort_unique(keys);
+  compacted = keys.size();
+}
+
+BinCounts ShardState::count_bin(std::int64_t bin, const ActiveBin& active) {
+  BinCounts counts;
+  counts.bin = bin;
+  counts.cars = static_cast<std::uint32_t>(active.cars.size());
+  // Keys sort by cell first, so each cell's distinct cars are one run.
+  const auto& keys = active.keys;
+  for (std::size_t i = 0; i < keys.size();) {
+    const std::uint32_t cell = key_cell(keys[i]);
+    const std::size_t first = i;
+    while (i < keys.size() && key_cell(keys[i]) == cell) ++i;
+    counts.cells.emplace_back(cell, static_cast<std::uint32_t>(i - first));
+  }
+  return counts;
+}
 
 ShardState::ShardState(const StreamConfig& config, int shard_index)
     : config_(config), shard_index_(shard_index) {
@@ -65,10 +115,8 @@ ShardState::CarState& ShardState::car_state(std::uint32_t car) {
   return state;
 }
 
-void ShardState::mark_days(CarState& state, std::uint32_t car,
-                           std::uint32_t cell, time::Seconds start,
-                           time::Seconds end) {
-  (void)car;
+void ShardState::mark_days(CarState& state, std::uint32_t cell,
+                           time::Seconds start, time::Seconds end) {
   // The batch presence convention, via the shared core helper: the last
   // instant of a half-open interval is end-1, days clamp into the horizon.
   const core::DayRange range =
@@ -89,31 +137,23 @@ void ShardState::mark_bins(std::uint32_t car, std::uint32_t cell,
                            time::Seconds start, time::Seconds end) {
   const core::BinRange bins = core::bin15_range(start, end);
   for (std::int64_t b = bins.first; b <= bins.last; ++b) {
-    ActiveBin& bin = active_bins_[b];
-    bin.cars.insert(car);
-    bin.per_cell[cell].insert(car);
+    active_bins_[b].add(car, cell);
   }
 }
 
 void ShardState::fold_bins(time::Seconds watermark) {
   // A bin [b*900, (b+1)*900) is final once the watermark passes its end:
   // every record integrated later starts at or after the watermark, hence
-  // past the bin. Folding replaces the hash sets with plain counts.
+  // past the bin. Folding compacts its observation lists once and keeps
+  // only the counts.
   while (!active_bins_.empty()) {
-    const auto& [bin, active] = *active_bins_.begin();
+    auto& [bin, active] = *active_bins_.begin();
     if (watermark < std::numeric_limits<time::Seconds>::max() &&
         (bin + 1) * time::kSecondsPerBin15 > watermark) {
       break;
     }
-    BinCounts counts;
-    counts.bin = bin;
-    counts.cars = static_cast<std::uint32_t>(active.cars.size());
-    counts.cells.reserve(active.per_cell.size());
-    for (const auto& [cell, cars] : active.per_cell) {
-      counts.cells.emplace_back(cell, static_cast<std::uint32_t>(cars.size()));
-    }
-    std::sort(counts.cells.begin(), counts.cells.end());
-    folded_bins_.push_back(std::move(counts));
+    active.compact();
+    folded_bins_.push_back(count_bin(bin, active));
     active_bins_.erase(active_bins_.begin());
   }
   while (config_.recent_bins > 0 &&
@@ -143,7 +183,7 @@ void ShardState::integrate(const cdr::Connection& c) {
       cdr::truncated_duration(c.duration_s, config_.truncation_cap);
   state.trunc.add(c.start, c.start + capped);
 
-  mark_days(state, car, cell, c.start, c.end());
+  mark_days(state, cell, c.start, c.end());
   core::add_connection(usage_, c);
 
   auto [it, inserted] = cell_durations_.try_emplace(
@@ -204,15 +244,10 @@ ShardSnapshot ShardState::snapshot() const {
   snap.bins.reserve(folded_bins_.size() + active_bins_.size());
   snap.bins.assign(folded_bins_.begin(), folded_bins_.end());
   for (const auto& [bin, active] : active_bins_) {
-    BinCounts counts;
-    counts.bin = bin;
-    counts.cars = static_cast<std::uint32_t>(active.cars.size());
+    ActiveBin sorted = active;
+    sorted.compact();
+    BinCounts counts = count_bin(bin, sorted);
     counts.provisional = true;
-    counts.cells.reserve(active.per_cell.size());
-    for (const auto& [cell, cars] : active.per_cell) {
-      counts.cells.emplace_back(cell, static_cast<std::uint32_t>(cars.size()));
-    }
-    std::sort(counts.cells.begin(), counts.cells.end());
     snap.bins.push_back(std::move(counts));
   }
   return snap;
@@ -268,18 +303,18 @@ void ShardState::save(ShardCheckpoint& out) const {
 
   out.active_bins.reserve(active_bins_.size());
   for (const auto& [bin, active] : active_bins_) {
+    ActiveBin sorted = active;
+    sorted.compact();
     ShardCheckpoint::ActiveBin image;
     image.bin = bin;
-    image.cars.assign(active.cars.begin(), active.cars.end());
-    std::sort(image.cars.begin(), image.cars.end());
-    image.per_cell.reserve(active.per_cell.size());
-    for (const auto& [cell, cars] : active.per_cell) {
-      std::vector<std::uint32_t> members(cars.begin(), cars.end());
-      std::sort(members.begin(), members.end());
-      image.per_cell.emplace_back(cell, std::move(members));
+    image.cars = std::move(sorted.cars);
+    for (const std::uint64_t key : sorted.keys) {
+      const std::uint32_t cell = key_cell(key);
+      if (image.per_cell.empty() || image.per_cell.back().first != cell) {
+        image.per_cell.emplace_back(cell, std::vector<std::uint32_t>{});
+      }
+      image.per_cell.back().second.push_back(static_cast<std::uint32_t>(key));
     }
-    std::sort(image.per_cell.begin(), image.per_cell.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
     out.active_bins.push_back(std::move(image));
   }
   out.folded_bins.assign(folded_bins_.begin(), folded_bins_.end());
@@ -327,9 +362,11 @@ void ShardState::load(const ShardCheckpoint& in) {
   active_bins_.clear();
   for (const ShardCheckpoint::ActiveBin& image : in.active_bins) {
     ActiveBin& bin = active_bins_[image.bin];
-    bin.cars.insert(image.cars.begin(), image.cars.end());
+    bin.cars.insert(bin.cars.end(), image.cars.begin(), image.cars.end());
     for (const auto& [cell, members] : image.per_cell) {
-      bin.per_cell[cell].insert(members.begin(), members.end());
+      for (const std::uint32_t car : members) {
+        bin.keys.push_back(bin_key(cell, car));
+      }
     }
   }
   folded_bins_.assign(in.folded_bins.begin(), in.folded_bins.end());

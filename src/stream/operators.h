@@ -10,7 +10,9 @@
 //                                                          analyze_days_on_network)
 //   24x7 usage counts          core::add_connection     (= usage_matrix summed)
 //   per-cell duration quantiles stats::P2Quantile per cell (Fig 9 per cell)
-//   recent concurrency         distinct cars per (cell, 15-min bin)
+//   recent concurrency         distinct cars per (cell, 15-min bin): sorted,
+//                              deduplicated u64 keys, the method of
+//                              core::ConcurrencyCountsAccumulator
 //
 // Records enter via offer() in arrival order and sit in a bounded reorder
 // heap; advance(watermark) integrates everything strictly older than the
@@ -23,7 +25,6 @@
 #include <map>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cdr/record.h"
@@ -182,16 +183,25 @@ class ShardState {
     bool seen = false;
   };
 
+  // One open 15-minute bin: every observation is appended as it arrives
+  // and compact() sorts and deduplicates both lists, so after it `cars`
+  // holds the distinct cars and `keys` the distinct (cell << 32) | car
+  // pairs, ascending by cell.
   struct ActiveBin {
-    std::unordered_set<std::uint32_t> cars;
-    std::unordered_map<std::uint32_t, std::unordered_set<std::uint32_t>>
-        per_cell;
+    std::vector<std::uint32_t> cars;
+    std::vector<std::uint64_t> keys;
+    std::size_t compacted = 0;  ///< keys.size() after the last compact()
+
+    void add(std::uint32_t car, std::uint32_t cell);
+    void compact();
   };
+  /// The counts of a compacted bin.
+  static BinCounts count_bin(std::int64_t bin, const ActiveBin& active);
 
   void integrate(const cdr::Connection& c);
   CarState& car_state(std::uint32_t car);
-  void mark_days(CarState& state, std::uint32_t car, std::uint32_t cell,
-                 time::Seconds start, time::Seconds end);
+  void mark_days(CarState& state, std::uint32_t cell, time::Seconds start,
+                 time::Seconds end);
   void mark_bins(std::uint32_t car, std::uint32_t cell, time::Seconds start,
                  time::Seconds end);
   void fold_bins(time::Seconds watermark);

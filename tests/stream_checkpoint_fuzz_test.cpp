@@ -260,5 +260,77 @@ TEST(CheckpointFuzz, CountBelowTheElementFloorIsRejectedBeforeAllocating) {
   expect_rejected(damaged, "declared count between the old and true floor");
 }
 
+/// The decoded image's first shard image with at least two active bins, the
+/// first of them holding two cars and two cells, the first cell two cars.
+ShardCheckpoint& active_shard(Checkpoint& checkpoint) {
+  for (ShardCheckpoint& shard : checkpoint.shards) {
+    const auto& bins = shard.active_bins;
+    if (bins.size() >= 2 && bins[0].cars.size() >= 2 &&
+        bins[0].per_cell.size() >= 2 &&
+        bins[0].per_cell[0].second.size() >= 2) {
+      return shard;
+    }
+  }
+  ADD_FAILURE() << "no shard image has the active bins the cases need";
+  return checkpoint.shards.at(0);
+}
+
+/// Re-encodes the clean image with `mutate` applied to one shard's active
+/// bins: a CRC-valid image that only the canonical-list checks can reject.
+template <class Fn>
+void expect_active_bins_rejected(Fn mutate, const std::string& what) {
+  cdr::IngestReport clean_report;
+  auto decoded = decode(image(), mode(cdr::ParseMode::kLenient), clean_report);
+  ASSERT_TRUE(decoded.has_value());
+  mutate(active_shard(*decoded).active_bins);
+  const std::vector<std::uint8_t> bytes = encode(*decoded);
+
+  cdr::IngestReport report;
+  EXPECT_FALSE(
+      decode(bytes, mode(cdr::ParseMode::kLenient), report).has_value())
+      << what;
+  EXPECT_EQ(report.count(cdr::FaultClass::kCheckpointMismatch), 1u) << what;
+  expect_rejected(bytes, what);
+}
+
+using ActiveBins = std::vector<ShardCheckpoint::ActiveBin>;
+
+TEST(CheckpointFuzz, ActiveBinsOutOfOrderAreRejected) {
+  expect_active_bins_rejected(
+      [](ActiveBins& bins) { std::swap(bins[0].bin, bins[1].bin); },
+      "active bins swapped");
+}
+
+TEST(CheckpointFuzz, ActiveBinCarsNotStrictlyAscendingAreRejected) {
+  expect_active_bins_rejected(
+      [](ActiveBins& bins) { bins[0].cars[1] = bins[0].cars[0]; },
+      "active-bin car repeated");
+}
+
+TEST(CheckpointFuzz, ActiveBinCellsNotStrictlyAscendingAreRejected) {
+  expect_active_bins_rejected(
+      [](ActiveBins& bins) {
+        std::swap(bins[0].per_cell[0], bins[0].per_cell[1]);
+      },
+      "active-bin cells swapped");
+}
+
+TEST(CheckpointFuzz, ActiveBinMemberCarsNotStrictlyAscendingAreRejected) {
+  expect_active_bins_rejected(
+      [](ActiveBins& bins) {
+        auto& members = bins[0].per_cell[0].second;
+        std::swap(members[0], members[1]);
+      },
+      "active-bin member cars swapped");
+}
+
+TEST(CheckpointFuzz, ActiveBinEmptyMemberListIsRejected) {
+  // The hash-set shard restored this as a (cell, 0) count; a canonical
+  // image never carries it.
+  expect_active_bins_rejected(
+      [](ActiveBins& bins) { bins[0].per_cell[0].second.clear(); },
+      "active-bin cell with no member cars");
+}
+
 }  // namespace
 }  // namespace ccms::stream
