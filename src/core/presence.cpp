@@ -58,10 +58,6 @@ DailyPresence analyze_presence(const cdr::Dataset& dataset) {
 DailyPresence presence_from_counts(
     std::uint32_t fleet_size, const std::vector<std::uint64_t>& cars_per_day,
     const std::unordered_map<std::uint32_t, DayBits>& cell_days) {
-  DailyPresence result;
-  result.fleet_size = fleet_size;
-  result.ever_touched_cells = cell_days.size();
-
   const std::size_t n_days = cars_per_day.size();
   std::vector<std::uint64_t> cells_per_day(n_days, 0);
   for (const auto& [cell, bits] : cell_days) {
@@ -69,7 +65,19 @@ DailyPresence presence_from_counts(
       if (bits.test(static_cast<std::int64_t>(d))) ++cells_per_day[d];
     }
   }
+  return presence_from_counts(fleet_size, cars_per_day, cells_per_day,
+                              cell_days.size());
+}
 
+DailyPresence presence_from_counts(
+    std::uint32_t fleet_size, const std::vector<std::uint64_t>& cars_per_day,
+    const std::vector<std::uint64_t>& cells_per_day,
+    std::size_t ever_touched_cells) {
+  DailyPresence result;
+  result.fleet_size = fleet_size;
+  result.ever_touched_cells = ever_touched_cells;
+
+  const std::size_t n_days = cars_per_day.size();
   result.cars_fraction.resize(n_days, 0.0);
   result.cells_fraction.resize(n_days, 0.0);
   for (std::size_t d = 0; d < n_days; ++d) {

@@ -64,4 +64,13 @@ struct DailyPresence {
     std::uint32_t fleet_size, const std::vector<std::uint64_t>& cars_per_day,
     const std::unordered_map<std::uint32_t, DayBits>& cell_days);
 
+/// The same report from per-day cell counts: `cells_per_day[d]` of the
+/// `ever_touched_cells` cells were seen on study day d (one entry per study
+/// day, like `cars_per_day`). The overload above counts them from its map;
+/// the stream snapshot counts them as it merges its shards' cell lists.
+[[nodiscard]] DailyPresence presence_from_counts(
+    std::uint32_t fleet_size, const std::vector<std::uint64_t>& cars_per_day,
+    const std::vector<std::uint64_t>& cells_per_day,
+    std::size_t ever_touched_cells);
+
 }  // namespace ccms::core

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <exception>
+#include <thread>
 #include <utility>
 
 namespace ccms::dist {
@@ -22,6 +24,35 @@ DistConfig normalized(DistConfig config) {
   config.max_restarts = std::max(0, config.max_restarts);
   config.checkpoint_every = std::max<std::uint64_t>(1, config.checkpoint_every);
   return config;
+}
+
+/// Runs fn(0) .. fn(n-1) at once: fn(0) on the caller, each other index
+/// on a thread of its own. Every thread is joined before this returns, so
+/// none is alive when spawn() next forks. Rethrows the exception of the
+/// lowest index that threw, the one a loop over the indices would throw.
+template <class Fn>
+void run_at_once(std::size_t n, const Fn& fn) {
+  std::vector<std::exception_ptr> errors(n);
+  const auto run = [&](std::size_t i) {
+    try {
+      fn(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  try {
+    for (std::size_t i = 1; i < n; ++i) threads.emplace_back(run, i);
+  } catch (...) {
+    for (std::thread& thread : threads) thread.join();
+    throw;
+  }
+  if (n > 0) run(0);
+  for (std::thread& thread : threads) thread.join();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 void account_fault(cdr::IngestReport& report, std::size_t cap,
@@ -451,21 +482,26 @@ std::optional<stream::ShardCheckpoint> DistEngine::shard_image(
 stream::StreamReport DistEngine::snapshot() {
   if (!finished_) drain_images();
 
-  std::vector<stream::ShardSnapshot> snapshots;
-  std::vector<stream::DegradedShard> degraded;
-  snapshots.reserve(links_.size());
-  for (const auto& link : links_) {
-    stream::ShardState state(config_.stream, link->worker);
-    if (auto image = shard_image(*link)) state.load(*image);
-    if (!finished_ && link->state != Link::State::kLost &&
-        !link->image_closed) {
+  // Each link's image decodes, loads, advances and snapshots on its own
+  // thread; the merge below is the only step on the caller alone.
+  const time::Seconds watermark = frontend_.watermark();
+  std::vector<stream::ShardSnapshot> snapshots(links_.size());
+  run_at_once(links_.size(), [&](std::size_t i) {
+    const Link& link = *links_[i];
+    stream::ShardState state(config_.stream, link.worker);
+    if (auto image = shard_image(link)) state.load(*image);
+    if (!finished_ && link.state != Link::State::kLost && !link.image_closed) {
       // As in ShardedEngine::snapshot, a live, mid-run snapshot is
       // watermark-consistent. The worker's own state is untouched — this is
       // a scratch copy — which cannot diverge the final report because
       // integration order is globally sorted (DESIGN.md §14).
-      state.advance(frontend_.watermark());
+      state.advance(watermark);
     }
-    snapshots.push_back(state.snapshot());
+    snapshots[i] = state.snapshot();
+  });
+
+  std::vector<stream::DegradedShard> degraded;
+  for (const auto& link : links_) {
     if (link->state == Link::State::kLost) {
       degraded.push_back({.shard = link->worker, .reason = link->lost_reason});
     }
@@ -486,15 +522,16 @@ stream::Checkpoint DistEngine::checkpoint() {
 
   stream::Checkpoint image = stream::image_skeleton(config_.stream, finished_);
   frontend_.save(image.producer);
-  for (const auto& link : links_) {
-    auto& shard = image.shards[static_cast<std::size_t>(link->worker)];
-    if (auto decoded = shard_image(*link)) {
+  run_at_once(links_.size(), [&](std::size_t i) {
+    const Link& link = *links_[i];
+    auto& shard = image.shards[static_cast<std::size_t>(link.worker)];
+    if (auto decoded = shard_image(link)) {
       shard = std::move(*decoded);
     } else {
       // No image yet: what a fresh worker would save.
-      stream::ShardState(config_.stream, link->worker).save(shard);
+      stream::ShardState(config_.stream, link.worker).save(shard);
     }
-  }
+  });
   return image;
 }
 

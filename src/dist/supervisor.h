@@ -45,7 +45,9 @@
 // Threading contract: DistEngine is single-threaded — push/finish/snapshot/
 // checkpoint all come from one caller thread. All socket I/O, deadline
 // checks and restarts happen inside those calls (pump()); there are no
-// background threads, which also makes fork-based spawning safe.
+// background threads, which also makes fork-based spawning safe. The one
+// fan-out is snapshot()/checkpoint() decoding the workers' images: one
+// short-lived thread per link, all joined before the call returns.
 #pragma once
 
 #include <chrono>

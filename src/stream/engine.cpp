@@ -21,51 +21,94 @@ ShardedEngine::ShardedEngine(StreamConfig config) : frontend_(config) {
   }
 }
 
-ShardedEngine::~ShardedEngine() { finish(); }
+ShardedEngine::~ShardedEngine() {
+  finish();
+  for (auto& shard : shards_) {
+    std::lock_guard lock(shard->mutex);
+    shard->exit = true;
+    shard->ready.notify_one();
+  }
+  for (auto& shard : shards_) shard->worker.join();
+}
 
 void ShardedEngine::worker_loop(Shard& shard) {
+  std::unique_lock lock(shard.mutex);
   for (;;) {
-    Batch batch;
-    {
-      std::unique_lock lock(shard.queue_mutex);
-      shard.queue_ready.wait(
-          lock, [&] { return !shard.queue.empty() || shard.closed; });
-      if (shard.queue.empty()) break;  // closed and drained
-      batch = std::move(shard.queue.front());
+    shard.ready.wait(lock, [&] {
+      return !shard.queue.empty() || shard.task != nullptr || shard.exit;
+    });
+    if (!shard.queue.empty()) {
+      Batch batch = std::move(shard.queue.front());
       shard.queue.pop_front();
-      shard.in_flight = true;
-      shard.queue_space.notify_all();
-    }
-    {
-      std::lock_guard state_lock(shard.state_mutex);
-      // A degraded shard keeps draining its queue (so the producer never
-      // deadlocks on backpressure) but applies nothing: its operators stay
-      // consistent as of the record before the failure.
-      if (!shard.degraded) {
-        try {
-          for (const cdr::Connection& c : batch.records) shard.state.offer(c);
-          shard.state.advance(batch.watermark);
-        } catch (const std::exception& e) {
-          shard.degraded = true;
-          shard.degraded_reason = e.what();
-        }
+      shard.done.notify_all();
+      lock.unlock();
+      apply(shard, batch);
+      batch = {};  // frees the records outside the lock
+      lock.lock();
+    } else if (shard.task != nullptr) {
+      // The queue is empty: every batch queued before the task is in.
+      const Task& task = *shard.task;
+      lock.unlock();
+      std::exception_ptr error;
+      try {
+        task(shard);
+      } catch (...) {
+        error = std::current_exception();
       }
-    }
-    {
-      std::lock_guard lock(shard.queue_mutex);
-      shard.in_flight = false;
-      shard.queue_space.notify_all();
-    }
-  }
-  std::lock_guard state_lock(shard.state_mutex);
-  if (!shard.degraded) {
-    try {
-      shard.state.close();
-    } catch (const std::exception& e) {
-      shard.degraded = true;
-      shard.degraded_reason = e.what();
+      lock.lock();
+      shard.task = nullptr;
+      shard.task_error = error;
+      shard.done.notify_all();
+    } else {
+      return;  // exit, with nothing left to run
     }
   }
+}
+
+void ShardedEngine::apply(Shard& shard, const Batch& batch) {
+  // A degraded shard keeps draining its queue (so the producer never
+  // deadlocks on backpressure) but applies nothing: its operators stay
+  // consistent as of the record before the failure.
+  if (shard.degraded) return;
+  try {
+    for (const cdr::Connection& c : batch.records) shard.state.offer(c);
+    shard.state.advance(batch.watermark);
+  } catch (const std::exception& e) {
+    degrade(shard, e);
+  }
+}
+
+void ShardedEngine::degrade(Shard& shard, const std::exception& failure) {
+  std::lock_guard lock(shard.mutex);
+  shard.degraded = true;
+  shard.degraded_reason = failure.what();
+}
+
+void ShardedEngine::on_every_shard(const Task& task) {
+  for (auto& shard : shards_) {
+    std::lock_guard lock(shard->mutex);
+    shard->task = &task;
+    shard->ready.notify_one();
+  }
+  std::exception_ptr error;
+  for (auto& shard : shards_) {
+    std::unique_lock lock(shard->mutex);
+    shard->done.wait(lock, [&] { return shard->task == nullptr; });
+    if (!error) error = std::exchange(shard->task_error, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+std::vector<DegradedShard> ShardedEngine::degraded_shards() {
+  std::vector<DegradedShard> degraded;
+  for (auto& shard : shards_) {
+    std::lock_guard lock(shard->mutex);
+    if (shard->degraded) {
+      degraded.push_back({.shard = static_cast<int>(shard->index),
+                          .reason = shard->degraded_reason});
+    }
+  }
+  return degraded;
 }
 
 void ShardedEngine::flush(std::size_t index) {
@@ -73,21 +116,15 @@ void ShardedEngine::flush(std::size_t index) {
   if (batch.records.empty()) return;
 
   Shard& shard = *shards_[index];
-  std::unique_lock lock(shard.queue_mutex);
-  shard.queue_space.wait(
+  std::unique_lock lock(shard.mutex);
+  shard.done.wait(
       lock, [&] { return shard.queue.size() < config().queue_batches; });
   shard.queue.push_back(std::move(batch));
-  shard.queue_ready.notify_one();
+  shard.ready.notify_one();
 }
 
-void ShardedEngine::drain() {
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    flush(i);
-    Shard& shard = *shards_[i];
-    std::unique_lock lock(shard.queue_mutex);
-    shard.queue_space.wait(
-        lock, [&] { return shard.queue.empty() && !shard.in_flight; });
-  }
+void ShardedEngine::flush_all() {
+  for (std::size_t i = 0; i < shards_.size(); ++i) flush(i);
 }
 
 void ShardedEngine::push(const cdr::Connection& c) {
@@ -114,15 +151,15 @@ void ShardedEngine::finish() {
 
 void ShardedEngine::finish_locked() {
   if (finished_) return;
-  for (std::size_t i = 0; i < shards_.size(); ++i) flush(i);
-  for (auto& shard : shards_) {
-    std::lock_guard lock(shard->queue_mutex);
-    shard->closed = true;
-    shard->queue_ready.notify_one();
-  }
-  for (auto& shard : shards_) {
-    if (shard->worker.joinable()) shard->worker.join();
-  }
+  flush_all();
+  on_every_shard([](Shard& shard) {
+    if (shard.degraded) return;
+    try {
+      shard.state.close();
+    } catch (const std::exception& e) {
+      degrade(shard, e);
+    }
+  });
   finished_ = true;
 }
 
@@ -157,50 +194,41 @@ StreamReport ShardedEngine::snapshot() {
 }
 
 StreamReport ShardedEngine::snapshot_locked() {
-  if (!finished_) drain();
+  const bool live = !finished_;
+  if (live) flush_all();
+  const time::Seconds watermark = frontend_.watermark();
 
-  std::vector<ShardSnapshot> snapshots;
-  std::vector<DegradedShard> degraded;
-  snapshots.reserve(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    std::lock_guard state_lock(shard.state_mutex);
-    if (!finished_ && !shard.degraded) {
+  std::vector<ShardSnapshot> snapshots(shards_.size());
+  on_every_shard([&](Shard& shard) {
+    if (live && !shard.degraded) {
       // Everything pushed so far is in the shard; apply the current
       // watermark so the snapshot is watermark-consistent. An operator
-      // failure here degrades the shard like one in the worker would.
+      // failure here degrades the shard like one in a batch would.
       try {
-        shard.state.advance(frontend_.watermark());
+        shard.state.advance(watermark);
       } catch (const std::exception& e) {
-        shard.degraded = true;
-        shard.degraded_reason = e.what();
+        degrade(shard, e);
       }
     }
-    snapshots.push_back(shard.state.snapshot());
-    if (shard.degraded) {
-      degraded.push_back({.shard = static_cast<int>(i),
-                          .reason = shard.degraded_reason});
-    }
-  }
-  return merge_snapshots(frontend_, std::move(snapshots), std::move(degraded));
+    snapshots[shard.index] = shard.state.snapshot();
+  });
+  return merge_snapshots(frontend_, std::move(snapshots), degraded_shards());
 }
 
 Checkpoint ShardedEngine::checkpoint() {
   std::lock_guard lock(producer_mutex_);
-  if (!finished_) drain();
+  if (!finished_) flush_all();
 
   Checkpoint image = image_skeleton(config(), finished_);
   frontend_.save(image.producer);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    std::lock_guard state_lock(shard.state_mutex);
-    if (shard.degraded) {
-      throw StreamStateError("ShardedEngine::checkpoint: shard " +
-                             std::to_string(i) + " is degraded (" +
-                             shard.degraded_reason +
-                             "); a lossy state is not a resume point");
-    }
-    shard.state.save(image.shards[i]);
+  on_every_shard([&](Shard& shard) {
+    if (!shard.degraded) shard.state.save(image.shards[shard.index]);
+  });
+  if (const auto degraded = degraded_shards(); !degraded.empty()) {
+    throw StreamStateError("ShardedEngine::checkpoint: shard " +
+                           std::to_string(degraded.front().shard) +
+                           " is degraded (" + degraded.front().reason +
+                           "); a lossy state is not a resume point");
   }
   return image;
 }
@@ -213,16 +241,13 @@ bool ShardedEngine::restore(const Checkpoint& checkpoint,
         "ShardedEngine::restore requires a pristine engine (no record "
         "pushed, not finished)");
   }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::lock_guard state_lock(shards_[i]->state_mutex);
-    if (shards_[i]->degraded) {
-      // A degraded engine has lost records; loading a clean image over it
-      // would hide the loss behind healthy-looking counters.
-      throw StreamStateError("ShardedEngine::restore: shard " +
-                             std::to_string(i) + " is degraded (" +
-                             shards_[i]->degraded_reason +
-                             "); restore requires a pristine engine");
-    }
+  if (const auto degraded = degraded_shards(); !degraded.empty()) {
+    // A degraded engine has lost records; loading a clean image over it
+    // would hide the loss behind healthy-looking counters.
+    throw StreamStateError("ShardedEngine::restore: shard " +
+                           std::to_string(degraded.front().shard) +
+                           " is degraded (" + degraded.front().reason +
+                           "); restore requires a pristine engine");
   }
 
   if (!image_fits(checkpoint, config())) {
@@ -240,15 +265,12 @@ bool ShardedEngine::restore(const Checkpoint& checkpoint,
 
   frontend_.load(checkpoint.producer);
 
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    std::lock_guard state_lock(shard.state_mutex);
-    shard.state.load(checkpoint.shards[i]);
-  }
+  on_every_shard([&](Shard& shard) {
+    shard.state.load(checkpoint.shards[shard.index]);
+  });
 
-  // A finished checkpoint restores to a finished engine: join the (idle)
-  // workers; the loaded shard states are already closed, so the close() at
-  // worker exit is a no-op.
+  // A finished checkpoint restores to a finished engine; the loaded shard
+  // states are already closed, so finishing closes nothing.
   if (checkpoint.finished) finish_locked();
   return true;
 }

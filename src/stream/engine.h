@@ -13,27 +13,35 @@
 //     -> supervised: an operator failure degrades (quarantines) the shard
 //        instead of crashing the process; the engine counts what was lost
 //   snapshot() / checkpoint()                  [any thread, any time]
-//     -> drains in-flight batches, merges shard states into a StreamReport
-//        directly comparable to core::run_study over the same records /
-//        serializes the complete durable engine state (stream/checkpoint.h)
+//     -> every shard's worker, once the batches queued before the request
+//        are applied, advances to the watermark and builds its own view /
+//        saves its own image, all shards at once; the caller merges the
+//        views into a StreamReport directly comparable to core::run_study
+//        over the same records / collects the complete durable engine
+//        state (stream/checkpoint.h)
 //   restore(checkpoint)                        [pristine engine]
 //     -> resumes bit-exactly; with exactly_once on, replaying the feed from
 //        its last acknowledged position converges to the same report
 //
 // Threading contract: push/finish must come from one producer thread.
 // snapshot() and checkpoint() may be called from any thread at any moment —
-// they serialise against the producer via an internal mutex and against each
-// worker via its state mutex. Backpressure is blocking: a full shard queue
-// stalls push until the worker catches up.
+// they serialise against the producer via an internal mutex. A shard's
+// state is touched by its worker thread alone: snapshot, checkpoint, close
+// and restore reach it as a task queued behind that shard's batches, so the
+// queue's FIFO order is the drain. Backpressure is blocking: a full shard
+// queue stalls push until the worker catches up.
 //
 // Lifecycle: after finish(), snapshot()/checkpoint() stay valid (they report
-// the final state); push() is a defined, diagnosable error — it throws
+// the final state, still built on the parked workers, which exit only with
+// the engine); push() is a defined, diagnosable error — it throws
 // StreamStateError rather than corrupting the closed operators.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -77,8 +85,9 @@ class ShardedEngine {
   /// Feeds a span of records in arrival order.
   void push(std::span<const cdr::Connection> records);
 
-  /// End of stream: flushes every queue, joins the workers and closes all
-  /// per-shard state (open sessions and runs are finalised). Idempotent.
+  /// End of stream: flushes every queue and closes all per-shard state
+  /// (open sessions and runs are finalised). The workers stay parked for
+  /// later snapshots and checkpoints. Idempotent.
   void finish();
 
   /// True once finish() ran; push() is an error from then on while
@@ -131,33 +140,50 @@ class ShardedEngine {
   }
 
  private:
-  /// One shard: its bounded batch queue, worker thread and state. The state
-  /// mutex serialises the worker against snapshot()/checkpoint(); the
-  /// degraded flag lives under it too.
+  struct Shard;
+  /// Work on one shard's state, run by that shard's worker.
+  using Task = std::function<void(Shard&)>;
+
+  /// One shard: its bounded batch queue, worker thread and state. Only the
+  /// worker touches the state; everything else reaches it as a task, which
+  /// the worker runs once the queue ahead of it is empty.
   struct Shard {
     explicit Shard(const StreamConfig& config, int index)
-        : state(config, index) {}
+        : index(static_cast<std::size_t>(index)), state(config, index) {}
 
-    std::mutex queue_mutex;
-    std::condition_variable queue_ready;  ///< producer -> worker
-    std::condition_variable queue_space;  ///< worker -> producer (and drain)
+    const std::size_t index;
+
+    std::mutex mutex;  ///< guards everything below up to `state`
+    std::condition_variable ready;  ///< producer -> worker
+    std::condition_variable done;   ///< worker -> producer: space, task done
     std::deque<Batch> queue;
-    bool closed = false;
-    bool in_flight = false;  ///< worker is applying a popped batch
-
-    std::mutex state_mutex;
-    ShardState state;
-    bool degraded = false;        ///< operator failure: shard quarantined
+    const Task* task = nullptr;  ///< pending task; reset once it ran
+    std::exception_ptr task_error;  ///< what the last task threw, if any
+    bool exit = false;  ///< the engine is going away: leave the loop
+    /// Operator failure: shard quarantined. Written by the worker under
+    /// the mutex; the worker may read them without it.
+    bool degraded = false;
     std::string degraded_reason;  ///< what() of the first failure
 
+    ShardState state;  ///< touched by the worker thread alone
     std::thread worker;
   };
 
   void worker_loop(Shard& shard);
+  /// Applies one batch on the shard's worker; a degraded shard drops it.
+  static void apply(Shard& shard, const Batch& batch);
+  /// Quarantines the shard after an operator failure (worker thread).
+  static void degrade(Shard& shard, const std::exception& failure);
+  /// Runs task(shard) on every shard's worker, behind the batches queued
+  /// before it, and waits for all of them; rethrows the exception of the
+  /// lowest shard whose task threw.
+  void on_every_shard(const Task& task);
+  /// The quarantined shards, ascending by index, with their reasons.
+  std::vector<DegradedShard> degraded_shards();
   /// Cuts shard `index`'s pending batch and queues it (blocking while the
   /// queue is full).
   void flush(std::size_t index);
-  void drain();
+  void flush_all();
   void finish_locked();
   StreamReport snapshot_locked();
 
@@ -165,8 +191,8 @@ class ShardedEngine {
   bool finished_ = false;
 
   /// Serialises the producer-side state against snapshot()/checkpoint()
-  /// calls from other threads. Workers never take it, so holding it across
-  /// a drain() (which waits on the workers) cannot deadlock.
+  /// calls from other threads. Workers never take it, so holding it while
+  /// waiting on their tasks cannot deadlock.
   mutable std::mutex producer_mutex_;
 
   /// Producer-side stages 0-4: exact global accounting and batching

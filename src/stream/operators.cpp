@@ -40,6 +40,7 @@ void ShardState::ActiveBin::add(std::uint32_t car, std::uint32_t cell) {
 }
 
 void ShardState::ActiveBin::compact() {
+  if (keys.size() == compacted) return;  // nothing added since the last one
   sort_unique(cars);
   sort_unique(keys);
   compacted = keys.size();
@@ -195,7 +196,7 @@ void ShardState::integrate(const cdr::Connection& c) {
   mark_bins(car, cell, c.start, c.end());
 }
 
-ShardSnapshot ShardState::snapshot() const {
+ShardSnapshot ShardState::snapshot() {
   ShardSnapshot snap;
   snap.records = records_;
   snap.reorder_peak = reorder_peak_;
@@ -243,17 +244,16 @@ ShardSnapshot ShardState::snapshot() const {
 
   snap.bins.reserve(folded_bins_.size() + active_bins_.size());
   snap.bins.assign(folded_bins_.begin(), folded_bins_.end());
-  for (const auto& [bin, active] : active_bins_) {
-    ActiveBin sorted = active;
-    sorted.compact();
-    BinCounts counts = count_bin(bin, sorted);
+  for (auto& [bin, active] : active_bins_) {
+    active.compact();
+    BinCounts counts = count_bin(bin, active);
     counts.provisional = true;
     snap.bins.push_back(std::move(counts));
   }
   return snap;
 }
 
-void ShardState::save(ShardCheckpoint& out) const {
+void ShardState::save(ShardCheckpoint& out) {
   out = ShardCheckpoint{};
   out.records = records_;
   out.max_day_seen = max_day_seen_;
@@ -302,13 +302,12 @@ void ShardState::save(ShardCheckpoint& out) const {
   }
 
   out.active_bins.reserve(active_bins_.size());
-  for (const auto& [bin, active] : active_bins_) {
-    ActiveBin sorted = active;
-    sorted.compact();
+  for (auto& [bin, active] : active_bins_) {
+    active.compact();
     ShardCheckpoint::ActiveBin image;
     image.bin = bin;
-    image.cars = std::move(sorted.cars);
-    for (const std::uint64_t key : sorted.keys) {
+    image.cars = active.cars;
+    for (const std::uint64_t key : active.keys) {
       const std::uint32_t cell = key_cell(key);
       if (image.per_cell.empty() || image.per_cell.back().first != cell) {
         image.per_cell.emplace_back(cell, std::vector<std::uint32_t>{});

@@ -1,7 +1,10 @@
 // Per-shard incremental operators of the streaming engine.
 //
 // A ShardState owns every piece of state for the cars routed to one shard
-// and is only ever touched by one worker thread at a time. It mirrors the
+// and has a single writer, which also builds its snapshots and checkpoint
+// images (they compact open bins in place, so they are writes too). In
+// ShardedEngine that is the shard's worker thread; in dist, the worker
+// process, or the thread of a supervisor's scratch copy. It mirrors the
 // batch analyses operator by operator:
 //
 //   streaming sessionization   cdr::SessionBuilder      (= aggregate_sessions)
@@ -160,12 +163,13 @@ class ShardState {
 
   /// Copies out the mergeable view of this shard. Open sessions and
   /// interval runs are reported provisionally (their current extent counts)
-  /// so mid-stream snapshots are meaningful.
-  [[nodiscard]] ShardSnapshot snapshot() const;
+  /// so mid-stream snapshots are meaningful. Compacts the open bins in
+  /// place, which changes no count (they are sets).
+  [[nodiscard]] ShardSnapshot snapshot();
 
   /// Exports the complete durable state (deterministic: equal states save
-  /// to equal images).
-  void save(ShardCheckpoint& out) const;
+  /// to equal images). Compacts the open bins in place, like snapshot().
+  void save(ShardCheckpoint& out);
 
   /// Replaces this shard's whole state with a previously saved image. The
   /// resumed shard integrates the remaining stream bit-identically to one
@@ -193,6 +197,7 @@ class ShardState {
     std::size_t compacted = 0;  ///< keys.size() after the last compact()
 
     void add(std::uint32_t car, std::uint32_t cell);
+    /// No-op when nothing was added since the last compaction.
     void compact();
   };
   /// The counts of a compacted bin.

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <span>
 #include <string>
 #include <tuple>
-#include <unordered_map>
+#include <type_traits>
 #include <utility>
 
 #include "stream/frontend.h"
@@ -28,6 +28,58 @@ core::CellSessionStats DurationTally::to_cell_stats() const {
   return core::summarize_cell_sessions(
       stats::EmpiricalDistribution::from_histogram(hist_), cap_);
 }
+
+namespace {
+
+/// K-way merge of per-shard lists that each ascend by `key`: calls
+/// `group(k, entries)` once per distinct key k, in ascending key order,
+/// with the entries holding k shard by shard (each shard's own in list
+/// order). That is the order a walk of the shards one after another meets
+/// them in, so sums over a group come out bit for bit as that walk's.
+template <class Entry, class KeyFn, class GroupFn>
+void merge_ascending(const std::vector<std::span<const Entry>>& lists,
+                     const KeyFn& key, const GroupFn& group) {
+  using Key = std::invoke_result_t<KeyFn, const Entry&>;
+  // Min-heap of (head key, shard): equal keys pop in shard order.
+  std::vector<std::pair<Key, std::size_t>> heads;
+  std::vector<std::size_t> next(lists.size(), 0);
+  const auto after = [](const auto& a, const auto& b) { return a > b; };
+  for (std::size_t s = 0; s < lists.size(); ++s) {
+    if (!lists[s].empty()) heads.emplace_back(key(lists[s].front()), s);
+  }
+  std::make_heap(heads.begin(), heads.end(), after);
+
+  std::vector<const Entry*> entries;
+  while (!heads.empty()) {
+    const Key k = heads.front().first;
+    entries.clear();
+    while (!heads.empty() && heads.front().first == k) {
+      std::pop_heap(heads.begin(), heads.end(), after);
+      const std::size_t s = heads.back().second;
+      entries.push_back(&lists[s][next[s]]);
+      if (++next[s] < lists[s].size()) {
+        heads.back().first = key(lists[s][next[s]]);
+        std::push_heap(heads.begin(), heads.end(), after);
+      } else {
+        heads.pop_back();
+      }
+    }
+    group(k, std::span<const Entry* const>(entries));
+  }
+}
+
+/// One list per shard, picked out of its snapshot by `member`.
+template <class Member>
+auto shard_lists(const std::vector<ShardSnapshot>& shards, Member member) {
+  using Entry =
+      typename std::remove_cvref_t<decltype(shards[0].*member)>::value_type;
+  std::vector<std::span<const Entry>> lists;
+  lists.reserve(shards.size());
+  for (const ShardSnapshot& shard : shards) lists.emplace_back(shard.*member);
+  return lists;
+}
+
+}  // namespace
 
 StreamReport merge_snapshots(const Frontend& frontend,
                              std::vector<ShardSnapshot> shards,
@@ -75,28 +127,41 @@ StreamReport merge_snapshots(const Frontend& frontend,
   const auto n_days = static_cast<std::size_t>(std::max(1, study_days));
 
   // --- Presence (cars are partitioned: per-day counts add; cells span
-  // shards: per-cell day sets OR together).
+  // shards: a cell's day sets OR together, and it counts on every day of
+  // the union). Every shard lists its cells ascending, so the merge is one
+  // pass; days_active keeps each cell's day count for the busiest cells.
   std::vector<std::uint64_t> cars_per_day(n_days, 0);
-  std::unordered_map<std::uint32_t, DayBits> cell_days;
   for (const ShardSnapshot& shard : shards) {
     for (std::size_t d = 0; d < shard.cars_per_day.size() && d < n_days; ++d) {
       cars_per_day[d] += shard.cars_per_day[d];
     }
-    for (const auto& [cell, bits] : shard.cell_days) {
-      cell_days[cell].merge(bits);
-    }
   }
-  report.presence =
-      core::presence_from_counts(config.fleet_size, cars_per_day, cell_days);
+  std::vector<std::uint64_t> cells_per_day(n_days, 0);
+  std::vector<std::pair<std::uint32_t, int>> days_active;
+  DayBits cell_bits;
+  merge_ascending(
+      shard_lists(shards, &ShardSnapshot::cell_days),
+      [](const auto& entry) { return entry.first; },
+      [&](std::uint32_t cell, auto entries) {
+        cell_bits.reset();
+        for (const auto* entry : entries) cell_bits.merge(entry->second);
+        for (std::size_t d = 0; d < n_days; ++d) {
+          if (cell_bits.test(static_cast<std::int64_t>(d))) ++cells_per_day[d];
+        }
+        days_active.emplace_back(cell, cell_bits.count());
+      });
+  report.presence = core::presence_from_counts(
+      config.fleet_size, cars_per_day, cells_per_day, days_active.size());
 
   // --- Per-car totals, merged in ascending car order so the derived
   // vectors line up with the batch for_each_car traversal.
   std::vector<ShardSnapshot::CarTotals> all_cars;
-  for (const ShardSnapshot& shard : shards) {
-    all_cars.insert(all_cars.end(), shard.cars.begin(), shard.cars.end());
-  }
-  std::sort(all_cars.begin(), all_cars.end(),
-            [](const auto& a, const auto& b) { return a.car < b.car; });
+  merge_ascending(
+      shard_lists(shards, &ShardSnapshot::cars),
+      [](const auto& car) { return car.car; },
+      [&](std::uint32_t, auto entries) {
+        for (const auto* car : entries) all_cars.push_back(*car);
+      });
 
   const double study_seconds =
       static_cast<double>(study_days) * time::kSecondsPerDay;
@@ -141,67 +206,68 @@ StreamReport merge_snapshots(const Frontend& frontend,
   }
 
   // --- Busiest cells: connection counts add; the P2 medians of one cell's
-  // shard-local substreams combine as a count-weighted average.
-  struct CellAgg {
-    std::uint64_t connections = 0;
-    double weighted_median = 0;
+  // shard-local substreams combine as a count-weighted average. Cells come
+  // out ascending, as days_active holds them.
+  std::vector<CellActivity> cells;
+  auto days = days_active.cbegin();
+  merge_ascending(
+      shard_lists(shards, &ShardSnapshot::cell_stats),
+      [](const auto& stat) { return stat.cell; },
+      [&](std::uint32_t cell, auto entries) {
+        CellActivity activity;
+        activity.cell = cell;
+        double weighted_median = 0;
+        for (const auto* stat : entries) {
+          activity.connections += stat->connections;
+          weighted_median +=
+              static_cast<double>(stat->connections) * stat->median_s;
+        }
+        activity.median_s =
+            activity.connections > 0
+                ? weighted_median / static_cast<double>(activity.connections)
+                : 0.0;
+        while (days != days_active.cend() && days->first < cell) ++days;
+        activity.days_active =
+            days != days_active.cend() && days->first == cell ? days->second
+                                                              : 0;
+        cells.push_back(activity);
+      });
+  const auto busier = [](const CellActivity& a, const CellActivity& b) {
+    if (a.connections != b.connections) return a.connections > b.connections;
+    return a.cell < b.cell;
   };
-  std::unordered_map<std::uint32_t, CellAgg> cells;
-  for (const ShardSnapshot& shard : shards) {
-    for (const auto& stat : shard.cell_stats) {
-      CellAgg& agg = cells[stat.cell];
-      agg.connections += stat.connections;
-      agg.weighted_median +=
-          static_cast<double>(stat.connections) * stat.median_s;
-    }
-  }
-  report.top_cells.reserve(cells.size());
-  for (const auto& [cell, agg] : cells) {
-    CellActivity activity;
-    activity.cell = cell;
-    activity.connections = agg.connections;
-    activity.median_s = agg.connections > 0
-                            ? agg.weighted_median /
-                                  static_cast<double>(agg.connections)
-                            : 0.0;
-    const auto it = cell_days.find(cell);
-    activity.days_active = it != cell_days.end() ? it->second.count() : 0;
-    report.top_cells.push_back(activity);
-  }
-  std::sort(report.top_cells.begin(), report.top_cells.end(),
-            [](const CellActivity& a, const CellActivity& b) {
-              if (a.connections != b.connections) {
-                return a.connections > b.connections;
-              }
-              return a.cell < b.cell;
-            });
-  if (report.top_cells.size() > config.top_cells) {
-    report.top_cells.resize(config.top_cells);
-  }
+  const auto top =
+      static_cast<std::ptrdiff_t>(std::min(cells.size(), config.top_cells));
+  std::partial_sort(cells.begin(), cells.begin() + top, cells.end(), busier);
+  cells.resize(static_cast<std::size_t>(top));
+  report.top_cells = std::move(cells);
 
   // --- Recent concurrency bins: same bin across shards merges additively
-  // (disjoint car sets), provisional if any shard still holds it open.
-  std::map<std::int64_t, BinCounts> bins;
-  for (const ShardSnapshot& shard : shards) {
-    for (const BinCounts& b : shard.bins) {
-      BinCounts& merged = bins[b.bin];
-      merged.bin = b.bin;
-      merged.cars += b.cars;
-      merged.provisional = merged.provisional || b.provisional;
-      for (const auto& [cell, count] : b.cells) {
-        auto it = std::lower_bound(
-            merged.cells.begin(), merged.cells.end(), cell,
-            [](const auto& entry, std::uint32_t c) { return entry.first < c; });
-        if (it != merged.cells.end() && it->first == cell) {
-          it->second += count;
-        } else {
-          merged.cells.insert(it, {cell, count});
+  // (disjoint car sets), provisional if any shard still holds it open. Each
+  // bin's cell lists ascend by cell, so they merge like the lists above.
+  std::vector<std::span<const std::pair<std::uint32_t, std::uint32_t>>>
+      bin_cells;
+  merge_ascending(
+      shard_lists(shards, &ShardSnapshot::bins),
+      [](const BinCounts& b) { return b.bin; },
+      [&](std::int64_t bin, auto entries) {
+        BinCounts merged;
+        merged.bin = bin;
+        bin_cells.clear();
+        for (const BinCounts* b : entries) {
+          merged.cars += b->cars;
+          merged.provisional = merged.provisional || b->provisional;
+          bin_cells.emplace_back(b->cells);
         }
-      }
-    }
-  }
-  report.recent_bins.reserve(bins.size());
-  for (auto& [bin, counts] : bins) report.recent_bins.push_back(std::move(counts));
+        merge_ascending(
+            bin_cells, [](const auto& entry) { return entry.first; },
+            [&](std::uint32_t cell, auto counts) {
+              std::uint32_t cars = 0;
+              for (const auto* count : counts) cars += count->second;
+              merged.cells.emplace_back(cell, cars);
+            });
+        report.recent_bins.push_back(std::move(merged));
+      });
   if (config.recent_bins > 0 &&
       report.recent_bins.size() > static_cast<std::size_t>(config.recent_bins)) {
     report.recent_bins.erase(

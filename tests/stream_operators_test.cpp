@@ -168,7 +168,7 @@ class Reference {
   bool closed_ = false;
 };
 
-std::vector<std::uint8_t> image_bytes(const ShardState& shard) {
+std::vector<std::uint8_t> image_bytes(ShardState& shard) {
   Checkpoint image = image_skeleton(shard_config(), false);
   shard.save(image.shards[0]);
   return encode(image);
