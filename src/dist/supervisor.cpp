@@ -466,16 +466,19 @@ void DistEngine::finish() {
   finished_ = true;
 }
 
-std::optional<stream::ShardCheckpoint> DistEngine::shard_image(
-    const Link& link) const {
+std::optional<std::vector<std::uint8_t>> DistEngine::shard_image(
+    const Link& link, stream::ShardState& state) const {
   if (link.last_image.empty()) return std::nullopt;
   cdr::IngestOptions options;
   options.mode = cdr::ParseMode::kLenient;
   cdr::IngestReport report;
   report.mode = cdr::ParseMode::kLenient;
-  auto image = stream::decode(link.last_image, options, report);
+  auto image = stream::decode(link.last_image, options, report, &state);
   const auto index = static_cast<std::size_t>(link.worker);
-  if (!image.has_value() || image->shards.size() <= index) return std::nullopt;
+  if (!image.has_value() || image->shards.size() <= index) {
+    state = stream::ShardState(config_.stream, link.worker);
+    return std::nullopt;
+  }
   return std::move(image->shards[index]);
 }
 
@@ -489,7 +492,7 @@ stream::StreamReport DistEngine::snapshot() {
   run_at_once(links_.size(), [&](std::size_t i) {
     const Link& link = *links_[i];
     stream::ShardState state(config_.stream, link.worker);
-    if (auto image = shard_image(link)) state.load(*image);
+    (void)shard_image(link, state);
     if (!finished_ && link.state != Link::State::kLost && !link.image_closed) {
       // As in ShardedEngine::snapshot, a live, mid-run snapshot is
       // watermark-consistent. The worker's own state is untouched — this is
@@ -524,13 +527,11 @@ stream::Checkpoint DistEngine::checkpoint() {
   frontend_.save(image.producer);
   run_at_once(links_.size(), [&](std::size_t i) {
     const Link& link = *links_[i];
-    auto& shard = image.shards[static_cast<std::size_t>(link.worker)];
-    if (auto decoded = shard_image(link)) {
-      shard = std::move(*decoded);
-    } else {
-      // No image yet: what a fresh worker would save.
-      stream::ShardState(config_.stream, link.worker).save(shard);
-    }
+    stream::ShardState state(config_.stream, link.worker);
+    auto section = shard_image(link, state);
+    // No image yet: what a fresh worker would write.
+    image.shards[static_cast<std::size_t>(link.worker)] =
+        section ? std::move(*section) : stream::write_shard(state);
   });
   return image;
 }

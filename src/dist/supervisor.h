@@ -201,10 +201,12 @@ class DistEngine {
   void restart_worker(Link& link);
   void mark_lost(Link& link, const std::string& reason);
   void drain_images();
-  /// The link's own shard image out of its last checkpoint image; nullopt
-  /// before the first image.
-  [[nodiscard]] std::optional<stream::ShardCheckpoint> shard_image(
-      const Link& link) const;
+  /// The link's own framed shard section out of its last checkpoint image,
+  /// read into `state` (built for the link's shard) as the image decodes:
+  /// one parse. Before the first image, or if it does not decode, nullopt
+  /// with `state` a fresh shard.
+  [[nodiscard]] std::optional<std::vector<std::uint8_t>> shard_image(
+      const Link& link, stream::ShardState& state) const;
 
   DistConfig config_;
   stream::Frontend frontend_;

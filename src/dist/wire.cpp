@@ -1,6 +1,7 @@
 #include "dist/wire.h"
 
 #include <array>
+#include <concepts>
 #include <cstring>
 
 #include "util/binio.h"
@@ -37,11 +38,27 @@ void fields(IO& io, F& f) {
          [](auto& io, auto& c) { fields(io, c); });
 }
 
-template <class IO, binio::Is<CheckpointImageFrame> F>
+/// A kCheckpointImage payload whose image a worker encodes straight into
+/// the frame.
+struct ImageInPlace {
+  std::uint64_t applied_seq = 0;
+  bool closed = false;
+  const stream::Checkpoint& image;
+};
+
+void rest(Writer& w, std::span<const std::uint8_t> image) { w.rest(image); }
+void rest(Reader& r, std::vector<std::uint8_t>& image) { r.rest(image); }
+void rest(Writer& w, const stream::Checkpoint& image) {
+  stream::encode(image, w.buffer());
+}
+
+template <class IO, class F>
+  requires binio::Is<F, CheckpointImageFrame> ||
+           std::same_as<F, const ImageInPlace>
 void fields(IO& io, F& f) {
   io.u64(f.applied_seq);
   io.boolean(f.closed);
-  io.rest(f.image);
+  rest(io, f.image);
 }
 
 template <class IO, binio::Is<RestoreFrame> F>
@@ -101,6 +118,14 @@ std::vector<std::uint8_t> encode_checkpoint_request() {
 std::vector<std::uint8_t> encode_checkpoint_image(
     const CheckpointImageFrame& f) {
   return encode_frame(FrameType::kCheckpointImage, 9 + f.image.size(), f);
+}
+
+std::vector<std::uint8_t> encode_checkpoint_image(
+    std::uint64_t applied_seq, bool closed, const stream::Checkpoint& image) {
+  // The hint covers the fields and the image's head; encode() makes room
+  // for the shard sections and this frame's CRC once it reaches them.
+  return encode_frame(FrameType::kCheckpointImage, 9 + 4096,
+                      ImageInPlace{applied_seq, closed, image});
 }
 
 std::vector<std::uint8_t> encode_restore(const RestoreFrame& f) {

@@ -55,6 +55,7 @@
 
 #include "cdr/integrity.h"
 #include "cdr/record.h"
+#include "stream/checkpoint.h"
 #include "stream/frontend.h"
 
 namespace ccms::dist {
@@ -125,6 +126,10 @@ struct Frame {
 [[nodiscard]] std::vector<std::uint8_t> encode_checkpoint_request();
 [[nodiscard]] std::vector<std::uint8_t> encode_checkpoint_image(
     const CheckpointImageFrame& f);
+/// The same frame as encode_checkpoint_image({applied_seq, closed,
+/// stream::encode(image)}), with the image encoded straight into it.
+[[nodiscard]] std::vector<std::uint8_t> encode_checkpoint_image(
+    std::uint64_t applied_seq, bool closed, const stream::Checkpoint& image);
 [[nodiscard]] std::vector<std::uint8_t> encode_restore(const RestoreFrame& f);
 [[nodiscard]] std::vector<std::uint8_t> encode_restore_result(
     const RestoreResultFrame& f);

@@ -32,13 +32,8 @@ std::vector<std::uint8_t> WorkerCore::checkpoint_image(bool closed) {
   image.producer.routed_per_shard[static_cast<std::size_t>(worker_)] =
       applied_seq_;
   image.producer.routed = applied_seq_;
-  state_.save(image.shards[static_cast<std::size_t>(worker_)]);
-
-  CheckpointImageFrame f;
-  f.applied_seq = applied_seq_;
-  f.closed = closed;
-  f.image = stream::encode(image);
-  return encode_checkpoint_image(f);
+  image.shards[static_cast<std::size_t>(worker_)] = stream::write_shard(state_);
+  return encode_checkpoint_image(applied_seq_, closed, image);
 }
 
 WorkerCore::Action WorkerCore::on_frame(
@@ -70,7 +65,9 @@ WorkerCore::Action WorkerCore::on_frame(
       report.mode = cdr::ParseMode::kLenient;
       cdr::IngestOptions options;
       options.mode = cdr::ParseMode::kLenient;
-      auto image = stream::decode(frame.restore.image, options, report);
+      // The image's own section is read straight into the shard state.
+      auto image =
+          stream::decode(frame.restore.image, options, report, &state_);
       std::string refusal;
       if (!image.has_value()) {
         refusal = report.quarantine.empty()
@@ -84,11 +81,12 @@ WorkerCore::Action WorkerCore::on_frame(
       }
       if (!refusal.empty()) {
         // Refusing is the *clean* outcome of supervisor/worker skew: the
-        // worker must not integrate records onto state it cannot verify.
+        // worker must not integrate records onto state it cannot verify,
+        // so it drops whatever of the image it read.
+        state_ = stream::ShardState(config_, worker_);
         out.push_back(encode_restore_result({false, refusal}));
         return Action::kRefused;
       }
-      state_.load(image->shards[static_cast<std::size_t>(worker_)]);
       applied_seq_ =
           image->producer.routed_per_shard[static_cast<std::size_t>(worker_)];
       closed_ = image->finished;

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <utility>
 
@@ -256,156 +257,335 @@ void fields(IO& io, P& p) {
   });
 }
 
-/// True when key(element) strictly ascends along `v`.
-template <class T, class Key>
-bool strictly_ascending(const std::vector<T>& v, Key key) {
-  return std::adjacent_find(v.begin(), v.end(),
-                            [&](const T& a, const T& b) {
-                              return key(a) >= key(b);
-                            }) == v.end();
+template <class IO, binio::Is<cdr::Session> S>
+void fields(IO& io, S& s) {
+  io.u32(s.car.value);
+  io.i64(s.span.start);
+  io.i64(s.span.end);
+  io.seq(s.legs, 4 + 8 + 8, [](auto& io, auto& leg) {
+    io.u32(leg.cell.value);
+    io.i64(leg.when.start);
+    io.i64(leg.when.end);
+  });
 }
 
-/// Rejects active-bin lists save() never writes: bins, cars, cells and
-/// member cars must strictly ascend and no member list may be empty. A
-/// shard appends these lists and counts them as sets, so a non-canonical
-/// image would restore to counts that differ from what its bytes show (an
-/// empty member list restores as no cell at all).
-void check_active_bins(const std::vector<ShardCheckpoint::ActiveBin>& bins) {
-  const auto reject = [](const std::string& what) {
-    throw ParseFault{cdr::FaultClass::kCheckpointMismatch,
-                     "active-bin " + what};
-  };
-  const auto itself = [](std::uint32_t v) { return v; };
-  if (!strictly_ascending(bins, [](const auto& b) { return b.bin; })) {
-    reject("indices do not strictly ascend");
+template <class IO, binio::Is<BinCounts> B>
+void fields(IO& io, B& bin) {
+  io.i64(bin.bin);
+  io.u32(bin.cars);
+  io.boolean(bin.provisional);
+  io.seq(bin.cells, 4 + 4, [](auto& io, auto& cell) {
+    io.u32(cell.first);
+    io.u32(cell.second);
+  });
+}
+
+/// A member that exports its state() and takes it back through restore().
+template <class IO, class T>
+void via_state(IO& io, T& member) {
+  auto state = member.state();
+  fields(io, state);
+  if constexpr (IO::kReading) member.restore(state);
+}
+
+template <class IO>
+void day_words(IO& io, DayBits& bits) {
+  if constexpr (IO::kReading) {
+    std::vector<std::uint64_t> words;
+    io.vec_u64(words);
+    bits.assign_words(std::move(words));
+  } else {
+    io.vec_u64(bits.words());
   }
-  for (const ShardCheckpoint::ActiveBin& bin : bins) {
-    if (!strictly_ascending(bin.cars, itself)) {
-      reject("cars do not strictly ascend");
+}
+
+/// A per-cell hash map as a list ascending by cell: `id(cell)` writes or
+/// reads each entry's cell id, `entry(value)` the rest. The writer sorts
+/// (cell, pointer) pairs, not the entries, and since the map's nodes lie
+/// scattered over the heap it prefetches a few entries ahead.
+template <class IO, class Map, class Id, class Entry>
+void cell_map(IO& io, Map& map, std::uint64_t min_entry_bytes, Id id,
+              Entry entry) {
+  using Value = typename Map::mapped_type;
+  std::size_t n = map.size();
+  io.count(n, min_entry_bytes);
+  if constexpr (IO::kReading) {
+    map.clear();
+    map.reserve(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      std::uint32_t cell = 0;
+      id(cell);
+      entry(map[cell]);
     }
-    if (!strictly_ascending(bin.per_cell,
-                            [](const auto& c) { return c.first; })) {
-      reject("cells do not strictly ascend");
-    }
-    for (const auto& [cell, members] : bin.per_cell) {
-      if (members.empty()) reject("cell has an empty member list");
-      if (!strictly_ascending(members, itself)) {
-        reject("member cars do not strictly ascend");
+    return;
+  }
+  std::vector<std::pair<std::uint32_t, Value*>> sorted;
+  sorted.reserve(n);
+  for (auto& [cell, value] : map) sorted.emplace_back(cell, &value);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  constexpr std::size_t kAhead = 6;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k + kAhead < n) {
+      const auto* ahead =
+          reinterpret_cast<const char*>(sorted[k + kAhead].second);
+      for (std::size_t at = 0; at < sizeof(Value); at += 64) {
+        __builtin_prefetch(ahead + at);
       }
     }
+    id(sorted[k].first);
+    entry(*sorted[k].second);
   }
 }
 
-/// The SHRD payload: the shard's index, then its image. The index lets
+/// True when `v` strictly ascends.
+bool strictly_ascending(const std::vector<std::uint32_t>& v) {
+  return std::adjacent_find(v.begin(), v.end(),
+                            std::greater_equal<>()) == v.end();
+}
+
+}  // namespace
+
+/// The SHRD payload: the shard's index, then its members. The index lets
 /// decode reject reordered sections: SHRD sections all carry the same tag,
 /// so without it two swapped (individually valid) shard images would
-/// silently restore into the wrong shards.
-template <class IO, binio::Is<ShardCheckpoint> S>
-void shrd(IO& io, std::size_t index, S& s) {
-  auto stored = static_cast<std::uint32_t>(index);
-  io.u32(stored);
-  if constexpr (IO::kReading) {
-    if (stored != index) {
+/// silently restore into the wrong shards. Hash maps are written ascending
+/// by cell, and the open bins compacted, so equal states write equal bytes.
+template <class IO>
+void fields(IO& io, ShardState& s) {
+  constexpr bool kReading = IO::kReading;
+  using ActiveBin = ShardState::ActiveBin;
+
+  if constexpr (!kReading) {
+    // Room for a typical section up front: growing a megabyte buffer
+    // field by field would copy it over and over.
+    std::size_t folded_cells = 0;
+    for (const BinCounts& bin : s.folded_bins_) folded_cells += bin.cells.size();
+    const std::size_t day_words = s.cars_per_day_.size() / 64 + 1;
+    io.buffer().reserve(io.buffer().size() + 4096 +
+                        (72 + 8 * day_words) * s.cars_.size() +
+                        (12 + 8 * day_words) * s.cell_days_.size() +
+                        40 * s.cell_durations_.size() + 8 * folded_cells +
+                        cdr::kConnectionBytes * s.reorder_.size());
+  }
+
+  auto index = static_cast<std::uint32_t>(s.shard_index_);
+  io.u32(index);
+  if constexpr (kReading) {
+    if (index != static_cast<std::uint32_t>(s.shard_index_)) {
       throw ParseFault{cdr::FaultClass::kCheckpointMismatch,
-                       "shard section " + std::to_string(index) +
-                           " carries index " + std::to_string(stored) +
+                       "shard section " + std::to_string(s.shard_index_) +
+                           " carries index " + std::to_string(index) +
                            " (sections out of order)"};
     }
   }
 
-  io.seq(s.cars, 4 + 1 + 2 * kRunBytes + 8, [](auto& io, auto& car) {
-    io.u32(car.local_index);
-    io.boolean(car.session_open);
-    if (car.session_open) {
-      io.u32(car.open_session.car.value);
-      io.i64(car.open_session.span.start);
-      io.i64(car.open_session.span.end);
-      io.seq(car.open_session.legs, 4 + 8 + 8, [](auto& io, auto& leg) {
-        io.u32(leg.cell.value);
-        io.i64(leg.when.start);
-        io.i64(leg.when.end);
-      });
+  // The seen cars, ascending by local index (car / shards).
+  std::vector<std::uint32_t> seen;
+  if constexpr (kReading) {
+    s.cars_.clear();
+  } else {
+    for (std::size_t i = 0; i < s.cars_.size(); ++i) {
+      if (s.cars_[i].seen) seen.push_back(static_cast<std::uint32_t>(i));
     }
-    fields(io, car.full);
-    fields(io, car.trunc);
-    io.vec_u64(car.day_words);
+  }
+  io.seq(seen, 4 + 1 + 2 * kRunBytes + 8, [&](IO& io, auto& local) {
+    io.u32(local);
+    if constexpr (kReading) {
+      if (local >= s.cars_.size()) s.cars_.resize(local + std::size_t{1});
+    }
+    ShardState::CarState& car = s.cars_[local];
+    bool open = car.session.open();
+    io.boolean(open);
+    if constexpr (kReading) {
+      car.seen = true;
+      car.session = cdr::SessionBuilder(s.config_.session_gap);
+      if (open) {
+        cdr::Session session;
+        fields(io, session);
+        car.session.resume(std::move(session));
+      }
+    } else if (open) {
+      fields(io, car.session.current());
+    }
+    via_state(io, car.full);
+    via_state(io, car.trunc);
+    day_words(io, car.days);
   });
 
-  io.vec_u32(s.cars_per_day);
-  io.seq(s.cell_days, 4 + 8, [](auto& io, auto& cell) {
-    io.u32(cell.first);
-    io.vec_u64(cell.second);
-  });
+  io.vec_u32(s.cars_per_day_);
+  cell_map(
+      io, s.cell_days_, 4 + 8, [&](std::uint32_t& cell) { io.u32(cell); },
+      [&](DayBits& bits) { day_words(io, bits); });
 
-  for (auto& v : s.usage.values) io.f64(v);
-  io.u64(s.sessions_closed);
-  fields(io, s.session_span);
+  for (auto& v : s.usage_.values) io.f64(v);
+  io.u64(s.sessions_closed_);
+  via_state(io, s.session_span_);
 
   // Cell ids strictly ascend, so each is stored as its distance from the
   // previous entry's (the first from 0).
   std::uint64_t prev_cell = 0;
   bool first_cell = true;
-  io.seq(s.cell_durations, 1 + 1 + kP2MinBytes, [&](auto& io, auto& cd) {
-    std::uint64_t delta = 0;
-    if constexpr (!IO::kReading) delta = cd.cell - prev_cell;
+  const auto cell_id = [&](std::uint32_t& cell) {
+    std::uint64_t delta = cell - prev_cell;
     io.uvarint(delta);
-    if constexpr (IO::kReading) {
+    if constexpr (kReading) {
       if ((delta == 0 && !first_cell) ||
           delta > std::numeric_limits<std::uint32_t>::max() - prev_cell) {
         throw ParseFault{cdr::FaultClass::kCheckpointMismatch,
                          "per-cell duration ids do not strictly ascend "
                          "within u32"};
       }
-      cd.cell = static_cast<std::uint32_t>(prev_cell + delta);
+      cell = static_cast<std::uint32_t>(prev_cell + delta);
     }
-    prev_cell = cd.cell;
+    prev_cell = cell;
     first_cell = false;
-    varint(io, cd.connections);
-    fields(io, cd.median);
-  });
+  };
+  cell_map(io, s.cell_durations_, 1 + 1 + kP2MinBytes, cell_id,
+           [&](ShardState::CellDuration& entry) {
+             varint(io, entry.connections);
+             via_state(io, entry.median);
+           });
 
-  io.seq(s.reorder, cdr::kConnectionBytes,
+  // The reorder heap in the order it pops.
+  std::vector<cdr::Connection> pending;
+  if constexpr (!kReading) {
+    auto heap = s.reorder_;
+    pending.reserve(heap.size());
+    while (!heap.empty()) {
+      pending.push_back(heap.top());
+      heap.pop();
+    }
+  }
+  io.seq(pending, cdr::kConnectionBytes,
          [](auto& io, auto& c) { fields(io, c); });
-  io.u64(s.reorder_peak);
+  // The heap orders records totally, so its layout changes no pop order.
+  std::uint64_t reorder_peak = s.reorder_peak_;
+  io.u64(reorder_peak);
+  if constexpr (kReading) {
+    s.reorder_ = decltype(s.reorder_)({}, std::move(pending));
+    s.reorder_peak_ = static_cast<std::size_t>(reorder_peak);
+  }
 
-  io.seq(s.active_bins, 8 + 8 + 8, [](auto& io, auto& bin) {
-    io.i64(bin.bin);
-    io.vec_u32(bin.cars);
-    io.seq(bin.per_cell, 4 + 8, [](auto& io, auto& cell) {
-      io.u32(cell.first);
-      io.vec_u32(cell.second);
-    });
-  });
-  if constexpr (IO::kReading) check_active_bins(s.active_bins);
+  // Open bins as their compacted lists: cars, then cells with their cars.
+  std::size_t bins = s.active_bins_.size();
+  io.count(bins, 8 + 8 + 8);
+  if constexpr (kReading) {
+    // The shard counts these lists as sets: a non-canonical one would
+    // restore to counts its bytes do not show.
+    const auto require = [](bool canonical, const char* what) {
+      if (!canonical) {
+        throw ParseFault{cdr::FaultClass::kCheckpointMismatch,
+                         std::string("active-bin ") + what};
+      }
+    };
+    s.active_bins_.clear();
+    std::vector<std::uint32_t> members;
+    for (std::size_t k = 0; k < bins; ++k) {
+      std::int64_t bin = 0;
+      io.i64(bin);
+      require(k == 0 || bin > s.active_bins_.rbegin()->first,
+              "indices do not strictly ascend");
+      ActiveBin& active = s.active_bins_[bin];
+      io.vec_u32(active.cars);
+      require(strictly_ascending(active.cars), "cars do not strictly ascend");
+      std::size_t per_cell = 0;
+      io.count(per_cell, 4 + 8);
+      for (std::size_t c = 0; c < per_cell; ++c) {
+        std::uint32_t cell = 0;
+        io.u32(cell);
+        require(c == 0 || cell > ActiveBin::cell_of(active.keys.back()),
+                "cells do not strictly ascend");
+        io.vec_u32(members);
+        require(!members.empty(), "cell has an empty member list");
+        require(strictly_ascending(members),
+                "member cars do not strictly ascend");
+        for (const std::uint32_t car : members) {
+          active.keys.push_back(ActiveBin::key(cell, car));
+        }
+      }
+    }
+  } else {
+    for (auto& [bin, active] : s.active_bins_) {
+      active.compact();
+      io.i64(bin);
+      io.vec_u32(active.cars);
+      // The keys sort by cell, so each cell's member cars are one run.
+      const BinCounts counts = ShardState::count_bin(bin, active);
+      io.count(counts.cells.size(), 4 + 8);
+      auto key = active.keys.begin();
+      for (const auto& [cell, cars] : counts.cells) {
+        io.u32(cell);
+        io.count(cars, 4);
+        for (std::uint32_t i = 0; i < cars; ++i) {
+          io.u32(static_cast<std::uint32_t>(*key++));
+        }
+      }
+    }
+  }
 
-  io.seq(s.folded_bins, 8 + 4 + 1 + 8, [](auto& io, auto& bin) {
-    io.i64(bin.bin);
-    io.u32(bin.cars);
-    io.boolean(bin.provisional);
-    io.seq(bin.cells, 4 + 4, [](auto& io, auto& cell) {
-      io.u32(cell.first);
-      io.u32(cell.second);
-    });
-  });
+  std::size_t folded = s.folded_bins_.size();
+  io.count(folded, 8 + 4 + 1 + 8);
+  if constexpr (kReading) {
+    s.folded_bins_.clear();
+    s.folded_bins_.resize(folded);
+  }
+  for (auto& bin : s.folded_bins_) fields(io, bin);
 
-  io.u64(s.records);
-  io.i64(s.max_day_seen);
-  io.boolean(s.closed);
+  io.u64(s.records_);
+  io.i64(s.max_day_seen_);
+  io.boolean(s.closed_);
 }
 
-/// Appends one framed section whose payload `write` produces.
+namespace {
+
+/// Appends one framed section to `out`: tag, payload length, the payload
+/// `write` puts in place, and its CRC32.
 template <class Fn>
-void append_section(std::vector<std::uint8_t>& out,
-                    std::vector<std::uint8_t>& payload, std::uint32_t tag,
+void append_section(std::vector<std::uint8_t>& out, std::uint32_t tag,
                     Fn write) {
-  payload.clear();
-  Writer p(payload);
-  write(p);
   Writer w(out);
   w.u32(tag);
-  w.u64(payload.size());
-  w.bytes(payload);
-  w.u32(crc32(payload));
+  const std::size_t length_at = out.size();
+  w.u64(0);  // patched below
+  write(w);
+  const std::size_t payload_at = length_at + 8;
+  const std::uint64_t length = out.size() - payload_at;
+  for (std::size_t i = 0; i < 8; ++i) {  // little-endian, as Writer::u64
+    out[length_at + i] = static_cast<std::uint8_t>(length >> (8 * i));
+  }
+  w.u32(crc32(std::span(out).subspan(payload_at)));
+}
+
+/// The payload of the framed section at the front of `bytes`, its CRC and
+/// then its tag checked; the section is 16 bytes longer.
+std::span<const std::uint8_t> read_section(std::span<const std::uint8_t> bytes,
+                                           std::uint32_t expected_tag) {
+  if (bytes.size() < 16) {
+    throw ParseFault{cdr::FaultClass::kTruncatedPayload,
+                     "file ends inside a section header"};
+  }
+  std::uint32_t tag = 0;
+  std::uint64_t len = 0;
+  Reader frame(bytes.first(12));
+  frame.u32(tag);
+  frame.u64(len);
+  if (len > bytes.size() - 16) {
+    throw ParseFault{cdr::FaultClass::kTruncatedPayload,
+                     "section payload overruns the file"};
+  }
+  const auto payload = bytes.subspan(12, static_cast<std::size_t>(len));
+  std::uint32_t stored_crc = 0;
+  Reader(bytes.subspan(12 + payload.size(), 4)).u32(stored_crc);
+  if (crc32(payload) != stored_crc) {
+    throw ParseFault{cdr::FaultClass::kChecksumMismatch,
+                     "section CRC32 does not match its payload"};
+  }
+  if (tag != expected_tag) {
+    throw ParseFault{cdr::FaultClass::kCheckpointMismatch,
+                     "unexpected section tag"};
+  }
+  return payload;
 }
 
 /// One fault: strict throws, lenient accounts + quarantines.
@@ -439,13 +619,36 @@ ConfigFingerprint fingerprint_of(const StreamConfig& config) {
   return f;
 }
 
+std::vector<std::uint8_t> write_shard(ShardState& state) {
+  std::vector<std::uint8_t> section;
+  append_section(section, kTagShard, [&](Writer& w) { fields(w, state); });
+  return section;
+}
+
+void load_shard(std::span<const std::uint8_t> section, ShardState& state) {
+  try {
+    Reader r(read_section(section, kTagShard));
+    fields(r, state);
+  } catch (const ParseFault& pf) {
+    fail_strict(pf.fault, pf.reason, 0);
+  } catch (const binio::Truncated& t) {
+    fail_strict(cdr::FaultClass::kTruncatedPayload, t.reason, 0);
+  }
+}
+
 Checkpoint image_skeleton(const StreamConfig& config, bool finished) {
   Checkpoint image;
   image.config = fingerprint_of(config);
   image.finished = finished;
   const auto shards = static_cast<std::size_t>(image.config.shards);
   image.producer.routed_per_shard.assign(shards, 0);
-  image.shards.resize(shards);
+  // The default config sizes no day table (a live shard's has study_days
+  // entries): the bytes images always carried where a worker left a gap.
+  image.shards.reserve(shards);
+  for (std::size_t i = 0; i < shards; ++i) {
+    ShardState empty(StreamConfig{}, static_cast<int>(i));
+    image.shards.push_back(write_shard(empty));
+  }
   return image;
 }
 
@@ -456,25 +659,31 @@ bool image_fits(const Checkpoint& image, const StreamConfig& config) {
          image.producer.routed_per_shard.size() == shards;
 }
 
-std::vector<std::uint8_t> encode(const Checkpoint& checkpoint) {
-  std::vector<std::uint8_t> out(kMagic.begin(), kMagic.end());
+void encode(const Checkpoint& checkpoint, std::vector<std::uint8_t>& out) {
+  out.insert(out.end(), kMagic.begin(), kMagic.end());
   Writer(out).u32(Checkpoint::kVersion);
-
-  std::vector<std::uint8_t> payload;
-  append_section(out, payload, kTagConfig,
-                 [&](Writer& w) { conf(w, checkpoint); });
-  append_section(out, payload, kTagProducer,
+  append_section(out, kTagConfig, [&](Writer& w) { conf(w, checkpoint); });
+  append_section(out, kTagProducer,
                  [&](Writer& w) { fields(w, checkpoint.producer); });
-  for (std::size_t i = 0; i < checkpoint.shards.size(); ++i) {
-    append_section(out, payload, kTagShard,
-                   [&](Writer& w) { shrd(w, i, checkpoint.shards[i]); });
+  // Room for the sections and a dist frame's CRC after them.
+  std::size_t shard_bytes = 0;
+  for (const auto& section : checkpoint.shards) shard_bytes += section.size();
+  out.reserve(out.size() + shard_bytes + 4);
+  for (const auto& section : checkpoint.shards) {
+    out.insert(out.end(), section.begin(), section.end());
   }
+}
+
+std::vector<std::uint8_t> encode(const Checkpoint& checkpoint) {
+  std::vector<std::uint8_t> out;
+  encode(checkpoint, out);
   return out;
 }
 
 std::optional<Checkpoint> decode(std::span<const std::uint8_t> bytes,
                                  const cdr::IngestOptions& options,
-                                 cdr::IngestReport& report) {
+                                 cdr::IngestReport& report,
+                                 ShardState* into) {
   const bool strict = options.mode == cdr::ParseMode::kStrict;
   report.bytes_consumed = bytes.size();
 
@@ -506,55 +715,31 @@ std::optional<Checkpoint> decode(std::span<const std::uint8_t> bytes,
   std::size_t pos = 8;
   int sections_seen = 0;
   while (pos < bytes.size()) {
-    if (bytes.size() - pos < 16) {
-      return fault(cdr::FaultClass::kTruncatedPayload,
-                   "file ends inside a section header", pos);
-    }
-    std::uint32_t tag = 0;
-    std::uint64_t len = 0;
-    Reader frame(bytes.subspan(pos, 12));
-    frame.u32(tag);
-    frame.u64(len);
-    if (len > bytes.size() - pos - 16) {
-      return fault(cdr::FaultClass::kTruncatedPayload,
-                   "section payload overruns the file", pos);
-    }
-    const auto payload = bytes.subspan(pos + 12, static_cast<std::size_t>(len));
-    std::uint32_t stored_crc = 0;
-    Reader(bytes.subspan(pos + 12 + static_cast<std::size_t>(len), 4))
-        .u32(stored_crc);
-    if (crc32(payload) != stored_crc) {
-      return fault(cdr::FaultClass::kChecksumMismatch,
-                   "section CRC32 does not match its payload", pos);
-    }
-
-    const std::uint32_t expected_tag =
-        sections_seen == 0 ? kTagConfig
-        : sections_seen == 1 ? kTagProducer
-                             : kTagShard;
-    if (tag != expected_tag) {
-      return fault(cdr::FaultClass::kCheckpointMismatch,
-                   "unexpected section tag", pos);
-    }
-
     try {
+      const auto payload = read_section(bytes.subspan(pos),
+                                        sections_seen == 0   ? kTagConfig
+                                        : sections_seen == 1 ? kTagProducer
+                                                             : kTagShard);
       Reader r(payload);
       if (sections_seen == 0) {
         conf(r, checkpoint);
       } else if (sections_seen == 1) {
         fields(r, checkpoint.producer);
       } else {
-        ShardCheckpoint shard;
-        shrd(r, checkpoint.shards.size(), shard);
-        checkpoint.shards.push_back(std::move(shard));
+        // A section decodes only if a shard can load it.
+        const auto index = static_cast<int>(checkpoint.shards.size());
+        ShardState scratch(StreamConfig{}, index);
+        fields(r, into != nullptr && into->index() == index ? *into : scratch);
+        const auto framed = bytes.subspan(pos, payload.size() + 16);
+        checkpoint.shards.emplace_back(framed.begin(), framed.end());
       }
+      pos += payload.size() + 16;
     } catch (const ParseFault& pf) {
       return fault(pf.fault, pf.reason, pos);
     } catch (const binio::Truncated& t) {
       return fault(cdr::FaultClass::kTruncatedPayload, t.reason, pos);
     }
     ++sections_seen;
-    pos += 16 + static_cast<std::size_t>(len);
   }
 
   if (sections_seen < 2 ||

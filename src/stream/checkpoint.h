@@ -24,6 +24,9 @@
 // associative state inside the payloads is sorted, so equal engine states
 // encode to equal bytes.
 //
+// Each shard writes and loads its own SHRD section (write_shard,
+// load_shard); a Checkpoint holds the framed sections as bytes.
+//
 // Reading obeys the same Strict/Lenient discipline as the CDR readers: a
 // damaged magic/header is kBadHeader, a section whose payload overruns the
 // file is kTruncatedPayload, a CRC failure is kChecksumMismatch and a
@@ -111,13 +114,23 @@ struct Checkpoint {
   };
   Producer producer;
 
-  /// One image per shard, in shard order.
-  std::vector<ShardCheckpoint> shards;
+  /// One framed SHRD section per shard, in shard order: tag, payload
+  /// length, payload and CRC32, the bytes encode() appends.
+  std::vector<std::vector<std::uint8_t>> shards;
 };
 
+/// Shard `state`'s framed SHRD section, written from its members. Equal
+/// states write equal bytes. Compacts open bins: the shard's writer only.
+[[nodiscard]] std::vector<std::uint8_t> write_shard(ShardState& state);
+
+/// Replaces `state` with a SHRD section of its shard index, to resume bit
+/// for bit. Throws util::CsvError on a damaged section.
+void load_shard(std::span<const std::uint8_t> section, ShardState& state);
+
 /// The skeleton every image starts from (ShardedEngine's, DistEngine's, a
-/// dist worker's): `config`'s fingerprint, the finished flag, and
-/// producer.routed_per_shard plus shards sized to its shard count.
+/// dist worker's): `config`'s fingerprint, the finished flag,
+/// producer.routed_per_shard sized to its shard count, and per shard a
+/// placeholder section, an empty shard without a day table.
 [[nodiscard]] Checkpoint image_skeleton(const StreamConfig& config,
                                         bool finished);
 
@@ -132,14 +145,19 @@ struct Checkpoint {
 /// checkpoints encode to equal bytes.
 [[nodiscard]] std::vector<std::uint8_t> encode(const Checkpoint& checkpoint);
 
+/// The same image, appended to `out` (a dist frame composes it in place).
+void encode(const Checkpoint& checkpoint, std::vector<std::uint8_t>& out);
+
 /// Parses a binary image. `options.mode` selects the fault discipline
 /// (strict: throw util::CsvError; lenient: account in `report`, return
 /// nullopt); `options.quarantine_cap` bounds the entries retained in
 /// `report`. A clean parse leaves `report` untouched apart from
 /// bytes_consumed.
+/// Each SHRD section is validated by reading it into a scratch ShardState,
+/// or the one of `into`'s index into `into` (discard it on a fault).
 [[nodiscard]] std::optional<Checkpoint> decode(
     std::span<const std::uint8_t> bytes, const cdr::IngestOptions& options,
-    cdr::IngestReport& report);
+    cdr::IngestReport& report, ShardState* into = nullptr);
 
 /// Writes the encoded image to `path` (truncating). Throws util::CsvError on
 /// I/O failure.

@@ -222,7 +222,7 @@ Checkpoint ShardedEngine::checkpoint() {
   Checkpoint image = image_skeleton(config(), finished_);
   frontend_.save(image.producer);
   on_every_shard([&](Shard& shard) {
-    if (!shard.degraded) shard.state.save(image.shards[shard.index]);
+    if (!shard.degraded) image.shards[shard.index] = write_shard(shard.state);
   });
   if (const auto degraded = degraded_shards(); !degraded.empty()) {
     throw StreamStateError("ShardedEngine::checkpoint: shard " +
@@ -266,7 +266,7 @@ bool ShardedEngine::restore(const Checkpoint& checkpoint,
   frontend_.load(checkpoint.producer);
 
   on_every_shard([&](Shard& shard) {
-    shard.state.load(checkpoint.shards[shard.index]);
+    load_shard(checkpoint.shards[shard.index], shard.state);
   });
 
   // A finished checkpoint restores to a finished engine; the loaded shard

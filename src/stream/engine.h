@@ -15,10 +15,10 @@
 //   snapshot() / checkpoint()                  [any thread, any time]
 //     -> every shard's worker, once the batches queued before the request
 //        are applied, advances to the watermark and builds its own view /
-//        saves its own image, all shards at once; the caller merges the
-//        views into a StreamReport directly comparable to core::run_study
-//        over the same records / collects the complete durable engine
-//        state (stream/checkpoint.h)
+//        writes its own framed checkpoint section, all shards at once; the
+//        caller merges the views into a StreamReport directly comparable
+//        to core::run_study over the same records / collects the sections
+//        and the producer state into a Checkpoint (stream/checkpoint.h)
 //   restore(checkpoint)                        [pristine engine]
 //     -> resumes bit-exactly; with exactly_once on, replaying the feed from
 //        its last acknowledged position converges to the same report

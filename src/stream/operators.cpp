@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <tuple>
 #include <utility>
 
 #include "cdr/clean.h"
@@ -19,20 +18,11 @@ void sort_unique(std::vector<T>& values) {
   values.erase(std::unique(values.begin(), values.end()), values.end());
 }
 
-/// A bin key, (cell << 32) | car: sorted keys group by cell.
-std::uint64_t bin_key(std::uint32_t cell, std::uint32_t car) {
-  return (std::uint64_t{cell} << 32) | car;
-}
-
-std::uint32_t key_cell(std::uint64_t key) {
-  return static_cast<std::uint32_t>(key >> 32);
-}
-
 }  // namespace
 
 void ShardState::ActiveBin::add(std::uint32_t car, std::uint32_t cell) {
   cars.push_back(car);
-  keys.push_back(bin_key(cell, car));
+  keys.push_back(key(cell, car));
   // Bounds a bin's duplicates the way the batch accumulators bound their
   // pending buffers; counting from the last compaction keeps a bin with
   // many distinct keys from sorting on every observation.
@@ -53,9 +43,9 @@ BinCounts ShardState::count_bin(std::int64_t bin, const ActiveBin& active) {
   // Keys sort by cell first, so each cell's distinct cars are one run.
   const auto& keys = active.keys;
   for (std::size_t i = 0; i < keys.size();) {
-    const std::uint32_t cell = key_cell(keys[i]);
+    const std::uint32_t cell = ActiveBin::cell_of(keys[i]);
     const std::size_t first = i;
-    while (i < keys.size() && key_cell(keys[i]) == cell) ++i;
+    while (i < keys.size() && ActiveBin::cell_of(keys[i]) == cell) ++i;
     counts.cells.emplace_back(cell, static_cast<std::uint32_t>(i - first));
   }
   return counts;
@@ -187,11 +177,9 @@ void ShardState::integrate(const cdr::Connection& c) {
   mark_days(state, cell, c.start, c.end());
   core::add_connection(usage_, c);
 
-  auto [it, inserted] = cell_durations_.try_emplace(
-      cell, std::piecewise_construct, std::forward_as_tuple(0),
-      std::forward_as_tuple(0.5));
-  ++it->second.first;
-  it->second.second.add(static_cast<double>(c.duration_s));
+  CellDuration& durations = cell_durations_[cell];
+  ++durations.connections;
+  durations.median.add(static_cast<double>(c.duration_s));
 
   mark_bins(car, cell, c.start, c.end());
 }
@@ -236,8 +224,7 @@ ShardSnapshot ShardState::snapshot() {
 
   snap.cell_stats.reserve(cell_durations_.size());
   for (const auto& [cell, entry] : cell_durations_) {
-    snap.cell_stats.push_back(
-        {cell, entry.first, entry.second.value()});
+    snap.cell_stats.push_back({cell, entry.connections, entry.median.value()});
   }
   std::sort(snap.cell_stats.begin(), snap.cell_stats.end(),
             [](const auto& a, const auto& b) { return a.cell < b.cell; });
@@ -251,124 +238,6 @@ ShardSnapshot ShardState::snapshot() {
     snap.bins.push_back(std::move(counts));
   }
   return snap;
-}
-
-void ShardState::save(ShardCheckpoint& out) {
-  out = ShardCheckpoint{};
-  out.records = records_;
-  out.max_day_seen = max_day_seen_;
-  out.closed = closed_;
-  out.reorder_peak = reorder_peak_;
-  out.sessions_closed = sessions_closed_;
-  out.session_span = session_span_.state();
-  out.usage = usage_;
-  out.cars_per_day.assign(cars_per_day_.begin(), cars_per_day_.end());
-
-  out.cars.reserve(cars_.size());
-  for (std::size_t i = 0; i < cars_.size(); ++i) {
-    const CarState& state = cars_[i];
-    if (!state.seen) continue;
-    ShardCheckpoint::Car car;
-    car.local_index = static_cast<std::uint32_t>(i);
-    car.session_open = state.session.open();
-    if (car.session_open) car.open_session = state.session.current();
-    car.full = state.full.state();
-    car.trunc = state.trunc.state();
-    car.day_words = state.days.words();
-    out.cars.push_back(std::move(car));
-  }
-
-  out.cell_days.reserve(cell_days_.size());
-  for (const auto& [cell, bits] : cell_days_) {
-    out.cell_days.emplace_back(cell, bits.words());
-  }
-  std::sort(out.cell_days.begin(), out.cell_days.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  out.cell_durations.reserve(cell_durations_.size());
-  for (const auto& [cell, entry] : cell_durations_) {
-    out.cell_durations.push_back({cell, entry.first, entry.second.state()});
-  }
-  std::sort(out.cell_durations.begin(), out.cell_durations.end(),
-            [](const auto& a, const auto& b) { return a.cell < b.cell; });
-
-  // Heap layout is an implementation detail; export the records sorted by
-  // the integration key (the heap pops in exactly that order anyway).
-  auto heap = reorder_;
-  out.reorder.reserve(heap.size());
-  while (!heap.empty()) {
-    out.reorder.push_back(heap.top());
-    heap.pop();
-  }
-
-  out.active_bins.reserve(active_bins_.size());
-  for (auto& [bin, active] : active_bins_) {
-    active.compact();
-    ShardCheckpoint::ActiveBin image;
-    image.bin = bin;
-    image.cars = active.cars;
-    for (const std::uint64_t key : active.keys) {
-      const std::uint32_t cell = key_cell(key);
-      if (image.per_cell.empty() || image.per_cell.back().first != cell) {
-        image.per_cell.emplace_back(cell, std::vector<std::uint32_t>{});
-      }
-      image.per_cell.back().second.push_back(static_cast<std::uint32_t>(key));
-    }
-    out.active_bins.push_back(std::move(image));
-  }
-  out.folded_bins.assign(folded_bins_.begin(), folded_bins_.end());
-}
-
-void ShardState::load(const ShardCheckpoint& in) {
-  records_ = in.records;
-  max_day_seen_ = in.max_day_seen;
-  closed_ = in.closed;
-  reorder_peak_ = in.reorder_peak;
-  sessions_closed_ = in.sessions_closed;
-  session_span_.restore(in.session_span);
-  usage_ = in.usage;
-  cars_per_day_.assign(in.cars_per_day.begin(), in.cars_per_day.end());
-
-  cars_.clear();
-  for (const ShardCheckpoint::Car& car : in.cars) {
-    if (car.local_index >= cars_.size()) cars_.resize(car.local_index + 1);
-    CarState& state = cars_[car.local_index];
-    state.seen = true;
-    state.session = cdr::SessionBuilder(config_.session_gap);
-    if (car.session_open) state.session.resume(car.open_session);
-    state.full.restore(car.full);
-    state.trunc.restore(car.trunc);
-    state.days.assign_words(car.day_words);
-  }
-
-  cell_days_.clear();
-  for (const auto& [cell, words] : in.cell_days) {
-    cell_days_[cell].assign_words(words);
-  }
-
-  cell_durations_.clear();
-  for (const ShardCheckpoint::CellDuration& entry : in.cell_durations) {
-    auto [it, inserted] = cell_durations_.try_emplace(
-        entry.cell, std::piecewise_construct, std::forward_as_tuple(0),
-        std::forward_as_tuple(0.5));
-    it->second.first = entry.connections;
-    it->second.second.restore(entry.median);
-  }
-
-  reorder_ = {};
-  for (const cdr::Connection& c : in.reorder) reorder_.push(c);
-
-  active_bins_.clear();
-  for (const ShardCheckpoint::ActiveBin& image : in.active_bins) {
-    ActiveBin& bin = active_bins_[image.bin];
-    bin.cars.insert(bin.cars.end(), image.cars.begin(), image.cars.end());
-    for (const auto& [cell, members] : image.per_cell) {
-      for (const std::uint32_t car : members) {
-        bin.keys.push_back(bin_key(cell, car));
-      }
-    }
-  }
-  folded_bins_.assign(in.folded_bins.begin(), in.folded_bins.end());
 }
 
 }  // namespace ccms::stream

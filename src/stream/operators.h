@@ -1,11 +1,13 @@
 // Per-shard incremental operators of the streaming engine.
 //
 // A ShardState owns every piece of state for the cars routed to one shard
-// and has a single writer, which also builds its snapshots and checkpoint
-// images (they compact open bins in place, so they are writes too). In
+// and has a single writer, which also builds its snapshots and writes and
+// loads its checkpoint section (stream::write_shard, load_shard: one field
+// list over the members, no second copy of the state). Snapshots and the
+// writer compact open bins in place, so they are writes too. In
 // ShardedEngine that is the shard's worker thread; in dist, the worker
-// process, or the thread of a supervisor's scratch copy. It mirrors the
-// batch analyses operator by operator:
+// process, or the thread of a supervisor's scratch copy. The operators
+// follow the batch analyses one by one:
 //
 //   streaming sessionization   cdr::SessionBuilder      (= aggregate_sessions)
 //   connected-time counters    interval-run merging     (= union_connected_time)
@@ -95,54 +97,6 @@ struct ShardSnapshot {
   std::size_t reorder_pending = 0;
 };
 
-/// Durable image of one shard's full operator state: everything save()
-/// exports and load() needs to resume bit-exactly — including the reorder
-/// heap's pending records and every estimator's internal markers. All
-/// associative content is exported in sorted key order so equal states
-/// always serialize to equal bytes.
-struct ShardCheckpoint {
-  struct Car {
-    std::uint32_t local_index = 0;  ///< index into the shard's car table
-    bool session_open = false;
-    cdr::Session open_session;  ///< valid only when session_open
-    cdr::IntervalUnionRun::State full;
-    cdr::IntervalUnionRun::State trunc;
-    std::vector<std::uint64_t> day_words;
-  };
-  std::vector<Car> cars;  ///< seen cars only, ascending local index
-
-  std::vector<std::uint32_t> cars_per_day;
-  /// Per-cell day bitsets, ascending by cell id.
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint64_t>>> cell_days;
-  core::Matrix24x7 usage;
-  std::uint64_t sessions_closed = 0;
-  stats::Accumulator::State session_span;
-
-  struct CellDuration {
-    std::uint32_t cell = 0;
-    std::uint64_t connections = 0;
-    stats::P2Quantile::State median;
-  };
-  std::vector<CellDuration> cell_durations;  ///< ascending by cell id
-
-  /// Reorder-heap contents in ascending (start, car, cell, duration) order.
-  std::vector<cdr::Connection> reorder;
-  std::uint64_t reorder_peak = 0;
-
-  struct ActiveBin {
-    std::int64_t bin = 0;
-    std::vector<std::uint32_t> cars;  ///< ascending
-    /// Ascending by cell; member cars ascending.
-    std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> per_cell;
-  };
-  std::vector<ActiveBin> active_bins;  ///< ascending by bin
-  std::vector<BinCounts> folded_bins;  ///< deque order (ascending by bin)
-
-  std::uint64_t records = 0;
-  std::int64_t max_day_seen = -1;
-  bool closed = false;
-};
-
 /// State of one shard. Single-writer; see file comment.
 class ShardState {
  public:
@@ -167,14 +121,8 @@ class ShardState {
   /// place, which changes no count (they are sets).
   [[nodiscard]] ShardSnapshot snapshot();
 
-  /// Exports the complete durable state (deterministic: equal states save
-  /// to equal images). Compacts the open bins in place, like snapshot().
-  void save(ShardCheckpoint& out);
-
-  /// Replaces this shard's whole state with a previously saved image. The
-  /// resumed shard integrates the remaining stream bit-identically to one
-  /// that never stopped.
-  void load(const ShardCheckpoint& in);
+  /// The shard this state belongs to; its checkpoint section carries it.
+  [[nodiscard]] int index() const { return shard_index_; }
 
  private:
   struct CarState {
@@ -195,6 +143,14 @@ class ShardState {
     std::vector<std::uint32_t> cars;
     std::vector<std::uint64_t> keys;
     std::size_t compacted = 0;  ///< keys.size() after the last compact()
+
+    /// A key, (cell << 32) | car: sorted keys group by cell.
+    static std::uint64_t key(std::uint32_t cell, std::uint32_t car) {
+      return (std::uint64_t{cell} << 32) | car;
+    }
+    static std::uint32_t cell_of(std::uint64_t key) {
+      return static_cast<std::uint32_t>(key >> 32);
+    }
 
     void add(std::uint32_t car, std::uint32_t cell);
     /// No-op when nothing was added since the last compaction.
@@ -235,14 +191,21 @@ class ShardState {
   core::Matrix24x7 usage_;
   std::uint64_t sessions_closed_ = 0;
   stats::Accumulator session_span_;
-  std::unordered_map<std::uint32_t, std::pair<std::uint64_t, stats::P2Quantile>>
-      cell_durations_;
+  struct CellDuration {
+    std::uint64_t connections = 0;
+    stats::P2Quantile median{0.5};
+  };
+  std::unordered_map<std::uint32_t, CellDuration> cell_durations_;
 
   std::map<std::int64_t, ActiveBin> active_bins_;
   std::deque<BinCounts> folded_bins_;
 
   std::uint64_t records_ = 0;
   std::int64_t max_day_seen_ = -1;
+
+  /// The checkpoint section's field list (stream/checkpoint.cpp).
+  template <class IO>
+  friend void fields(IO& io, ShardState& s);
 };
 
 }  // namespace ccms::stream

@@ -170,10 +170,18 @@ class Writer {
   /// The payload's last field: opaque bytes, unprefixed.
   void rest(std::span<const std::uint8_t> b) { bytes(b); }
 
+  /// The buffer being appended to, for a field another encoder writes in
+  /// place.
+  std::vector<std::uint8_t>& buffer() { return out_; }
+
+  /// A u64 element count, for a container seq() cannot walk; the caller
+  /// writes the elements.
+  void count(std::size_t n, std::uint64_t /*min_elem_bytes*/) { u64(n); }
+
   /// A u64 element count, then `fn(*this, element)` for each element.
   template <class T, class Fn>
-  void seq(const std::vector<T>& v, std::uint64_t /*min_elem_bytes*/, Fn fn) {
-    u64(v.size());
+  void seq(const std::vector<T>& v, std::uint64_t min_elem_bytes, Fn fn) {
+    count(v.size(), min_elem_bytes);
     for (const T& x : v) fn(*this, x);
   }
   void vec_u64(const std::vector<std::uint64_t>& v) {
@@ -226,7 +234,7 @@ class Reader {
     v = static_cast<E>(le(1));
   }
   void str(std::string& s) {
-    const std::size_t n = count(le(8), 1);
+    const std::size_t n = checked(le(8), 1);
     s.assign(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
     pos_ += n;
   }
@@ -235,12 +243,18 @@ class Reader {
     pos_ = bytes_.size();
   }
 
-  /// Reads the u64 element count, rejects it unless `min_elem_bytes` per
-  /// element fit the remaining payload, then fills a fresh vector of that
-  /// many elements through `fn(*this, element)`.
+  /// Reads a u64 element count and rejects it unless `min_elem_bytes` per
+  /// element fit the remaining payload; the caller reads the elements.
+  void count(std::size_t& n, std::uint64_t min_elem_bytes) {
+    n = checked(le(8), min_elem_bytes);
+  }
+
+  /// Reads the element count as count() does, then fills a fresh vector of
+  /// that many elements through `fn(*this, element)`.
   template <class T, class Fn>
   void seq(std::vector<T>& v, std::uint64_t min_elem_bytes, Fn fn) {
-    const std::size_t n = count(le(8), min_elem_bytes);
+    std::size_t n = 0;
+    count(n, min_elem_bytes);
     v.clear();
     v.resize(n);
     for (T& x : v) fn(*this, x);
@@ -269,7 +283,7 @@ class Reader {
   /// A declared element count that cannot fit the remaining payload is a
   /// truncation fault, not an allocation of bogus size. Division (not
   /// multiplication) so a hostile count cannot overflow the check.
-  std::size_t count(std::uint64_t n, std::uint64_t min_elem_bytes) {
+  std::size_t checked(std::uint64_t n, std::uint64_t min_elem_bytes) {
     if (n > remaining() / min_elem_bytes) {
       throw Truncated{"declared count overruns section payload"};
     }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "dist/wire.h"
+#include "dist/worker.h"
 #include "stream/checkpoint.h"
 #include "stream/engine.h"
 #include "test_helpers.h"
@@ -35,7 +36,7 @@ std::string hex(const std::vector<std::uint8_t>& bytes) {
 /// A mid-stream image with state in every section: clean-screen drops,
 /// quarantined late records, open sessions, held reorder records, active
 /// and folded concurrency bins and exactly-once cursors.
-std::vector<std::uint8_t> engine_image() {
+stream::StreamConfig pin_config() {
   stream::StreamConfig config;
   config.shards = 2;
   config.allowed_lateness = 300;
@@ -43,8 +44,11 @@ std::vector<std::uint8_t> engine_image() {
   config.study_days = 3;
   config.batch_records = 8;
   config.exactly_once = true;
+  return config;
+}
 
-  stream::ShardedEngine engine(config);
+std::vector<std::uint8_t> engine_image() {
+  stream::ShardedEngine engine(pin_config());
   util::Rng rng(0xC0DEu);
   time::Seconds t = 500;
   for (int i = 0; i < 240; ++i) {
@@ -85,28 +89,80 @@ TEST(CodecFormatPin, CheckpointImageSizeAndCrc) {
   EXPECT_FALSE(p.ingest.quarantine.empty());
   EXPECT_GT(p.clean.hour_artifacts_removed, 0u);
   EXPECT_FALSE(p.cursors.empty());
+  // Each shard section, loaded into a shard and viewed.
   bool open_session = false;
   bool reorder = false;
-  bool active = false;
+  bool provisional = false;  // open bins
   bool folded = false;
   bool p2_prefix = false;   // a P2 state below 5 observations
   bool p2_markers = false;  // and one past them
-  for (const stream::ShardCheckpoint& s : decoded->shards) {
-    for (const auto& car : s.cars) open_session |= car.session_open;
-    reorder |= !s.reorder.empty();
-    active |= !s.active_bins.empty();
-    folded |= !s.folded_bins.empty();
-    for (const auto& cd : s.cell_durations) {
-      p2_prefix |= cd.median.count < 5;
-      p2_markers |= cd.median.count > 5;
+  for (std::size_t i = 0; i < decoded->shards.size(); ++i) {
+    stream::ShardState shard(pin_config(), static_cast<int>(i));
+    stream::load_shard(decoded->shards[i], shard);
+    const stream::ShardSnapshot view = shard.snapshot();
+    open_session |= view.sessions_open > 0;
+    reorder |= view.reorder_pending > 0;
+    for (const stream::BinCounts& bin : view.bins) {
+      provisional |= bin.provisional;
+      folded |= !bin.provisional;
+    }
+    // Every duration is finite, so a cell's P2 count is its connections.
+    for (const auto& cell : view.cell_stats) {
+      p2_prefix |= cell.connections < 5;
+      p2_markers |= cell.connections > 5;
     }
   }
   EXPECT_TRUE(open_session);
   EXPECT_TRUE(reorder);
-  EXPECT_TRUE(active);
+  EXPECT_TRUE(provisional);
   EXPECT_TRUE(folded);
   EXPECT_TRUE(p2_prefix);
   EXPECT_TRUE(p2_markers);
+}
+
+/// A dist worker's rolling image frame: shard 1 of the pin config after a
+/// few batches, with open sessions, held records and open bins, and the
+/// placeholder section of shard 0, which this worker does not own.
+std::vector<std::uint8_t> worker_image_frame() {
+  dist::WorkerCore core(pin_config(), 1, {});
+  std::vector<std::vector<std::uint8_t>> out;
+  util::Rng rng(0xF2A3Eu);
+  time::Seconds t = 500;
+  std::uint64_t seq = 0;
+  for (int batch = 0; batch < 6; ++batch) {
+    dist::Frame frame;
+    frame.type = dist::FrameType::kBatch;
+    for (int i = 0; i < 10; ++i) {
+      t += rng.uniform_int(1, 90);
+      const auto car =
+          static_cast<std::uint32_t>(2 * rng.uniform_int(0, 5) + 1);
+      const auto cell = static_cast<std::uint32_t>(rng.uniform_int(0, 31));
+      const auto duration = static_cast<std::int32_t>(rng.uniform_int(1, 900));
+      frame.batch.records.push_back(conn(car, cell, t, duration));
+    }
+    seq += frame.batch.records.size();
+    frame.batch.seq_of_last = seq;
+    frame.batch.watermark = t - 300;
+    core.on_frame(frame, out);
+  }
+  out.clear();
+  dist::Frame request;
+  request.type = dist::FrameType::kCheckpointRequest;
+  core.on_frame(request, out);
+  return out.at(0);
+}
+
+TEST(CodecFormatPin, WorkerImageFrameSizeAndCrc) {
+  const std::vector<std::uint8_t> frame = worker_image_frame();
+  EXPECT_EQ(frame.size(), 6377u);
+  EXPECT_EQ(binio::crc32(frame), 4215302974u);
+
+  // Composed in place, it is the frame of the encoded image.
+  dist::FrameDecoder decoder;
+  decoder.feed(frame);
+  dist::Frame parsed;
+  ASSERT_EQ(decoder.next(parsed), dist::FrameDecoder::Status::kFrame);
+  EXPECT_EQ(dist::encode_checkpoint_image(parsed.image), frame);
 }
 
 TEST(CodecFormatPin, EveryFrameTypeIsByteExact) {

@@ -3,20 +3,24 @@
 // raw f64. These tests drive real estimators through dirty inputs, round-trip
 // their states through encode/decode and require every field back bit for
 // bit, and a restored estimator to keep producing the original's estimates.
-// They also feed decode hostile per-cell entries.
+// The producer's duration estimator (a PROD field) and a shard's per-cell
+// estimators (SHRD entries) share the one P2 field list; the per-cell
+// entries, which no shard can be made to hold for odd states, are written
+// by hand (shard_section.h). They also feed decode hostile per-cell
+// entries.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "cdr/integrity.h"
+#include "shard_section.h"
 #include "stats/p2_quantile.h"
 #include "stream/checkpoint.h"
+#include "stream/operators.h"
 #include "util/binio.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -76,13 +80,29 @@ void expect_same_bits(const P2Quantile::State& a, const P2Quantile::State& b,
   }
 }
 
+StreamConfig one_shard() {
+  StreamConfig config;
+  config.allowed_lateness = 0;
+  return config;
+}
+
+/// A per-cell duration list of one entry: cell 7, 12345 connections and
+/// `state`, in the all-raw P2 form.
+auto one_cell(const P2Quantile::State& state) {
+  return [state](binio::Writer& w) {
+    w.u64(1);
+    w.uvarint(7);  // the cell's delta from 0
+    w.uvarint(12345);
+    test::raw_p2(w, state);
+  };
+}
+
 /// A one-shard checkpoint carrying `state` as the producer's duration
 /// estimator and as one per-cell entry.
 Checkpoint holding(const P2Quantile::State& state) {
-  Checkpoint c;
+  Checkpoint c = image_skeleton(one_shard(), false);
   c.producer.durations.p2 = state;
-  c.shards.resize(1);
-  c.shards[0].cell_durations.push_back({7, 12345, state});
+  c.shards[0] = test::shard_section(0, one_cell(state));
   return c;
 }
 
@@ -91,6 +111,13 @@ Checkpoint round_trip(const Checkpoint& c) {
   auto decoded = decode(encode(c), {}, report);
   EXPECT_TRUE(decoded.has_value());
   return decoded.value_or(Checkpoint{});
+}
+
+/// A shard loaded from `c`'s only section.
+ShardState loaded(const Checkpoint& c) {
+  ShardState shard(one_shard(), 0);
+  load_shard(c.shards.at(0), shard);
+  return shard;
 }
 
 TEST(P2StateLayout, RealStatesRoundTripBitForBitAndContinueIdentically) {
@@ -104,25 +131,39 @@ TEST(P2StateLayout, RealStatesRoundTripBitForBitAndContinueIdentically) {
     ASSERT_EQ(state.ignored > 0, c.kind == 1) << c.label();
 
     const Checkpoint decoded = round_trip(holding(state));
-    ASSERT_EQ(decoded.shards.size(), 1u) << c.label();
-    ASSERT_EQ(decoded.shards[0].cell_durations.size(), 1u) << c.label();
-    const auto& entry = decoded.shards[0].cell_durations[0];
-    EXPECT_EQ(entry.cell, 7u);
-    EXPECT_EQ(entry.connections, 12345u);
-    expect_same_bits(entry.median, state, c.label() + " cell");
     expect_same_bits(decoded.producer.durations.p2, state,
                      c.label() + " producer");
 
+    // The shard reads the entry into cell 7's estimator.
+    ShardState shard = loaded(decoded);
+    const ShardSnapshot view = shard.snapshot();
+    ASSERT_EQ(view.cell_stats.size(), 1u) << c.label();
+    EXPECT_EQ(view.cell_stats[0].cell, 7u);
+    EXPECT_EQ(view.cell_stats[0].connections, 12345u);
+    EXPECT_EQ(bits(view.cell_stats[0].median_s), bits(original.value()))
+        << c.label();
+
+    // Whole-second durations continue both the restored producer
+    // estimator and the shard's; the shard's sees the shard's records.
     P2Quantile restored(0.5);
-    restored.restore(entry.median);
+    restored.restore(decoded.producer.durations.p2);
+    P2Quantile twin = original;
+    time::Seconds t = 0;
     for (int i = 0; i < 10000; ++i) {
       const double x = observation(rng, c.kind);
       original.add(x);
       restored.add(x);
+      const auto d = static_cast<std::int32_t>(rng.uniform_int(1, 900));
+      twin.add(static_cast<double>(d));
+      shard.offer(cdr::Connection{CarId{1}, CellId{7}, t += 1000, d});
     }
+    shard.close();
     EXPECT_EQ(bits(restored.value()), bits(original.value())) << c.label();
     expect_same_bits(restored.state(), original.state(),
                      c.label() + " continued");
+    EXPECT_EQ(bits(shard.snapshot().cell_stats[0].median_s),
+              bits(twin.value()))
+        << c.label() << " shard continued";
   }
 }
 
@@ -137,24 +178,32 @@ TEST(P2StateLayout, OddStatesRoundTripThroughTheRawFallback) {
   odd.positions = {0, -0.0, 1, 2, 3};
   odd.desired = {1, 2, 3, 4, 5};
   odd.increments = {0, 0, 0, 0, 0};
-  expect_same_bits(round_trip(holding(odd)).shards[0].cell_durations[0].median,
-                   odd, "odd");
-
-  P2Quantile::State markers = odd;
-  markers.count = 9;
-  markers.heights = {1, 2, 3, 4, 5};
-  markers.positions = {1, 2, 3.5, 4, 9};  // one fractional position
-  expect_same_bits(
-      round_trip(holding(markers)).shards[0].cell_durations[0].median,
-      markers, "fractional position");
+  for (const P2Quantile::State& state : {odd, [&] {
+         P2Quantile::State markers = odd;
+         markers.count = 9;
+         markers.heights = {1, 2, 3, 4, 5};
+         markers.positions = {1, 2, 3.5, 4, 9};  // one fractional position
+         return markers;
+       }()}) {
+    const Checkpoint decoded = round_trip(holding(state));
+    expect_same_bits(decoded.producer.durations.p2, state, "odd producer");
+    // The shard takes the entry and writes it back in the compact layout
+    // (lossless, as the producer's shows), which reads back to itself.
+    ShardState shard = loaded(decoded);
+    const std::vector<std::uint8_t> section = write_shard(shard);
+    EXPECT_LT(section.size(), decoded.shards[0].size());
+    ShardState again(one_shard(), 0);
+    load_shard(section, again);
+    EXPECT_EQ(write_shard(again), section);
+  }
 }
 
-/// Bytes one per-cell entry adds to the image.
+/// Bytes one per-cell entry adds to a shard's section, as the shard writes
+/// it.
 std::size_t entry_bytes(const P2Quantile::State& state) {
-  Checkpoint one = holding(state);
-  Checkpoint two = one;
-  two.shards[0].cell_durations.push_back({8, 12345, state});
-  return encode(two).size() - encode(one).size();
+  ShardState none(one_shard(), 0);
+  ShardState one = loaded(holding(state));
+  return write_shard(one).size() - write_shard(none).size();
 }
 
 TEST(P2StateLayout, CanonicalStatesAreCompact) {
@@ -179,30 +228,6 @@ TEST(P2StateLayout, CanonicalStatesAreCompact) {
 
 // --- Hostile per-cell entries.
 
-/// Recomputes every section CRC after a payload byte was patched, so the
-/// damage reaches the field decoders instead of the checksum.
-void reseal(std::vector<std::uint8_t>& bytes) {
-  std::size_t pos = 8;
-  while (pos < bytes.size()) {
-    std::uint64_t len = 0;
-    binio::Reader(std::span(bytes).subspan(pos + 4, 8)).u64(len);
-    const std::size_t end = pos + 12 + static_cast<std::size_t>(len);
-    const std::uint32_t crc =
-        binio::crc32(std::span(bytes).subspan(pos + 12, end - pos - 12));
-    for (std::size_t i = 0; i < 4; ++i) {
-      bytes[end + i] = static_cast<std::uint8_t>(crc >> (8 * i));
-    }
-    pos = end + 4;
-  }
-}
-
-/// The first byte at which two equal-length images differ.
-std::size_t first_difference(const std::vector<std::uint8_t>& a,
-                             const std::vector<std::uint8_t>& b) {
-  return static_cast<std::size_t>(
-      std::mismatch(a.begin(), a.end(), b.begin()).first - a.begin());
-}
-
 /// Lenient decode rejects the image with exactly one fault of `fault`;
 /// strict decode throws on it.
 void expect_fault(const std::vector<std::uint8_t>& bytes,
@@ -220,50 +245,47 @@ void expect_fault(const std::vector<std::uint8_t>& bytes,
       << what;
 }
 
-Checkpoint two_cells(std::uint32_t second, std::uint64_t connections) {
-  Checkpoint c = holding(P2Quantile(0.5).state());
-  auto& cells = c.shards[0].cell_durations;
-  cells[0].cell = 0xFFFFFFF0u;
-  cells.push_back({second, connections, P2Quantile(0.5).state()});
-  return c;
+/// An image whose shard holds two fresh cells, 0xFFFFFFF0 and the one
+/// `delta` above it; `connections` are the second cell's count as raw
+/// varint bytes.
+std::vector<std::uint8_t> two_cells(
+    std::uint64_t delta, const std::vector<std::uint8_t>& connections) {
+  Checkpoint c = image_skeleton(one_shard(), false);
+  c.shards[0] = test::shard_section(0, [&](binio::Writer& w) {
+    w.u64(2);
+    w.uvarint(0xFFFFFFF0u);
+    w.uvarint(1);
+    test::fresh_p2(w);
+    w.uvarint(delta);
+    w.bytes(connections);
+    test::fresh_p2(w);
+  });
+  return encode(c);
 }
 
 TEST(P2StateLayout, HostileCellDeltasFault) {
-  // The second entry's id is one byte, its delta from 0xFFFFFFF0.
-  const std::vector<std::uint8_t> image = encode(two_cells(0xFFFFFFF1u, 1));
-  const std::size_t at =
-      first_difference(image, encode(two_cells(0xFFFFFFF2u, 1)));
-  ASSERT_LT(at, image.size());
-  ASSERT_EQ(image[at], 1u);
+  const std::vector<std::uint8_t> one = {1};
+  cdr::IngestReport report;
+  ASSERT_TRUE(decode(two_cells(1, one), {}, report).has_value());
 
-  std::vector<std::uint8_t> repeated = image;
-  repeated[at] = 0;  // the same cell twice
-  reseal(repeated);
-  expect_fault(repeated, cdr::FaultClass::kCheckpointMismatch,
+  expect_fault(two_cells(0, one), cdr::FaultClass::kCheckpointMismatch,
                "repeated cell");
-
-  std::vector<std::uint8_t> wrapped = image;
-  wrapped[at] = 0x10;  // 0xFFFFFFF0 + 16 = 2^32
-  reseal(wrapped);
-  expect_fault(wrapped, cdr::FaultClass::kCheckpointMismatch,
+  // 0xFFFFFFF0 + 16 = 2^32.
+  expect_fault(two_cells(0x10, one), cdr::FaultClass::kCheckpointMismatch,
                "cell past 2^32");
 }
 
 TEST(P2StateLayout, OverlongVarintFaults) {
-  // The second entry's connections are a full ten-byte varint; make its last
-  // byte continue past 64 bits.
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  const std::vector<std::uint8_t> image =
-      encode(two_cells(0xFFFFFFF1u, kMax));
-  const std::size_t at =
-      first_difference(image, encode(two_cells(0xFFFFFFF1u, kMax - 1)));
-  ASSERT_LT(at + 9, image.size());
-  ASSERT_EQ(image[at + 9], 0x01u);
+  // The largest u64 is a ten-byte varint ending in 0x01; make its last byte
+  // continue past 64 bits.
+  std::vector<std::uint8_t> widest(9, 0xFF);
+  widest.push_back(0x01);
+  cdr::IngestReport report;
+  ASSERT_TRUE(decode(two_cells(1, widest), {}, report).has_value());
 
-  std::vector<std::uint8_t> overlong = image;
-  overlong[at + 9] = 0x81;
-  reseal(overlong);
-  expect_fault(overlong, cdr::FaultClass::kTruncatedPayload,
+  std::vector<std::uint8_t> overlong = widest;
+  overlong.back() = 0x81;
+  expect_fault(two_cells(1, overlong), cdr::FaultClass::kTruncatedPayload,
                "eleven-byte varint");
 }
 

@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "cdr/integrity.h"
+#include "shard_section.h"
 #include "stream/engine.h"
+#include "stream/operators.h"
 #include "test_helpers.h"
 #include "util/binio.h"
 #include "util/csv.h"
@@ -206,49 +208,57 @@ TEST(CheckpointFuzz, SectionReordersAreRejected) {
   }
 }
 
-TEST(CheckpointFuzz, CountBelowTheElementFloorIsRejectedBeforeAllocating) {
-  // Locate shard 0's per-cell duration count: the first payload byte at
-  // which its section differs from one with an extra entry on that list.
-  cdr::IngestReport clean_report;
-  const auto decoded =
-      decode(image(), mode(cdr::ParseMode::kLenient), clean_report);
-  ASSERT_TRUE(decoded.has_value());
-  Checkpoint longer = *decoded;
-  ASSERT_FALSE(longer.shards[0].cell_durations.empty());
-  longer.shards[0].cell_durations.push_back(
-      longer.shards[0].cell_durations.back());
-  const std::vector<std::uint8_t> other = encode(longer);
+/// A one-shard image whose section is written by hand.
+std::vector<std::uint8_t> image_with(std::vector<std::uint8_t> section) {
+  StreamConfig config;
+  config.study_days = 7;
+  Checkpoint checkpoint = image_skeleton(config, false);
+  checkpoint.shards[0] = std::move(section);
+  return encode(checkpoint);
+}
 
-  const Frame shard0 = frames(image())[2];  // after CONF and PROD
-  const std::size_t payload_begin = shard0.begin + 12;
-  const std::size_t payload_end = shard0.end - 4;
-  const std::size_t at = static_cast<std::size_t>(
-      std::mismatch(image().begin() + payload_begin,
-                    image().begin() + payload_end,
-                    other.begin() + payload_begin)
-          .first -
-      image().begin());
-  ASSERT_LT(at, payload_end);
+TEST(CheckpointFuzz, HandWrittenSectionIsThePlaceholder) {
+  // The hand-written layout the cases below build on is the codec's own,
+  // and image_skeleton's placeholder is an empty shard without a day table
+  // even when the config has study days.
+  StreamConfig config;
+  config.shards = 3;
+  config.study_days = 7;
+  config.fleet_size = 24;
+  const Checkpoint skeleton = image_skeleton(config, false);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(skeleton.shards[i], test::shard_section(i, test::no_cells))
+        << "shard " << i;
+  }
+}
+
+TEST(CheckpointFuzz, CountBelowTheElementFloorIsRejectedBeforeAllocating) {
+  // One fresh per-cell entry, 10 bytes: a one-byte cell delta, a one-byte
+  // connection count and the smallest P2 state (mask, count, ignored and
+  // five heights, one byte each). Its list declares `count` entries.
+  std::size_t count_at = 0;
+  const auto section = [&](std::uint64_t count) {
+    return test::shard_section(0, [&](binio::Writer& w) {
+      count_at = w.buffer().size();
+      w.u64(count);
+      w.uvarint(7);
+      w.uvarint(1);
+      test::fresh_p2(w);
+    });
+  };
+  const std::vector<std::uint8_t> one = section(1);
+  {
+    cdr::IngestReport report;
+    ASSERT_TRUE(decode(image_with(one), mode(cdr::ParseMode::kStrict), report)
+                    .has_value());
+  }
 
   // A count that 2 bytes per entry (the cell delta and connection varints
-  // alone) would admit but the 10-byte minimum of one entry (those two
-  // plus the smallest P2 state: mask, count, ignored and five heights, one
-  // byte each) cannot.
-  const std::uint64_t remaining = payload_end - (at + 8);
+  // alone) would admit but the 10-byte minimum of one entry cannot.
+  const std::uint64_t remaining = one.size() - 16 - (count_at + 8);
   const std::uint64_t count = remaining / 2;
   ASSERT_GT(count, remaining / 10);
-
-  std::vector<std::uint8_t> damaged = image();
-  for (int i = 0; i < 8; ++i) {
-    damaged[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(count >> (8 * i));
-  }
-  const std::uint32_t crc = binio::crc32(std::span(damaged).subspan(
-      payload_begin, payload_end - payload_begin));
-  for (int i = 0; i < 4; ++i) {
-    damaged[payload_end + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(crc >> (8 * i));
-  }
+  const std::vector<std::uint8_t> damaged = image_with(section(count));
 
   cdr::IngestReport report;
   EXPECT_FALSE(
@@ -260,30 +270,27 @@ TEST(CheckpointFuzz, CountBelowTheElementFloorIsRejectedBeforeAllocating) {
   expect_rejected(damaged, "declared count between the old and true floor");
 }
 
-/// The decoded image's first shard image with at least two active bins, the
-/// first of them holding two cars and two cells, the first cell two cars.
-ShardCheckpoint& active_shard(Checkpoint& checkpoint) {
-  for (ShardCheckpoint& shard : checkpoint.shards) {
-    const auto& bins = shard.active_bins;
-    if (bins.size() >= 2 && bins[0].cars.size() >= 2 &&
-        bins[0].per_cell.size() >= 2 &&
-        bins[0].per_cell[0].second.size() >= 2) {
-      return shard;
-    }
-  }
-  ADD_FAILURE() << "no shard image has the active bins the cases need";
-  return checkpoint.shards.at(0);
+// --- Open-bin lists a shard never writes. Two canonical bins: the first
+// holds two cars and two cells, the first cell two cars.
+
+using ActiveBins = std::vector<test::SectionBin>;
+
+ActiveBins canonical_bins() {
+  return {{.bin = 100, .cars = {1, 2, 3}, .per_cell = {{5, {1, 2}}, {9, {3}}}},
+          {.bin = 101, .cars = {2}, .per_cell = {{5, {2}}}}};
 }
 
-/// Re-encodes the clean image with `mutate` applied to one shard's active
-/// bins: a CRC-valid image that only the canonical-list checks can reject.
+std::vector<std::uint8_t> image_with(const ActiveBins& bins) {
+  return image_with(test::shard_section(0, test::no_cells, bins));
+}
+
+/// The canonical bins with `mutate` applied: a CRC-valid image that only
+/// the canonical-list checks can reject. Returns the one fault's reason.
 template <class Fn>
-void expect_active_bins_rejected(Fn mutate, const std::string& what) {
-  cdr::IngestReport clean_report;
-  auto decoded = decode(image(), mode(cdr::ParseMode::kLenient), clean_report);
-  ASSERT_TRUE(decoded.has_value());
-  mutate(active_shard(*decoded).active_bins);
-  const std::vector<std::uint8_t> bytes = encode(*decoded);
+std::string expect_active_bins_rejected(Fn mutate, const std::string& what) {
+  ActiveBins bins = canonical_bins();
+  mutate(bins);
+  const std::vector<std::uint8_t> bytes = image_with(bins);
 
   cdr::IngestReport report;
   EXPECT_FALSE(
@@ -291,9 +298,27 @@ void expect_active_bins_rejected(Fn mutate, const std::string& what) {
       << what;
   EXPECT_EQ(report.count(cdr::FaultClass::kCheckpointMismatch), 1u) << what;
   expect_rejected(bytes, what);
+  return report.quarantine.empty() ? "" : report.quarantine[0].reason;
 }
 
-using ActiveBins = std::vector<ShardCheckpoint::ActiveBin>;
+TEST(CheckpointFuzz, CanonicalActiveBinsDecode) {
+  cdr::IngestReport report;
+  const auto decoded = decode(image_with(canonical_bins()),
+                              mode(cdr::ParseMode::kStrict), report);
+  ASSERT_TRUE(decoded.has_value());
+  StreamConfig config;
+  ShardState shard(config, 0);
+  load_shard(decoded->shards[0], shard);
+  const ShardSnapshot view = shard.snapshot();
+  ASSERT_EQ(view.bins.size(), 2u);
+  EXPECT_EQ(view.bins[0].cars, 3u);
+  EXPECT_EQ(view.bins[0].cells,
+            (std::vector<std::pair<std::uint32_t, std::uint32_t>>{{5, 2},
+                                                                  {9, 1}}));
+  EXPECT_TRUE(view.bins[0].provisional);
+  // And the shard writes the same lists back.
+  EXPECT_EQ(write_shard(shard), decoded->shards[0]);
+}
 
 TEST(CheckpointFuzz, ActiveBinsOutOfOrderAreRejected) {
   expect_active_bins_rejected(
@@ -330,6 +355,34 @@ TEST(CheckpointFuzz, ActiveBinEmptyMemberListIsRejected) {
   expect_active_bins_rejected(
       [](ActiveBins& bins) { bins[0].per_cell[0].second.clear(); },
       "active-bin cell with no member cars");
+}
+
+TEST(CheckpointFuzz, ActiveBinFaultsAreNamedInReadingOrder) {
+  // The first fault as the list is read: a bin's index, its cars, then
+  // each cell's id and member list.
+  EXPECT_EQ(expect_active_bins_rejected(
+                [](ActiveBins& bins) {
+                  bins[0].per_cell[0].second.clear();
+                  std::swap(bins[0].bin, bins[1].bin);
+                },
+                "empty members, then a bin out of order"),
+            "active-bin cell has an empty member list");
+  EXPECT_EQ(expect_active_bins_rejected(
+                [](ActiveBins& bins) {
+                  std::swap(bins[0].per_cell[0].second[0],
+                            bins[0].per_cell[0].second[1]);
+                  std::swap(bins[0].per_cell[0], bins[0].per_cell[1]);
+                  bins[1].cars = {2, 2};
+                },
+                "members, cells and a later bin's cars"),
+            "active-bin cells do not strictly ascend");
+  EXPECT_EQ(expect_active_bins_rejected(
+                [](ActiveBins& bins) {
+                  bins[0].per_cell[1].second.clear();
+                  bins[0].cars = {3, 1, 2};
+                },
+                "members after cars"),
+            "active-bin cars do not strictly ascend");
 }
 
 }  // namespace

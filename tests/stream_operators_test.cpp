@@ -4,8 +4,9 @@
 // repeated (car, cell) pairs in one bin, same-start ties, 3600 s artifacts
 // and multi-day records spanning many bins, out-of-order arrivals inside
 // the lateness window, cell ids near UINT32_MAX and one bin with more than
-// core::kPassFlushRecords observations. A save -> load at a random cut must
-// resume to the same snapshot and the same saved image.
+// core::kPassFlushRecords observations. Writing the shard's checkpoint
+// section and loading it into a fresh shard at a random cut must resume to
+// the same snapshot and the same section.
 #include "stream/operators.h"
 
 #include <gtest/gtest.h>
@@ -170,7 +171,7 @@ class Reference {
 
 std::vector<std::uint8_t> image_bytes(ShardState& shard) {
   Checkpoint image = image_skeleton(shard_config(), false);
-  shard.save(image.shards[0]);
+  image.shards[0] = write_shard(shard);
   return encode(image);
 }
 
@@ -249,9 +250,7 @@ TEST(StreamOperators, SaveLoadAtARandomCutResumesIdentically) {
     ShardState resumed(shard_config(), 0);
     for (std::size_t i = 0; i < feed.size(); ++i) {
       if (i == cut) {
-        ShardCheckpoint image;
-        straight.save(image);
-        resumed.load(image);
+        load_shard(write_shard(straight), resumed);
         ASSERT_EQ(image_bytes(resumed), image_bytes(straight))
             << "seed " << seed << " cut " << cut;
       }

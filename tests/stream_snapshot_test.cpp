@@ -9,7 +9,10 @@
 //       with the right records_lost, and the next checkpoint() names the
 //       lowest degraded shard;
 //   (c) two engines fed the same records and asked for the same snapshots
-//       write the same checkpoint bytes, mid-stream and finished.
+//       write the same checkpoint bytes, mid-stream and finished; each image
+//       restores into a pristine engine that writes it back byte for byte,
+//       and a DistEngine with one worker killed writes the same final
+//       image.
 //
 // Every randomized case prints its seed on failure.
 #include <gtest/gtest.h>
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "core/presence.h"
+#include "dist/supervisor.h"
 #include "stream/checkpoint.h"
 #include "stream/engine.h"
 #include "stream/frontend.h"
@@ -354,6 +358,18 @@ StreamConfig feed_config(int shards) {
   return config;
 }
 
+/// Generated-input fixed point: `image` decodes, restores into a pristine
+/// engine, and that engine's checkpoint encodes to `image` again.
+void expect_fixed_point(const std::vector<std::uint8_t>& image, int shards,
+                        const std::string& what) {
+  cdr::IngestReport report;
+  const auto decoded = decode(image, {}, report);
+  ASSERT_TRUE(decoded.has_value()) << what;
+  ShardedEngine restored(feed_config(shards));
+  ASSERT_TRUE(restored.restore(*decoded)) << what;
+  EXPECT_EQ(encode(restored.checkpoint()), image) << what;
+}
+
 TEST(StreamSnapshot, EqualFeedsWriteEqualImages) {
   const std::uint64_t seed = 20170901;
   const std::vector<cdr::Connection> feed = random_feed(seed, 30000);
@@ -386,13 +402,35 @@ TEST(StreamSnapshot, EqualFeedsWriteEqualImages) {
       const std::vector<std::uint8_t> first_image = encode(first.checkpoint());
       reader.join();
       ASSERT_EQ(first_image, second_image) << "after " << pos << " records";
+      expect_fixed_point(first_image, shards,
+                         "after " + std::to_string(pos) + " records");
       std::string why;
       EXPECT_TRUE(reports_identical(first_report, second_report, &why))
           << "after " << pos << " records: " << why;
     }
     first.finish();
     second.finish();
-    EXPECT_EQ(encode(first.checkpoint()), encode(second.checkpoint()));
+    const std::vector<std::uint8_t> finished = encode(first.checkpoint());
+    EXPECT_EQ(encode(second.checkpoint()), finished);
+    expect_fixed_point(finished, shards, "finished");
+
+    // The distributed engine, one worker killed halfway through its share
+    // and restarted from its rolling image, writes the final image of an
+    // in-process engine fed the same way (the cuts above batch the feed
+    // differently, which moves each shard's reorder_peak).
+    ShardedEngine whole(feed_config(shards));
+    whole.push(feed);
+    whole.finish();
+    dist::DistConfig dist_config;
+    dist_config.stream = feed_config(shards);
+    dist_config.checkpoint_every = 1024;
+    dist_config.faults[shards > 1 ? 1 : 0] = {
+        .crash_after = feed.size() / static_cast<std::size_t>(2 * shards)};
+    dist::DistEngine killed(dist_config);
+    killed.push(feed);
+    killed.finish();
+    EXPECT_EQ(killed.restarts_total(), 1);
+    EXPECT_EQ(encode(killed.checkpoint()), encode(whole.checkpoint()));
     std::string why;
     EXPECT_TRUE(reports_identical(first.snapshot(), second.snapshot(), &why))
         << why;
