@@ -34,41 +34,56 @@ void Dataset::finalize(exec::ThreadPool& pool) { finalize_impl(&pool); }
 void Dataset::finalize_impl(exec::ThreadPool* pool) {
   if (finalized_) return;
 
-  // (car, start) record order. ByCarThenStart is a total order, so the
-  // stable sort here and the chunked merge sort agree bitwise.
-  if (pool != nullptr) {
-    exec::parallel_stable_sort(*pool, records_, ByCarThenStart{});
-  } else {
-    std::stable_sort(records_.begin(), records_.end(), ByCarThenStart{});
-  }
-
-  // Max car id / study end. Both reductions take elementwise maxima, so the
-  // chunked merge is order-insensitive and exact.
+  // Max car id, study end and whether the records already ascend. The
+  // maxima are elementwise, so the chunked merge is order-insensitive and
+  // exact; the order check compares every record with its predecessor,
+  // across chunk boundaries too.
+  const ByCarThenStart before;
   std::uint32_t max_car = 0;
   time::Seconds max_end = 0;
+  bool ascending = true;
   if (pool != nullptr) {
     struct MaxAcc {
       std::uint32_t car = 0;
       time::Seconds end = 0;
+      bool ascending = true;
     };
     const MaxAcc acc = exec::parallel_reduce(
         *pool, records_.size(), std::size_t{1} << 16, [] { return MaxAcc{}; },
         [&](MaxAcc& a, std::size_t i) {
           a.car = std::max(a.car, records_[i].car.value);
           a.end = std::max(a.end, records_[i].end());
+          if (i > 0 && before(records_[i], records_[i - 1])) {
+            a.ascending = false;
+          }
         },
         [](MaxAcc& into, MaxAcc&& from) {
           into.car = std::max(into.car, from.car);
           into.end = std::max(into.end, from.end);
+          into.ascending = into.ascending && from.ascending;
         });
     max_car = acc.car;
     max_end = acc.end;
+    ascending = acc.ascending;
   } else {
-    for (const Connection& c : records_) {
-      max_car = std::max(max_car, c.car.value);
-      max_end = std::max(max_end, c.end());
+    for (std::size_t i = 0; i < records_.size(); ++i) {
+      max_car = std::max(max_car, records_[i].car.value);
+      max_end = std::max(max_end, records_[i].end());
+      if (i > 0 && before(records_[i], records_[i - 1])) ascending = false;
     }
   }
+
+  // (car, start) record order. ByCarThenStart is a total order, so the
+  // stable sort here and the chunked merge sort agree bitwise, and on
+  // records that already ascend both are the identity: skip them.
+  if (!ascending) {
+    if (pool != nullptr) {
+      exec::parallel_stable_sort(*pool, records_, before);
+    } else {
+      std::stable_sort(records_.begin(), records_.end(), before);
+    }
+  }
+
   if (!records_.empty() && fleet_size_ < max_car + 1) {
     fleet_size_ = max_car + 1;
   }

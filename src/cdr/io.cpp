@@ -1,10 +1,9 @@
 #include "cdr/io.h"
 
 #include <algorithm>
-#include <fstream>
+#include <charconv>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "exec/thread_pool.h"
@@ -87,15 +86,15 @@ class CsvIngester {
       return;
     }
 
-    std::vector<std::string> fields;
     try {
-      fields = util::split_csv_line(line);
+      util::split_csv_fields(line, fields_, scratch_);
     } catch (const util::CsvError& e) {
       ++out_.report.rows_read;
       drop(FaultClass::kBadField, offset, e.what(), line);
       return;
     }
-    if (fields.empty() || fields[0].empty()) return;
+    const std::vector<std::string_view>& fields = fields_;
+    if (fields[0].empty()) return;
     if (fields[0] == "car") return;  // header row
 
     ++out_.report.rows_read;
@@ -177,6 +176,10 @@ class CsvIngester {
   ChunkOutcome& out_;
   RecordScreen screen_;
   bool first_line_;
+  /// The current row's fields: views into the row or into scratch_, reused
+  /// from row to row so a row allocates nothing.
+  std::vector<std::string_view> fields_;
+  std::string scratch_;
 };
 
 void apply_meta(Dataset& dataset, const ChunkOutcome& part) {
@@ -268,30 +271,45 @@ std::vector<std::size_t> line_chunk_starts(std::string_view text,
   return starts;
 }
 
-void write_csv_stream(const Dataset& dataset, std::ostream& out) {
-  out << "#fleet_size=" << dataset.fleet_size()
-      << ",study_days=" << dataset.study_days() << "\n";
-  out << "car,cell,start_s,duration_s\n";
-  for (const Connection& c : dataset.all()) {
-    out << c.car.value << ',' << c.cell.value << ',' << c.start << ','
-        << c.duration_s << '\n';
-  }
-}
-
 }  // namespace
 
 void write_csv(const Dataset& dataset, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw util::CsvError("cannot open for writing: " + path);
-  write_csv_stream(dataset, out);
-  out.flush();
-  if (!out) throw util::CsvError("write failed: " + path);
+  util::write_file(path, write_csv_text(dataset));
 }
 
 std::string write_csv_text(const Dataset& dataset) {
-  std::ostringstream out;
-  write_csv_stream(dataset, out);
-  return std::move(out).str();
+  // std::to_chars writes the digits `ostream <<` wrote. The reserve is for
+  // the widest row, two uint32 ids, an int64 start, an int32 duration, three
+  // commas and a newline; pages that no row reaches stay untouched.
+  constexpr std::size_t kMaxRowBytes = 10 + 10 + 20 + 11 + 4;
+  std::string out;
+  out.reserve(64 + dataset.size() * kMaxRowBytes);
+  char row[kMaxRowBytes];
+  char* p = row;
+  const auto field = [&](auto v, char sep) {
+    // to_chars never takes the row's last byte, so a separator always fits.
+    p = std::to_chars(p, row + sizeof row - 1, v).ptr;
+    *p++ = sep;
+  };
+  const auto flush = [&] {
+    out.append(row, p);
+    p = row;
+  };
+  out += "#fleet_size=";
+  field(dataset.fleet_size(), ',');
+  flush();
+  out += "study_days=";
+  field(dataset.study_days(), '\n');
+  flush();
+  out += "car,cell,start_s,duration_s\n";
+  for (const Connection& c : dataset.all()) {
+    field(c.car.value, ',');
+    field(c.cell.value, ',');
+    field(c.start, ',');
+    field(c.duration_s, '\n');
+    flush();
+  }
+  return out;
 }
 
 Dataset read_csv_text(std::string_view text, const IngestOptions& options,

@@ -20,8 +20,18 @@ class CsvError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Split one CSV line into fields, honouring double-quote escaping
-/// (`"a,b"` is one field; `""` inside quotes is a literal quote).
+/// Split one CSV line into views of its fields, honouring double-quote
+/// escaping (`"a,b"` is one field; `""` inside quotes is a literal quote)
+/// and dropping every `\r` outside quotes (CRLF endings). `fields` is
+/// cleared first. A field with no quote and no `\r` is a view into `line`;
+/// only a field holding one is rewritten, into `scratch`, which is cleared
+/// and reserved to `line`'s length so its views stay valid until the next
+/// call. Throws CsvError on an unterminated quote.
+void split_csv_fields(std::string_view line,
+                      std::vector<std::string_view>& fields,
+                      std::string& scratch);
+
+/// split_csv_fields' fields as owned strings.
 [[nodiscard]] std::vector<std::string> split_csv_line(std::string_view line);
 
 /// Quote a field if it contains comma/quote, doubling interior quotes.
@@ -60,7 +70,10 @@ class CsvReader {
   std::string line_;
 };
 
-/// strtoll with full-string validation; throws CsvError on garbage.
+/// Base-10 integer with strtoll's grammar: leading C-locale whitespace,
+/// one optional `+` or `-`, then one or more digits and nothing after.
+/// Throws CsvError on anything else and on out-of-range values. Parses in
+/// place, without copying the field.
 [[nodiscard]] std::int64_t parse_i64(std::string_view s);
 
 /// strtod with full-string validation; throws CsvError on garbage.

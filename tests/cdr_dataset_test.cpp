@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "exec/thread_pool.h"
 #include "test_helpers.h"
 
 namespace ccms::cdr {
@@ -133,6 +140,73 @@ TEST(DatasetTest, AddAfterFinalizeRequiresRefinalize) {
   EXPECT_FALSE(d.finalized());
   d.finalize();
   EXPECT_EQ(d.all()[0].car.value, 0u);
+}
+
+/// Finalize checks whether the records already ascend and then skips the
+/// sort. Every input must still come out as std::stable_sort's output, with
+/// the same offset table and derived fleet size and study length, at every
+/// width.
+TEST(DatasetTest, FinalizeEqualsStableSortOnOrderedInputs) {
+  // Records of Dataset::finalize's order-check reduction per chunk.
+  constexpr std::size_t kBlock = std::size_t{1} << 16;
+  std::vector<Connection> ascending;
+  for (std::size_t i = 0; i < 2 * kBlock + 100; ++i) {
+    ascending.push_back(conn(static_cast<std::uint32_t>(i / 97),
+                             static_cast<std::uint32_t>(i % 13),
+                             static_cast<time::Seconds>(i % 97) * 600, 30));
+  }
+  // One descending pair, its first record the last of the first chunk.
+  std::vector<Connection> straddling = ascending;
+  std::swap(straddling[kBlock - 1], straddling[kBlock]);
+  // Ascending with exact copies side by side: equal neighbours still ascend.
+  std::vector<Connection> duplicates;
+  for (std::size_t i = 0; i < 3 * kBlock / 2; ++i) {
+    duplicates.push_back(ascending[i / 2]);
+  }
+  const std::vector<std::pair<const char*, std::vector<Connection>>> inputs = {
+      {"ascending", ascending},
+      {"straddling", straddling},
+      {"duplicates", duplicates},
+      {"empty", {}},
+  };
+
+  exec::ThreadPool pool(8);
+  for (const auto& [name, records] : inputs) {
+    std::vector<Connection> sorted = records;
+    std::stable_sort(sorted.begin(), sorted.end(), ByCarThenStart{});
+    std::uint32_t fleet = 0;
+    time::Seconds end = 0;
+    for (const Connection& c : sorted) {
+      fleet = std::max(fleet, c.car.value + 1);
+      end = std::max(end, c.end());
+    }
+    const int days = static_cast<int>(
+        (end + time::kSecondsPerDay - 1) / time::kSecondsPerDay);
+
+    for (const int width : {1, 8}) {
+      SCOPED_TRACE(std::string(name) + " at width " + std::to_string(width));
+      Dataset d;
+      d.add(std::span<const Connection>(records));
+      if (width == 1) {
+        d.finalize();
+      } else {
+        d.finalize(pool);
+      }
+      ASSERT_EQ(d.size(), sorted.size());
+      EXPECT_TRUE(std::equal(d.all().begin(), d.all().end(), sorted.begin()));
+      EXPECT_EQ(d.fleet_size(), fleet);
+      EXPECT_EQ(d.study_days(), days);
+      std::size_t at = 0;
+      for (std::uint32_t car = 0; car < fleet; ++car) {
+        std::size_t n = 0;
+        while (at + n < sorted.size() && sorted[at + n].car.value == car) ++n;
+        const auto span = d.of_car(CarId{car});
+        EXPECT_EQ(span.data(), d.all().data() + at) << "car " << car;
+        EXPECT_EQ(span.size(), n) << "car " << car;
+        at += n;
+      }
+    }
+  }
 }
 
 TEST(ConnectionTest, EndAndInterval) {

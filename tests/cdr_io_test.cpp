@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
+#include <string>
 
 #include "cdr/columnar.h"
 #include "test_helpers.h"
 #include "util/csv.h"
+#include "util/file_io.h"
 
 namespace ccms::cdr {
 namespace {
@@ -53,6 +58,43 @@ TEST_F(IoTest, CsvRoundTrip) {
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(loaded.all()[i], original.all()[i]);
   }
+}
+
+/// The writer's exact bytes at the edges of every column: ids 0 and
+/// UINT32_MAX, negative and extreme starts, INT32_MIN/INT32_MAX durations.
+/// The expected text is what the ostream-based writer produced. The dataset
+/// is written unfinalized, in insertion order: a car id of UINT32_MAX has no
+/// offset table.
+TEST_F(IoTest, CsvWriterBytesArePinned) {
+  constexpr std::uint32_t kIdMax = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::int32_t kDurMin = std::numeric_limits<std::int32_t>::min();
+  Dataset dataset;
+  dataset.set_fleet_size(kIdMax);
+  dataset.set_study_days(90);
+  for (const Connection& c : {
+           conn(0, 0, 0, 0),
+           conn(0, kIdMax, -86400, std::numeric_limits<std::int32_t>::max()),
+           conn(3, 17, -1, kDurMin),
+           conn(kIdMax, 0, 7775999, 1),
+           conn(kIdMax, kIdMax, std::numeric_limits<std::int64_t>::min(),
+                kDurMin),
+           conn(42, kIdMax - 1, std::numeric_limits<std::int64_t>::max(), -1),
+       }) {
+    dataset.add(c);
+  }
+  const std::string expected =
+      "#fleet_size=4294967295,study_days=90\n"
+      "car,cell,start_s,duration_s\n"
+      "0,0,0,0\n"
+      "0,4294967295,-86400,2147483647\n"
+      "3,17,-1,-2147483648\n"
+      "4294967295,0,7775999,1\n"
+      "4294967295,4294967295,-9223372036854775808,-2147483648\n"
+      "42,4294967294,9223372036854775807,-1\n";
+  EXPECT_EQ(write_csv_text(dataset), expected);
+
+  write_csv(dataset, path("ccms_io.csv"));
+  EXPECT_EQ(util::read_file(path("ccms_io.csv")), expected);
 }
 
 TEST_F(IoTest, CsvHasHeaderAndMetadata) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <string_view>
+#include <vector>
 
 namespace ccms::util {
 namespace {
@@ -49,6 +53,51 @@ TEST(CsvSplitTest, ToleratesCarriageReturn) {
 
 TEST(CsvSplitTest, UnterminatedQuoteThrows) {
   EXPECT_THROW(split_csv_line("\"oops,b"), CsvError);
+}
+
+TEST(CsvSplitTest, DropsCarriageReturnsMidFieldButKeepsThemInQuotes) {
+  const auto fields = split_csv_line("a\rb,\"c\rd\"\r,\re");
+  ASSERT_EQ(fields.size(), 3u);
+  EXPECT_EQ(fields[0], "ab");
+  EXPECT_EQ(fields[1], "c\rd");
+  EXPECT_EQ(fields[2], "e");
+}
+
+TEST(CsvSplitTest, QuotesMayOpenAndCloseMidField) {
+  const auto fields = split_csv_line("ab\"c,d\"e,\"\"");
+  ASSERT_EQ(fields.size(), 2u);
+  EXPECT_EQ(fields[0], "abc,de");
+  EXPECT_EQ(fields[1], "");
+}
+
+TEST(CsvSplitTest, TrailingCommaAndEmptyLine) {
+  EXPECT_EQ(split_csv_line("1,2,"), (std::vector<std::string>{"1", "2", ""}));
+  EXPECT_EQ(split_csv_line(""), (std::vector<std::string>{""}));
+}
+
+TEST(CsvSplitTest, PlainFieldsAreViewsIntoTheLine) {
+  const std::string line = "12,\"3\"\"4\",5\r6,78";
+  std::vector<std::string_view> fields;
+  std::string scratch = "left over";
+  split_csv_fields(line, fields, scratch);
+  ASSERT_EQ(fields.size(), 4u);
+  EXPECT_EQ(fields[0], "12");
+  EXPECT_EQ(fields[1], "3\"4");
+  EXPECT_EQ(fields[2], "56");
+  EXPECT_EQ(fields[3], "78");
+  // Plain fields point into the line; only rewritten ones into scratch.
+  EXPECT_EQ(fields[0].data(), line.data());
+  EXPECT_EQ(fields[3].data(), line.data() + line.size() - 2);
+  EXPECT_EQ(fields[1].data(), scratch.data());
+  EXPECT_EQ(fields[2].data(), scratch.data() + 3);
+  EXPECT_EQ(scratch, "3\"456");
+  EXPECT_GE(scratch.capacity(), line.size());
+
+  // The next call clears both outputs.
+  split_csv_fields("x", fields, scratch);
+  ASSERT_EQ(fields.size(), 1u);
+  EXPECT_EQ(fields[0], "x");
+  EXPECT_TRUE(scratch.empty());
 }
 
 TEST(CsvEscapeTest, PlainPassthrough) {
@@ -121,6 +170,52 @@ TEST(CsvParseTest, ParseI64Invalid) {
   EXPECT_THROW((void)parse_i64("abc"), CsvError);
   EXPECT_THROW((void)parse_i64("12x"), CsvError);
   EXPECT_THROW((void)parse_i64("1.5"), CsvError);
+}
+
+/// parse_i64 follows strtoll's base-10 grammar; each case's value or error
+/// text is the one the strtoll-based parser gave.
+TEST(CsvParseTest, ParseI64GrammarMatchesStrtoll) {
+  struct Case {
+    std::string_view text;
+    std::int64_t value;
+    std::string_view error;  // empty when the text parses
+  };
+  const Case cases[] = {
+      {"7", 7, ""},
+      {" 7", 7, ""},
+      {"\t7", 7, ""},
+      {"\n\v\f\r7", 7, ""},
+      {"+7", 7, ""},
+      {"-0", 0, ""},
+      {"007", 7, ""},
+      {"7 ", 0, "bad integer field: 7 "},
+      {"7\t", 0, "bad integer field: 7\t"},
+      {"", 0, "empty integer field"},
+      {" ", 0, "bad integer field:  "},
+      {"-", 0, "bad integer field: -"},
+      {"+-7", 0, "bad integer field: +-7"},
+      {"--7", 0, "bad integer field: --7"},
+      {"- 7", 0, "bad integer field: - 7"},
+      {"0x1F", 0, "bad integer field: 0x1F"},
+      {"1e3", 0, "bad integer field: 1e3"},
+      {"9223372036854775807", INT64_MAX, ""},
+      {"9223372036854775808", 0, "bad integer field: 9223372036854775808"},
+      {"-9223372036854775808", INT64_MIN, ""},
+      {"-9223372036854775809", 0, "bad integer field: -9223372036854775809"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.text));
+    if (c.error.empty()) {
+      EXPECT_EQ(parse_i64(c.text), c.value);
+      continue;
+    }
+    try {
+      (void)parse_i64(c.text);
+      ADD_FAILURE() << "parsed";
+    } catch (const CsvError& e) {
+      EXPECT_EQ(std::string_view(e.what()), c.error);
+    }
+  }
 }
 
 TEST(CsvParseTest, ParseF64Valid) {
