@@ -339,10 +339,10 @@ bool write_batch_json_out_of_core(int max_threads, int cars, int days,
               sim.fleet().size(), sim.topology().cells().size(),
               world_timer.seconds());
 
-  // Phase 1: per-car generation -> per-car sort -> columnar file. Car i's
-  // records all carry car id i, so sorting each car in emission order
-  // yields the whole trace in ByCarThenStart order. One car's records and
-  // the writer's pending block are the only record storage alive.
+  // Phase 1: per-car generation -> columnar file. emit_car hands each car
+  // over sorted and cars come out in id order, so the whole trace is in
+  // ByCarThenStart order. One car's records and the writer's pending block
+  // are the only record storage alive.
   const std::string columnar_path = data_dir + "/ccms_batch.ccdr2";
   std::uint64_t records = 0;
   const bench::Stopwatch gen_timer;
@@ -358,8 +358,6 @@ bool write_batch_json_out_of_core(int max_threads, int cars, int days,
     for (std::size_t i = 0; i < sim.fleet().size(); ++i) {
       car_records.clear();
       sim.emit_car(i, raw_scratch, car_records);
-      std::stable_sort(car_records.begin(), car_records.end(),
-                       cdr::ByCarThenStart{});
       for (const cdr::Connection& c : car_records) writer.add(c);
     }
     records = writer.finish();

@@ -1,7 +1,10 @@
 #include "cdr/dataset.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "exec/parallel.h"
 #include "exec/parallel_sort.h"
@@ -71,6 +74,14 @@ void Dataset::finalize_impl(exec::ThreadPool* pool) {
       max_end = std::max(max_end, records_[i].end());
       if (i > 0 && before(records_[i], records_[i - 1])) ascending = false;
     }
+  }
+
+  // A fleet holding car UINT32_MAX needs 2^32 ids, one more than
+  // fleet_size_ counts: max_car + 1 below would wrap to 0.
+  if (max_car == std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("Dataset::finalize: car id " +
+                                std::to_string(max_car) +
+                                " leaves no uint32 fleet size to count it");
   }
 
   // (car, start) record order. ByCarThenStart is a total order, so the

@@ -41,6 +41,9 @@ class Dataset {
   /// before any accessor; idempotent. Stable-sort semantics: with the
   /// total-order comparators in record.h the result is unique, so the
   /// sequential and parallel overloads produce bitwise-identical state.
+  /// Throws std::invalid_argument, before touching any state, on a record
+  /// of car UINT32_MAX: no uint32 fleet size counts it (the ingest readers'
+  /// record screen drops such a record before it gets here).
   void finalize();
 
   /// Parallel finalize on `pool`: chunked merge sort for the (car, start)

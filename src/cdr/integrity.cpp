@@ -93,11 +93,16 @@ void RecordScreen::fault(FaultClass fault, std::uint64_t offset,
                        std::move(reason), std::string(raw));
 }
 
-void RecordScreen::drop(FaultClass fault, std::int64_t start,
-                        std::uint32_t cell, std::int64_t duration,
-                        std::uint64_t offset, std::string_view raw) {
+void RecordScreen::drop(FaultClass fault, std::uint32_t car,
+                        std::int64_t start, std::uint32_t cell,
+                        std::int64_t duration, std::uint64_t offset,
+                        std::string_view raw) {
   std::string reason;
   switch (fault) {
+    case FaultClass::kBadField:
+      reason = "car id " + std::to_string(car) +
+               " is reserved: a fleet size cannot count it";
+      break;
     case FaultClass::kNegativeDuration:
       reason = "negative duration " + std::to_string(duration);
       break;

@@ -168,9 +168,11 @@ struct IngestReport {
 };
 
 /// The §7 record screen, booking into one IngestReport:
-///   1. value checks, in this order: duration below zero, duration above
-///      int32 or max_duration_s, start outside [0, horizon_s), cell id at or
-///      past cell_universe. A failing record is dropped (records_dropped).
+///   1. value checks, in this order: car id UINT32_MAX (a bad field: a fleet
+///      holding it would need 2^32 ids, one more than its uint32 size can
+///      count), duration below zero, duration above int32 or max_duration_s,
+///      start outside [0, horizon_s), cell id at or past cell_universe. A
+///      failing record is dropped (records_dropped).
 ///   2. the sequence rule against the previously screened record: an exact
 ///      copy is a duplicate and is dropped, else a record that sorts before
 ///      it is out of order and kept (Dataset::finalize re-sorts it). Both
@@ -196,11 +198,13 @@ class RecordScreen {
   /// The value checks. `duration` is the value before it is narrowed to
   /// int32, so a CSV field too large for a record fails the same check.
   /// Returns false for a dropped record.
-  [[nodiscard]] bool values(std::int64_t start, std::uint32_t cell,
-                            std::int64_t duration, std::uint64_t offset,
-                            std::string_view raw = {}) {
+  [[nodiscard]] bool values(std::uint32_t car, std::int64_t start,
+                            std::uint32_t cell, std::int64_t duration,
+                            std::uint64_t offset, std::string_view raw = {}) {
     FaultClass fault = FaultClass::kCount;
-    if (duration < 0) {
+    if (car == std::numeric_limits<std::uint32_t>::max()) {
+      fault = FaultClass::kBadField;
+    } else if (duration < 0) {
       fault = FaultClass::kNegativeDuration;
     } else if (duration > std::numeric_limits<std::int32_t>::max() ||
                (options_.max_duration_s > 0 &&
@@ -213,7 +217,7 @@ class RecordScreen {
       fault = FaultClass::kUnknownCell;
     }
     if (fault == FaultClass::kCount) return true;
-    drop(fault, start, cell, duration, offset, raw);
+    drop(fault, car, start, cell, duration, offset, raw);
     return false;
   }
 
@@ -240,7 +244,7 @@ class RecordScreen {
   /// runs both checks and counts it accepted if it survives.
   [[nodiscard]] bool screen(const Connection& c, std::uint64_t offset) {
     ++report_.rows_read;
-    if (!values(c.start, c.cell.value, c.duration_s, offset) ||
+    if (!values(c.car.value, c.start, c.cell.value, c.duration_s, offset) ||
         !sequence(c, offset)) {
       return false;
     }
@@ -252,8 +256,9 @@ class RecordScreen {
   void reset() { have_previous_ = false; }
 
  private:
-  void drop(FaultClass fault, std::int64_t start, std::uint32_t cell,
-            std::int64_t duration, std::uint64_t offset, std::string_view raw);
+  void drop(FaultClass fault, std::uint32_t car, std::int64_t start,
+            std::uint32_t cell, std::int64_t duration, std::uint64_t offset,
+            std::string_view raw);
   void repair(FaultClass fault, std::uint64_t offset, std::string_view raw);
 
   const IngestOptions& options_;

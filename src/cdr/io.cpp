@@ -121,8 +121,9 @@ class CsvIngester {
            line);
       return;
     }
-    if (!screen_.values(start, static_cast<std::uint32_t>(cell), duration,
-                        offset, line)) {
+    if (!screen_.values(static_cast<std::uint32_t>(car), start,
+                        static_cast<std::uint32_t>(cell), duration, offset,
+                        line)) {
       return;
     }
     const Connection c{CarId{static_cast<std::uint32_t>(car)},

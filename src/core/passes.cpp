@@ -14,7 +14,11 @@ namespace {
 /// Merge-joins sorted (value, count) runs from `add_*` into `values`/`counts`
 /// (both strictly ascending): counts of equal values add. The run form is a
 /// canonical encoding of the underlying multiset, so any merge order yields
-/// the same store.
+/// the same store. The join runs back to front inside `values`/`counts`
+/// grown by the added runs, then closes the gap that equal values leave, so
+/// a store merged into chunk after chunk reallocates only as its capacity
+/// doubles: a fresh store per merge, allocated on whichever thread merges
+/// and freed on the next, fragments every thread's malloc arena.
 template <typename V>
 void merge_runs(std::vector<V>& values, std::vector<std::uint64_t>& counts,
                 const std::vector<V>& add_values,
@@ -25,31 +29,41 @@ void merge_runs(std::vector<V>& values, std::vector<std::uint64_t>& counts,
     counts = add_counts;
     return;
   }
-  std::vector<V> merged_values;
-  std::vector<std::uint64_t> merged_counts;
-  merged_values.reserve(values.size() + add_values.size());
-  merged_counts.reserve(values.size() + add_values.size());
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < values.size() || j < add_values.size()) {
-    if (j >= add_values.size() ||
-        (i < values.size() && values[i] < add_values[j])) {
-      merged_values.push_back(values[i]);
-      merged_counts.push_back(counts[i]);
-      ++i;
-    } else if (i >= values.size() || add_values[j] < values[i]) {
-      merged_values.push_back(add_values[j]);
-      merged_counts.push_back(add_counts[j]);
-      ++j;
+  const std::size_t n = values.size();
+  const std::size_t m = add_values.size();
+  values.resize(n + m);
+  counts.resize(n + m);
+  // [0, i) holds the unread runs of the store, [k, n + m) the merged tail;
+  // k - i counts the equal values joined so far, so writes never pass reads.
+  std::size_t i = n;
+  std::size_t j = m;
+  std::size_t k = n + m;
+  while (j > 0) {
+    --k;
+    if (i > 0 && add_values[j - 1] < values[i - 1]) {
+      --i;
+      values[k] = values[i];
+      counts[k] = counts[i];
+    } else if (i > 0 && !(values[i - 1] < add_values[j - 1])) {
+      --i;
+      --j;
+      values[k] = values[i];
+      counts[k] = counts[i] + add_counts[j];
     } else {
-      merged_values.push_back(values[i]);
-      merged_counts.push_back(counts[i] + add_counts[j]);
-      ++i;
-      ++j;
+      --j;
+      values[k] = add_values[j];
+      counts[k] = add_counts[j];
     }
   }
-  values = std::move(merged_values);
-  counts = std::move(merged_counts);
+  if (k != i) {
+    const auto gap = static_cast<std::ptrdiff_t>(k - i);
+    std::move(values.begin() + gap + static_cast<std::ptrdiff_t>(i),
+              values.end(), values.begin() + static_cast<std::ptrdiff_t>(i));
+    std::move(counts.begin() + gap + static_cast<std::ptrdiff_t>(i),
+              counts.end(), counts.begin() + static_cast<std::ptrdiff_t>(i));
+    values.resize(n + m - (k - i));
+    counts.resize(n + m - (k - i));
+  }
 }
 
 /// Sorts `raw` and run-length encodes it into `values`/`counts`.

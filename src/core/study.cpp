@@ -18,16 +18,19 @@
 //      the per-chunk ingest accounting tiles exactly. Dataset records were
 //      screened when they were ingested, so that source skips the screen.
 //
-// Memory: chunks are folded in waves of a few per thread; each wave's
-// partials merge into the running total before the next wave starts, so at
-// most O(threads) chunk partials are ever alive, each holding run-length
-// state sized by distinct values, not records. A CCDR2 file's consumed
-// blocks are dropped from the page cache as the sweep passes them.
+// Memory: a chunk starts folding only while it is fewer than 2 x threads
+// chunks past the last one merged, and each partial merges into the running
+// total (and is destroyed) as soon as every chunk before it has, so at most
+// 2 x threads partials are alive, each holding run-length state sized by
+// distinct values, not records. A CCDR2 file's blocks are dropped from the
+// page cache chunk by chunk, once their chunk is merged.
 
 #include "core/study.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -166,7 +169,7 @@ class DatasetSource {
     }
   }
 
-  void release(std::size_t /*first*/, std::size_t /*last*/) const {}
+  void release(std::size_t /*chunk*/) const {}
 
  private:
   /// The first car boundary at or after record `i`.
@@ -217,11 +220,11 @@ class ColumnarSource {
     }
   }
 
-  /// Drops the page-cache pages of chunks [first, last).
-  void release(std::size_t first, std::size_t last) const {
-    const std::size_t n = file_.blocks().size();
-    file_.drop_consumed(std::min(n, first * kBlocksPerChunk),
-                        std::min(n, last * kBlocksPerChunk));
+  /// Drops the page-cache pages of a merged chunk.
+  void release(std::size_t chunk) const {
+    file_.drop_consumed(chunk * kBlocksPerChunk,
+                        std::min(file_.blocks().size(),
+                                 (chunk + 1) * kBlocksPerChunk));
   }
 
  private:
@@ -252,11 +255,11 @@ CellMask busy_cell_mask(const CellLoad& load, double threshold,
   return mask;
 }
 
-/// The one fold: every chunk of `source`, in waves, merged in ascending
-/// order into one sweep, then finalized into the report. `study_days` and
-/// `fleet_size` are the input's declared geometry; `ingest` is the
-/// accounting of the stages before the fold (open-time faults for CCDR2,
-/// empty for a Dataset).
+/// The one fold: every chunk of `source` folded across the pool and merged
+/// in ascending order into one sweep, then finalized into the report.
+/// `study_days` and `fleet_size` are the input's declared geometry;
+/// `ingest` is the accounting of the stages before the fold (open-time
+/// faults for CCDR2, empty for a Dataset).
 template <typename Source>
 StudyReport run_fold(const Source& source, int study_days,
                      std::uint32_t fleet_size, const net::CellTable& cells,
@@ -271,36 +274,76 @@ StudyReport run_fold(const Source& source, int study_days,
   const CellMask busy_cells =
       busy_cell_mask(load, options.cluster_load_threshold, pool);
   StudySweep total(study_days, cells, load, busy_cells, options);
-  // Fold in waves of a few chunks per thread; merge each wave (ascending)
-  // into the running total before the next starts. The wave width only
-  // schedules work — the fold/merge sequence, hence the result, is the
-  // same for every width.
-  const std::size_t wave =
-      std::max<std::size_t>(std::size_t{2} * static_cast<std::size_t>(
-                                                 std::max(1, pool.size())),
-                            2);
-  std::vector<std::optional<StudySweep>> partials(std::min(wave, chunks));
-  for (std::size_t first = 0; first < chunks; first += wave) {
-    const std::size_t count = std::min(wave, chunks - first);
-    pool.parallel_for(count, [&](std::size_t i) {
-      StudySweep acc(study_days, cells, load, busy_cells, options);
+
+  // One pass over all chunks. A thread folds its chunk into slot
+  // i % window and marks it ready; then, unless another thread is merging,
+  // it merges every ready partial that continues the ascending sequence
+  // into `total`, destroying each and releasing its input. The merge
+  // sequence is the serial one at every width, and it overlaps the folds
+  // still running. Chunk i starts only once i < merged + window, so at most
+  // `window` partials are alive and its slot is free. A thread marks its
+  // chunk ready under the lock the merging thread checks before it stops,
+  // so the pass leaves nothing unmerged.
+  const std::size_t window =
+      std::min(std::size_t{2} * static_cast<std::size_t>(pool.size()), chunks);
+  struct Slot {
+    std::optional<StudySweep> sweep;
+    bool ready = false;
+  };
+  std::vector<Slot> slots(window);
+  std::mutex mutex;
+  std::condition_variable advanced;
+  std::size_t merged = 0;  // chunks merged into total (guarded by mutex)
+  bool merging = false;    // a thread is merging (guarded by mutex)
+  bool failed = false;     // a chunk or a merge threw (guarded by mutex)
+  pool.parallel_for(chunks, [&](std::size_t i) {
+    std::unique_lock<std::mutex> lock(mutex);
+    advanced.wait(lock, [&] { return failed || i < merged + window; });
+    // Only a failure ends the wait with i outside the window. The window
+    // only grows, so the thrower, which passed this wait, is below i: the
+    // chunks that stop here are all past where a serial loop stops.
+    if (i >= merged + window) return;
+    lock.unlock();
+    bool draining = false;
+    try {
+      Slot& slot = slots[i % window];
+      StudySweep& acc =
+          slot.sweep.emplace(study_days, cells, load, busy_cells, options);
       SweepScratch& s = scratch_for_thread();
       s.car.clear();  // a strict-mode throw can leave a car staged
-      source.fold(acc, first + i, s);
+      source.fold(acc, i, s);
       flush_car(acc, s.car);
       acc.seal();
-      partials[i].emplace(std::move(acc));
-    });
-    for (std::size_t i = 0; i < count; ++i) {
-      total.merge(std::move(*partials[i]), cap);
-      partials[i].reset();
+      lock.lock();
+      slot.ready = true;
+      if (merging || failed) return;
+      merging = draining = true;
+      while (!failed && slots[merged % window].ready) {
+        const std::size_t m = merged;
+        Slot& next = slots[m % window];
+        lock.unlock();
+        total.merge(std::move(*next.sweep), cap);
+        next.sweep.reset();
+        source.release(m);
+        lock.lock();
+        next.ready = false;
+        merged = m + 1;
+        advanced.notify_all();
+      }
+      merging = false;
+    } catch (...) {
+      if (!lock.owns_lock()) lock.lock();
+      failed = true;
+      if (draining) merging = false;
+      advanced.notify_all();
+      throw;
     }
-    source.release(first, first + count);
-  }
+  });
 
   // The fleet-size bump Dataset::finalize applies: accepted records can
   // name cars beyond the header's declared fleet (a finalized Dataset
-  // already covers its own cars, so this never fires for that source).
+  // already covers its own cars, so this never fires for that source). The
+  // record screen drops car UINT32_MAX, so max_car + 1 cannot wrap.
   if (total.any_accepted && fleet_size < total.max_car + 1) {
     fleet_size = total.max_car + 1;
   }

@@ -67,7 +67,8 @@ class StreamSim {
     return day_factors_;
   }
 
-  /// Appends car `i`'s censored, loss-filtered records to `out`.
+  /// Appends car `i`'s censored, loss-filtered records to `out`, sorted by
+  /// cdr::ByCarThenStart.
   /// `raw_scratch` is caller-owned generation scratch (cleared here), so
   /// concurrent emit_car calls with distinct scratch/out are safe.
   void emit_car(std::size_t i, std::vector<cdr::Connection>& raw_scratch,

@@ -16,10 +16,14 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cdr/columnar.h"
 #include "cdr/io.h"
+#include "core/study.h"
 #include "test_helpers.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -203,6 +207,96 @@ TEST_F(IngestTest, DuplicateAndOutOfOrderRowsAreRepairedNotDropped) {
   EXPECT_EQ(loaded.all()[2].start, 300);
 }
 
+// ------------------------------------------------------- reserved car id
+
+/// Car UINT32_MAX: a fleet holding it needs 2^32 ids, one more than a
+/// uint32 fleet size counts, so Dataset::finalize's max_car + 1 wrapped to
+/// 0 and its offset table was written past its end. The record screen that
+/// CSV and CCDR2 share books it as a bad field: strict throws, lenient drops.
+TEST(ReservedCarId, CsvStrictThrowsAndLenientDrops) {
+  const std::string text = "0,1,2,3\n4294967295,1,5,3\n";
+  IngestOptions options;
+  IngestReport strict;
+  try {
+    (void)read_csv_text(text, options, strict, "trace.csv");
+    FAIL() << "strict ingest must throw";
+  } catch (const util::CsvError& e) {
+    EXPECT_NE(std::string(e.what()).find("car id 4294967295"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("at byte offset 8 in trace.csv"),
+              std::string::npos)
+        << e.what();
+  }
+
+  options.mode = ParseMode::kLenient;
+  IngestReport report;
+  const Dataset loaded = read_csv_text(text, options, report);
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded.fleet_size(), 1u);
+  EXPECT_EQ(loaded.of_car(CarId{0}).size(), 1u);
+  EXPECT_EQ(report.count(FaultClass::kBadField), 1u);
+  EXPECT_EQ(report.records_dropped, 1u);
+  EXPECT_EQ(report.records_accepted, 1u);
+  ASSERT_EQ(report.quarantine.size(), 1u);
+  EXPECT_EQ(report.quarantine[0].byte_offset, 8u);
+  EXPECT_EQ(report.quarantine[0].raw, "4294967295,1,5,3");
+}
+
+TEST(ReservedCarId, ColumnarBlockStrictThrowsAndLenientDrops) {
+  const sim::Study& study = test::cached_study(
+      {.seed = 3, .fleet = 20, .days = 2, .grid = 4, .quick = true});
+  const core::CellLoad load = core::CellLoad::from_background(study.background);
+  std::ostringstream out(std::ios::binary);
+  {
+    ColumnarWriter writer(out, /*fleet_size=*/1, /*study_days=*/1);
+    writer.add(conn(0, 1, 2, 3));
+    writer.add(conn(std::numeric_limits<std::uint32_t>::max(), 1, 5, 3));
+    writer.finish();
+  }
+  const std::string bytes = out.str();
+
+  IngestOptions options;
+  IngestReport strict;
+  EXPECT_THROW((void)read_columnar_buffer(bytes, options, strict),
+               util::CsvError);
+  core::StudyOptions study_options;
+  study_options.ingest = options;
+  EXPECT_THROW((void)core::run_study_columnar_buffer(
+                   bytes, study.topology.cells(), load, study_options),
+               util::CsvError);
+
+  options.mode = ParseMode::kLenient;
+  IngestReport report;
+  const Dataset loaded = read_columnar_buffer(bytes, options, report);
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded.fleet_size(), 1u);
+  EXPECT_EQ(report.count(FaultClass::kBadField), 1u);
+  EXPECT_EQ(report.records_dropped, 1u);
+
+  // The fold drops the same record, so its fleet-size bump sees car 0 only.
+  study_options.ingest = options;
+  study_options.threads = 2;
+  core::StudyReport materialized =
+      core::run_study(loaded, study.topology.cells(), load, study_options);
+  materialized.ingest = report;
+  const core::StudyReport swept = core::run_study_columnar_buffer(
+      bytes, study.topology.cells(), load, study_options);
+  std::string why;
+  EXPECT_TRUE(core::study_reports_identical(materialized, swept, &why))
+      << why;
+  EXPECT_EQ(swept.ingest.count(FaultClass::kBadField), 1u);
+}
+
+TEST(ReservedCarId, FinalizeRejectsItBeforeTouchingTheDataset) {
+  Dataset dataset;
+  dataset.add(conn(std::numeric_limits<std::uint32_t>::max(), 1, 5, 3));
+  dataset.add(conn(0, 1, 2, 3));
+  EXPECT_THROW(dataset.finalize(), std::invalid_argument);
+  EXPECT_FALSE(dataset.finalized());
+  EXPECT_EQ(dataset.all()[1].car.value, 0u);
+}
+
 // ------------------------------------------------ generated-row differential
 
 /// strtoll with the reader's field rules: the reference for util::parse_i64.
@@ -307,7 +401,10 @@ ReferenceRead reference_read(const std::string& text,
         continue;
       }
       const auto cell = static_cast<std::uint32_t>(v[1]);
-      if (!screen.values(v[2], cell, v[3], at, line)) continue;
+      if (!screen.values(static_cast<std::uint32_t>(v[0]), v[2], cell, v[3],
+                         at, line)) {
+        continue;
+      }
       const Connection c{CarId{static_cast<std::uint32_t>(v[0])}, CellId{cell},
                          v[2], static_cast<std::int32_t>(v[3])};
       if (!screen.sequence(c, at, line)) continue;

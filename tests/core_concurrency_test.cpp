@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <set>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "core/passes.h"
 #include "test_helpers.h"
+#include "util/rng.h"
 
 namespace ccms::core {
 namespace {
@@ -227,6 +231,51 @@ TEST(ConcurrencyCountsTest, EmptyMaskCountsEveryCell) {
     whole.add_car(car, records);
   });
   EXPECT_EQ(std::move(whole).take_counts(), all);
+}
+
+TEST(ConcurrencyCountsTest, MergedPartsCountLikeAMap) {
+  // Six parts over the same ten cells, each flushing its pending keys
+  // mid-part, merged one after another into a total: every merge joins
+  // runs of equal keys inside the store. The result must be a plain count
+  // of (cell, bin) keys per distinct car.
+  constexpr int kDays = 3;
+  constexpr std::int64_t kHorizon = std::int64_t{kDays} * 86400;
+  util::Rng rng(7);
+  std::map<std::uint64_t, std::uint64_t> expected;
+  ConcurrencyCountsAccumulator total(kDays);
+  std::uint32_t car = 0;
+  for (int part = 0; part < 6; ++part) {
+    ConcurrencyCountsAccumulator acc(kDays);
+    for (int k = 0; k < 30; ++k, ++car) {
+      std::vector<cdr::Connection> records;
+      for (int r = 0; r < 250; ++r) {
+        records.push_back(conn(
+            car, static_cast<std::uint32_t>(rng.uniform_int(0, 9)),
+            rng.uniform_int(0, kHorizon - 1),
+            static_cast<std::int32_t>(rng.uniform_int(1, 20000))));
+      }
+      std::sort(records.begin(), records.end(), cdr::ByCarThenStart{});
+      std::set<std::uint64_t> keys;
+      for (const cdr::Connection& c : records) {
+        const std::int64_t last = std::min(c.end() - 1, kHorizon - 1) / 900;
+        for (std::int64_t b = c.start / 900; b <= last; ++b) {
+          keys.insert((std::uint64_t{c.cell.value} << 24) |
+                      static_cast<std::uint64_t>(b));
+        }
+      }
+      for (const std::uint64_t key : keys) ++expected[key];
+      acc.add_car(CarId{car}, records);
+    }
+    total.merge(std::move(acc));
+  }
+  const Counts counts = std::move(total).take_counts();
+  ASSERT_GT(counts.first.size(), kPassFlushRecords / 64);
+  Counts reference;
+  for (const auto& [key, count] : expected) {
+    reference.first.push_back(key);
+    reference.second.push_back(count);
+  }
+  EXPECT_EQ(counts, reference);
 }
 
 TEST(ConcurrencyCountsTest, MaskSkipsOnlyExcludedLegs) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "util/time.h"
 
@@ -130,6 +134,67 @@ TEST_F(SimulatorTest, PaperDefaultIsLarger) {
   EXPECT_EQ(config.study_days, 90);
   EXPECT_GE(config.fleet.size, 4000);
   EXPECT_GE(config.topology.grid_width * config.topology.grid_height, 1000);
+}
+
+/// FNV-1a over 64-bit little-endian words.
+struct Fnv64 {
+  std::uint64_t h = 1469598103934665603ULL;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  }
+};
+
+TEST(SimulateDigest, RecordsOffsetsAndGeometryArePinned) {
+  // simulate() hands each car's records to finalize() already sorted; the
+  // finalized Dataset must stay the one the full sort produced. The digest
+  // covers every record, every car's offset and count, the fleet size and
+  // the study days; it was taken when finalize() still sorted the trace.
+  constexpr std::uint64_t kPinned = 0x6bf4af8110a060ccULL;
+  for (const int width : {1, 4}) {
+    SimConfig config = SimConfig::quick();
+    config.fleet.size = 300;
+    config.study_days = 14;
+    config.threads = width;
+    const Study study = simulate(config);
+    const cdr::Dataset& raw = study.raw;
+    Fnv64 digest;
+    for (const cdr::Connection& c : raw.all()) {
+      digest.add(c.car.value);
+      digest.add(c.cell.value);
+      digest.add(static_cast<std::uint64_t>(c.start));
+      digest.add(static_cast<std::uint64_t>(std::int64_t{c.duration_s}));
+    }
+    for (std::uint32_t k = 0; k < raw.fleet_size(); ++k) {
+      const std::span<const cdr::Connection> records = raw.of_car(CarId{k});
+      digest.add(records.empty() ? 0
+                                 : static_cast<std::uint64_t>(
+                                       records.data() - raw.all().data()));
+      digest.add(records.size());
+    }
+    digest.add(raw.fleet_size());
+    digest.add(static_cast<std::uint64_t>(raw.study_days()));
+    EXPECT_EQ(raw.size(), 74801u) << "width " << width;
+    EXPECT_EQ(digest.h, kPinned) << "width " << width;
+  }
+}
+
+TEST(SimulateDigest, EmittedTraceAlreadyAscends) {
+  // What lets finalize() skip its sort: cars come out in id order, each
+  // one sorted.
+  SimConfig config = SimConfig::quick();
+  config.study_days = 14;
+  const StreamSim sim(config);
+  std::vector<cdr::Connection> scratch;
+  std::vector<cdr::Connection> trace;
+  for (std::size_t i = 0; i < sim.fleet().size(); ++i) {
+    sim.emit_car(i, scratch, trace);
+  }
+  ASSERT_GT(trace.size(), 1000u);
+  EXPECT_TRUE(std::is_sorted(trace.begin(), trace.end(),
+                             cdr::ByCarThenStart{}));
 }
 
 }  // namespace
