@@ -16,6 +16,11 @@
 // the recovered report is bitwise identical to an uninterrupted run, and
 // writes BENCH_stream_recovery.json.
 //
+// A stage row times operator integration alone: one ShardState fed shard
+// 0's Frontend batches on one thread, as a shard worker integrates them,
+// then one snapshot() and one write_shard() of the result (the median of
+// kStageRepeats passes). It lands in BENCH_stream.json as operator_stage.
+//
 // A third phase measures *distributed* recovery: the feed replayed through
 // dist::DistEngine (one supervised worker process per shard), with one
 // worker crashed mid-run and restarted from its rolling checkpoint. Each
@@ -46,6 +51,8 @@
 #include "stream/checkpoint.h"
 #include "stream/engine.h"
 #include "stream/feed.h"
+#include "stream/frontend.h"
+#include "stream/operators.h"
 #include "stream/report.h"
 
 namespace {
@@ -65,6 +72,67 @@ struct ShardRun {
   bool parity_ok = false;
   double p2_rel_error = 0;
 };
+
+struct StageRun {
+  int shards = 0;
+  std::uint64_t records = 0;  ///< records shard 0 integrated
+  double integrate_ns_per_record = 0;
+  double snapshot_ms = 0;
+  double write_shard_ms = 0;
+};
+
+constexpr int kStageRepeats = 5;
+
+double median_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// Operator integration at shard width: shard 0's batches, cut by the
+/// producer's Frontend exactly as the engine cuts them, offered and
+/// advanced through one ShardState on this thread.
+StageRun run_operator_stage(const std::vector<cdr::Connection>& arrivals,
+                            const stream::StreamConfig& config) {
+  stream::Frontend frontend(config);
+  std::vector<stream::Batch> batches;
+  for (const cdr::Connection& c : arrivals) {
+    if (const auto full = frontend.offer(c)) {
+      stream::Batch batch = frontend.flush(*full);
+      if (*full == 0) batches.push_back(std::move(batch));
+    }
+  }
+  batches.push_back(frontend.flush(0));
+
+  StageRun run;
+  run.shards = frontend.config().shards;
+  std::vector<double> integrate_ns;
+  std::vector<double> snapshot_ms;
+  std::vector<double> write_ms;
+  for (int repeat = 0; repeat < kStageRepeats; ++repeat) {
+    stream::ShardState shard(frontend.config(), 0);
+    const bench::Stopwatch integrate_timer;
+    for (const stream::Batch& batch : batches) {
+      for (const cdr::Connection& c : batch.records) shard.offer(c);
+      shard.advance(batch.watermark);
+    }
+    const double integrate_s = integrate_timer.seconds();
+    const bench::Stopwatch snapshot_timer;
+    const stream::ShardSnapshot snapshot = shard.snapshot();
+    snapshot_ms.push_back(1e3 * snapshot_timer.seconds());
+    const bench::Stopwatch write_timer;
+    const std::vector<std::uint8_t> section = stream::write_shard(shard);
+    write_ms.push_back(1e3 * write_timer.seconds());
+    run.records = snapshot.records;
+    integrate_ns.push_back(
+        snapshot.records > 0
+            ? 1e9 * integrate_s / static_cast<double>(snapshot.records)
+            : 0);
+  }
+  run.integrate_ns_per_record = median_of(integrate_ns);
+  run.snapshot_ms = median_of(snapshot_ms);
+  run.write_shard_ms = median_of(write_ms);
+  return run;
+}
 
 struct RecoveryRun {
   int shards = 0;
@@ -278,6 +346,14 @@ int main() {
                 run.parity_ok ? "ok" : "FAIL");
   }
 
+  const StageRun stage = run_operator_stage(
+      stream::arrival_order(study.raw), stream::config_for(study.raw, 4));
+  std::printf(
+      "\noperator stage: shard 0 of %d, %llu records, %.0f ns/record "
+      "integrated, snapshot %.2f ms, write_shard %.2f ms\n",
+      stage.shards, static_cast<unsigned long long>(stage.records),
+      stage.integrate_ns_per_record, stage.snapshot_ms, stage.write_shard_ms);
+
   bench::JsonArray shard_rows;
   for (const ShardRun& run : runs) {
     // `threads` / `speedup_vs_1t` mirror BENCH_batch.json's row schema so
@@ -303,6 +379,15 @@ int main() {
           .add("hardware_concurrency", static_cast<int>(cores))
           .add("peak_rss_bytes", bench::peak_rss_bytes())
           .raw("shard_runs", shard_rows.dump())
+          .raw("operator_stage",
+               bench::JsonObject()
+                   .add("shards", stage.shards)
+                   .add("records", stage.records)
+                   .add("integrate_ns_per_record",
+                        stage.integrate_ns_per_record)
+                   .add("snapshot_ms", stage.snapshot_ms)
+                   .add("write_shard_ms", stage.write_shard_ms)
+                   .dump())
           .dump();
   const char* out = std::getenv("CCMS_BENCH_OUT");
   bench::write_bench_json(out != nullptr ? out : "BENCH_stream.json", json);

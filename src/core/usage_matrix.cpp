@@ -62,11 +62,33 @@ Matrix24x7 usage_matrix(std::span<const cdr::Connection> connections,
 
 void add_connection(Matrix24x7& m, const cdr::Connection& c,
                     int tz_offset_hours) {
-  for_each_hour_box(c.start, c.end(), tz_offset_hours, [&](time::Seconds t) {
-    const int hour = time::hour_of_day(t);
-    const int dow = static_cast<int>(time::weekday(t));
+  const time::Seconds shift =
+      static_cast<time::Seconds>(tz_offset_hours) * time::kSecondsPerHour;
+  const time::Seconds s = c.start + shift;
+  const time::Seconds e = c.end() + shift;
+  if (s < 0) {
+    // for_each_hour_box's boundary step truncates toward zero; keep its
+    // boxes for intervals that start before the epoch.
+    for_each_hour_box(c.start, c.end(), tz_offset_hours, [&](time::Seconds t) {
+      m.at(time::hour_of_day(t), static_cast<int>(time::weekday(t))) += 1.0;
+    });
+    return;
+  }
+  if (e <= s) return;
+  // The same boxes as for_each_hour_box: the hour-of-week of the start,
+  // then one box per hour boundary inside (s, e), stepped without a
+  // division per box.
+  time::Seconds boxes = (e - 1) / time::kSecondsPerHour -
+                        s / time::kSecondsPerHour + 1;
+  int hour = time::hour_of_day(s);
+  int dow = static_cast<int>(time::weekday(s));
+  for (; boxes > 0; --boxes) {
     m.at(hour, dow) += 1.0;
-  });
+    if (++hour == 24) {
+      hour = 0;
+      if (++dow == 7) dow = 0;
+    }
+  }
 }
 
 Matrix24x7 commute_peak_mask() {

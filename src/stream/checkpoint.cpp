@@ -299,45 +299,6 @@ void day_words(IO& io, DayBits& bits) {
   }
 }
 
-/// A per-cell hash map as a list ascending by cell: `id(cell)` writes or
-/// reads each entry's cell id, `entry(value)` the rest. The writer sorts
-/// (cell, pointer) pairs, not the entries, and since the map's nodes lie
-/// scattered over the heap it prefetches a few entries ahead.
-template <class IO, class Map, class Id, class Entry>
-void cell_map(IO& io, Map& map, std::uint64_t min_entry_bytes, Id id,
-              Entry entry) {
-  using Value = typename Map::mapped_type;
-  std::size_t n = map.size();
-  io.count(n, min_entry_bytes);
-  if constexpr (IO::kReading) {
-    map.clear();
-    map.reserve(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      std::uint32_t cell = 0;
-      id(cell);
-      entry(map[cell]);
-    }
-    return;
-  }
-  std::vector<std::pair<std::uint32_t, Value*>> sorted;
-  sorted.reserve(n);
-  for (auto& [cell, value] : map) sorted.emplace_back(cell, &value);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  constexpr std::size_t kAhead = 6;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (k + kAhead < n) {
-      const auto* ahead =
-          reinterpret_cast<const char*>(sorted[k + kAhead].second);
-      for (std::size_t at = 0; at < sizeof(Value); at += 64) {
-        __builtin_prefetch(ahead + at);
-      }
-    }
-    id(sorted[k].first);
-    entry(*sorted[k].second);
-  }
-}
-
 /// True when `v` strictly ascends.
 bool strictly_ascending(const std::vector<std::uint32_t>& v) {
   return std::adjacent_find(v.begin(), v.end(),
@@ -349,8 +310,8 @@ bool strictly_ascending(const std::vector<std::uint32_t>& v) {
 /// The SHRD payload: the shard's index, then its members. The index lets
 /// decode reject reordered sections: SHRD sections all carry the same tag,
 /// so without it two swapped (individually valid) shard images would
-/// silently restore into the wrong shards. Hash maps are written ascending
-/// by cell, and the open bins compacted, so equal states write equal bytes.
+/// silently restore into the wrong shards. Cells are written ascending,
+/// and the open bins compacted, so equal states write equal bytes.
 template <class IO>
 void fields(IO& io, ShardState& s) {
   constexpr bool kReading = IO::kReading;
@@ -364,8 +325,8 @@ void fields(IO& io, ShardState& s) {
     const std::size_t day_words = s.cars_per_day_.size() / 64 + 1;
     io.buffer().reserve(io.buffer().size() + 4096 +
                         (72 + 8 * day_words) * s.cars_.size() +
-                        (12 + 8 * day_words) * s.cell_days_.size() +
-                        40 * s.cell_durations_.size() + 8 * folded_cells +
+                        (52 + 8 * day_words) * s.cells_by_id_.size() +
+                        8 * folded_cells +
                         cdr::kConnectionBytes * s.reorder_.size());
   }
 
@@ -378,13 +339,12 @@ void fields(IO& io, ShardState& s) {
                            " carries index " + std::to_string(index) +
                            " (sections out of order)"};
     }
+    s.reset_for_load();
   }
 
   // The seen cars, ascending by local index (car / shards).
   std::vector<std::uint32_t> seen;
-  if constexpr (kReading) {
-    s.cars_.clear();
-  } else {
+  if constexpr (!kReading) {
     for (std::size_t i = 0; i < s.cars_.size(); ++i) {
       if (s.cars_[i].seen) seen.push_back(static_cast<std::uint32_t>(i));
     }
@@ -414,9 +374,50 @@ void fields(IO& io, ShardState& s) {
   });
 
   io.vec_u32(s.cars_per_day_);
-  cell_map(
-      io, s.cell_days_, 4 + 8, [&](std::uint32_t& cell) { io.u32(cell); },
-      [&](DayBits& bits) { day_words(io, bits); });
+
+  // Two per-cell lists, ascending by cell: the day words, then the
+  // connection counts and P2 states. A live shard lists every cell in
+  // both. A cell's words run to its highest nonzero one, as a DayBits
+  // grown day by day holds them, so the rows are written trimmed and a
+  // row that ends in a zero word is refused.
+  const auto listed = [&](std::uint8_t list) {
+    std::size_t n = 0;
+    for (const std::uint8_t lists : s.cell_lists_) n += (lists & list) != 0;
+    return n;
+  };
+  std::size_t day_cells = 0;
+  if constexpr (!kReading) day_cells = listed(ShardState::kDayList);
+  io.count(day_cells, 4 + 8);
+  if constexpr (kReading) {
+    std::vector<std::uint64_t> words;
+    for (std::size_t k = 0; k < day_cells; ++k) {
+      std::uint32_t cell = 0;
+      io.u32(cell);
+      io.vec_u64(words);
+      if (!words.empty() && words.back() == 0) {
+        throw ParseFault{cdr::FaultClass::kCheckpointMismatch,
+                         "cell day words end in a zero word"};
+      }
+      const std::uint32_t at = s.cell_index(cell);
+      if (words.size() > s.cell_rows_[at].words) s.widen_row(at, words.size());
+      const ShardState::DayRow row = s.cell_rows_[at];
+      const auto first =
+          s.cell_words_.begin() + static_cast<std::ptrdiff_t>(row.at);
+      std::fill_n(std::copy(words.begin(), words.end(), first),
+                  row.words - words.size(), 0);
+      s.cell_lists_[at] |= ShardState::kDayList;
+    }
+  } else {
+    for (const auto& [cell, at] : s.sorted_cells()) {
+      if ((s.cell_lists_[at] & ShardState::kDayList) == 0) continue;
+      const std::uint64_t* row = s.cell_words_.data() + s.cell_rows_[at].at;
+      std::size_t n = s.cell_rows_[at].words;
+      while (n > 0 && row[n - 1] == 0) --n;
+      io.u32(cell);
+      io.count(n, 8);
+      for (std::size_t w = 0; w < n; ++w) io.u64(row[w]);
+    }
+  }
 
   for (auto& v : s.usage_.values) io.f64(v);
   io.u64(s.sessions_closed_);
@@ -441,11 +442,40 @@ void fields(IO& io, ShardState& s) {
     prev_cell = cell;
     first_cell = false;
   };
-  cell_map(io, s.cell_durations_, 1 + 1 + kP2MinBytes, cell_id,
-           [&](ShardState::CellDuration& entry) {
-             varint(io, entry.connections);
-             via_state(io, entry.median);
-           });
+  const auto duration = [&](std::uint32_t at) {
+    varint(io, s.cell_connections_[at]);
+    via_state(io, s.cell_medians_[at]);
+  };
+  std::size_t duration_cells = 0;
+  if constexpr (!kReading) duration_cells = listed(ShardState::kDurationList);
+  io.count(duration_cells, 1 + 1 + kP2MinBytes);
+  if constexpr (kReading) {
+    for (std::size_t k = 0; k < duration_cells; ++k) {
+      std::uint32_t cell = 0;
+      cell_id(cell);
+      const std::uint32_t at = s.cell_index(cell);
+      s.cell_lists_[at] |= ShardState::kDurationList;
+      duration(at);
+    }
+  } else {
+    // The P2 states lie in first-seen order, so the writer walks them out
+    // of order and prefetches a few entries ahead.
+    const auto& cells = s.sorted_cells();
+    constexpr std::size_t kAhead = 6;
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      if (k + kAhead < cells.size()) {
+        const auto* ahead = reinterpret_cast<const char*>(
+            &s.cell_medians_[cells[k + kAhead].second]);
+        for (std::size_t at = 0; at < sizeof(stats::P2Quantile); at += 64) {
+          __builtin_prefetch(ahead + at);
+        }
+      }
+      auto [cell, at] = cells[k];
+      if ((s.cell_lists_[at] & ShardState::kDurationList) == 0) continue;
+      cell_id(cell);
+      duration(at);
+    }
+  }
 
   // The reorder heap in the order it pops.
   std::vector<cdr::Connection> pending;
@@ -468,48 +498,69 @@ void fields(IO& io, ShardState& s) {
   }
 
   // Open bins as their compacted lists: cars, then cells with their cars.
-  std::size_t bins = s.active_bins_.size();
+  // The cars list is the set of cars in the keys, and the shard counts
+  // both as sets: a list that is not canonical would restore to counts its
+  // bytes do not show.
+  std::size_t bins = 0;
+  if constexpr (!kReading) {
+    for (std::size_t i = 0; i < s.window_size_; ++i) {
+      bins += !s.open_bin(s.window_first_ + static_cast<std::int64_t>(i))
+                   .keys.empty();
+    }
+  }
   io.count(bins, 8 + 8 + 8);
   if constexpr (kReading) {
-    // The shard counts these lists as sets: a non-canonical one would
-    // restore to counts its bytes do not show.
-    const auto require = [](bool canonical, const char* what) {
+    const auto require = [](bool canonical, const std::string& what) {
       if (!canonical) {
         throw ParseFault{cdr::FaultClass::kCheckpointMismatch,
-                         std::string("active-bin ") + what};
+                         "active-bin " + what};
       }
     };
-    s.active_bins_.clear();
+    std::int64_t first_bin = 0;
+    std::int64_t prev_bin = 0;
+    std::vector<std::uint32_t> cars;
     std::vector<std::uint32_t> members;
     for (std::size_t k = 0; k < bins; ++k) {
       std::int64_t bin = 0;
       io.i64(bin);
-      require(k == 0 || bin > s.active_bins_.rbegin()->first,
-              "indices do not strictly ascend");
-      ActiveBin& active = s.active_bins_[bin];
-      io.vec_u32(active.cars);
-      require(strictly_ascending(active.cars), "cars do not strictly ascend");
+      require(k == 0 || bin > prev_bin, "indices do not strictly ascend");
+      if (k == 0) first_bin = bin;
+      require(static_cast<std::uint64_t>(bin) -
+                      static_cast<std::uint64_t>(first_bin) <
+                  static_cast<std::uint64_t>(ShardState::kMaxOpenBins),
+              "indices span more than " +
+                  std::to_string(ShardState::kMaxOpenBins) + " bins");
+      prev_bin = bin;
+      io.vec_u32(cars);
+      require(strictly_ascending(cars), "cars do not strictly ascend");
+      std::vector<std::uint64_t> keys;
       std::size_t per_cell = 0;
       io.count(per_cell, 4 + 8);
       for (std::size_t c = 0; c < per_cell; ++c) {
         std::uint32_t cell = 0;
         io.u32(cell);
-        require(c == 0 || cell > ActiveBin::cell_of(active.keys.back()),
+        require(c == 0 || cell > ActiveBin::cell_of(keys.back()),
                 "cells do not strictly ascend");
         io.vec_u32(members);
         require(!members.empty(), "cell has an empty member list");
         require(strictly_ascending(members),
                 "member cars do not strictly ascend");
         for (const std::uint32_t car : members) {
-          active.keys.push_back(ActiveBin::key(cell, car));
+          keys.push_back(ActiveBin::key(cell, car));
         }
       }
+      require(ActiveBin::distinct_cars(keys) == cars,
+              "cars are not the cars of its cells");
+      s.load_bin(bin, std::move(keys), cars);
     }
   } else {
-    for (auto& [bin, active] : s.active_bins_) {
+    for (std::size_t i = 0; i < s.window_size_; ++i) {
+      const std::int64_t bin = s.window_first_ + static_cast<std::int64_t>(i);
+      ActiveBin& active = s.open_bin(bin);
+      if (active.keys.empty()) continue;
       active.compact();
       io.i64(bin);
-      io.vec_u32(active.cars);
+      io.vec_u32(ActiveBin::distinct_cars(active.keys));
       // The keys sort by cell, so each cell's member cars are one run.
       const BinCounts counts = ShardState::count_bin(bin, active);
       io.count(counts.cells.size(), 4 + 8);
@@ -518,7 +569,7 @@ void fields(IO& io, ShardState& s) {
         io.u32(cell);
         io.count(cars, 4);
         for (std::uint32_t i = 0; i < cars; ++i) {
-          io.u32(static_cast<std::uint32_t>(*key++));
+          io.u32(ActiveBin::car_of(*key++));
         }
       }
     }
@@ -527,10 +578,10 @@ void fields(IO& io, ShardState& s) {
   std::size_t folded = s.folded_bins_.size();
   io.count(folded, 8 + 4 + 1 + 8);
   if constexpr (kReading) {
-    s.folded_bins_.clear();
     s.folded_bins_.resize(folded);
   }
   for (auto& bin : s.folded_bins_) fields(io, bin);
+  if constexpr (kReading) s.folded_final_ = folded;
 
   io.u64(s.records_);
   io.i64(s.max_day_seen_);

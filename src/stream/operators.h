@@ -17,7 +17,22 @@
 //   per-cell duration quantiles stats::P2Quantile per cell (Fig 9 per cell)
 //   recent concurrency         distinct cars per (cell, 15-min bin): sorted,
 //                              deduplicated u64 keys, the method of
-//                              core::ConcurrencyCountsAccumulator
+//                              core::ConcurrencyCountsAccumulator; distinct
+//                              cars per bin counted once each through a
+//                              per-car "highest bin counted" mark
+//
+// State layout. Cars are striped car % shards -> shard, car / shards ->
+// index into a vector of CarState. Cells are interned on first sight into
+// dense shard-local indices (one open-addressing probe per record), and
+// each cell's day words, connection count and P2 estimator live in flat
+// arrays at that index; a cached (cell id, index) list, kept ascending,
+// gives snapshots and the checkpoint writer cell order without a hash
+// walk. The open 15-minute bins sit in a ring indexed by bin - oldest open
+// bin. Records integrate in start order, so a bin that ends at or before
+// the record being integrated is final: it folds right then, and the ring
+// spans at most the longest record's bins plus two. Each car keeps the
+// highest bin it was counted in, so a bin counts its distinct cars as
+// they come (see mark_bins()).
 //
 // Records enter via offer() in arrival order and sit in a bounded reorder
 // heap; advance(watermark) integrates everything strictly older than the
@@ -27,9 +42,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <limits>
 #include <queue>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cdr/record.h"
@@ -73,8 +88,13 @@ struct ShardSnapshot {
   /// Distinct cars of this shard present per study day.
   std::vector<std::uint32_t> cars_per_day;
 
-  /// Day bitset per touched cell (cells overlap across shards; merged by OR).
-  std::vector<std::pair<std::uint32_t, DayBits>> cell_days;
+  /// Day words of every touched cell (cells overlap across shards; merged
+  /// by OR). `day_cells` ascends; cell day_cells[i] has the words
+  /// day_words[day_rows[i], day_rows[i + 1]), bit d of word d / 64 set for
+  /// each study day d it was active on.
+  std::vector<std::uint32_t> day_cells;
+  std::vector<std::size_t> day_rows;
+  std::vector<std::uint64_t> day_words;
 
   core::Matrix24x7 usage;
 
@@ -124,7 +144,16 @@ class ShardState {
   /// The shard this state belongs to; its checkpoint section carries it.
   [[nodiscard]] int index() const { return shard_index_; }
 
+  /// Most bins the open-bin window may span: about 30 years, far beyond
+  /// any record a screened feed holds (clean.max_plausible_duration_s).
+  /// A record or checkpoint section that needs more is refused.
+  static constexpr std::int64_t kMaxOpenBins = std::int64_t{1} << 20;
+
  private:
+  /// Below every bin: the marks of a car in no open bin.
+  static constexpr std::int64_t kNoBin =
+      std::numeric_limits<std::int64_t>::min();
+
   struct CarState {
     cdr::SessionBuilder session{0};
     // Union-of-intervals runs, full and truncated variants — the same
@@ -132,17 +161,29 @@ class ShardState {
     cdr::IntervalUnionRun full;
     cdr::IntervalUnionRun trunc;
     DayBits days;
+    // Concurrency marks: the car is counted in every open bin in
+    // [bin_anchor, bin_mark] (or that bin recounts from its keys) and in
+    // no bin above bin_mark. Rebuilt from the open bins on load; see
+    // mark_bins().
+    std::int64_t bin_anchor = kNoBin;
+    std::int64_t bin_mark = kNoBin;
     bool seen = false;
   };
 
-  // One open 15-minute bin: every observation is appended as it arrives
-  // and compact() sorts and deduplicates both lists, so after it `cars`
-  // holds the distinct cars and `keys` the distinct (cell << 32) | car
-  // pairs, ascending by cell.
+  // One open 15-minute bin. Observations append (cell << 32) | car keys,
+  // and compact() sorts and deduplicates them, so after it `keys` holds
+  // the distinct pairs, ascending by cell. `cars` counts its distinct cars
+  // unless `recount` is set, when they are counted from the keys instead.
   struct ActiveBin {
-    std::vector<std::uint32_t> cars;
     std::vector<std::uint64_t> keys;
     std::size_t compacted = 0;  ///< keys.size() after the last compact()
+    std::uint32_t cars = 0;
+    /// Set on a bin whose counter the car marks cannot vouch for: one
+    /// opened at or below the highest bin ever opened (a folded bin opened
+    /// again), one reached by another shard's car or by a record that
+    /// starts before its car's run of counted bins, or a loaded bin with a
+    /// car that has no marks here.
+    bool recount = false;
 
     /// A key, (cell << 32) | car: sorted keys group by cell.
     static std::uint64_t key(std::uint32_t cell, std::uint32_t car) {
@@ -151,24 +192,56 @@ class ShardState {
     static std::uint32_t cell_of(std::uint64_t key) {
       return static_cast<std::uint32_t>(key >> 32);
     }
+    static std::uint32_t car_of(std::uint64_t key) {
+      return static_cast<std::uint32_t>(key);
+    }
 
     void add(std::uint32_t car, std::uint32_t cell);
     /// No-op when nothing was added since the last compaction.
     void compact();
+    /// The distinct cars of `keys`, ascending.
+    [[nodiscard]] static std::vector<std::uint32_t> distinct_cars(
+        const std::vector<std::uint64_t>& keys);
+    void clear();
   };
   /// The counts of a compacted bin.
   static BinCounts count_bin(std::int64_t bin, const ActiveBin& active);
 
   void integrate(const cdr::Connection& c);
-  CarState& car_state(std::uint32_t car);
-  void mark_days(CarState& state, std::uint32_t cell, time::Seconds start,
+  /// The state of the car at local index `local` (car / shards).
+  CarState& car_state(std::uint32_t local);
+  /// The local index of `cell`, interning it on first sight.
+  std::uint32_t cell_index(std::uint32_t cell);
+  /// Moves a cell's day words to a row of at least `words` words at the
+  /// end of cell_words_.
+  void widen_row(std::uint32_t cell_at, std::size_t words);
+  void mark_days(CarState& state, std::uint32_t cell_at, time::Seconds start,
                  time::Seconds end);
-  void mark_bins(std::uint32_t car, std::uint32_t cell, time::Seconds start,
-                 time::Seconds end);
-  void fold_bins(time::Seconds watermark);
+  /// Adds a record's keys to its bins [first, last], counting its car in
+  /// those it is new to. `own_car`: the car is one of this shard's.
+  void mark_bins(CarState& state, bool own_car, std::uint32_t car,
+                 std::uint32_t cell, std::int64_t first, std::int64_t last);
+  /// Grows the open-bin window to cover [first, last].
+  void open_window(std::int64_t first, std::int64_t last);
+  ActiveBin& open_bin(std::int64_t bin) {
+    const auto i = static_cast<std::size_t>(bin - window_first_);
+    return window_[(window_head_ + i) & (window_.size() - 1)];
+  }
+  /// Folds every open bin that ends at or before `until`.
+  void fold_bins(time::Seconds until);
+  /// Empties the cars, cells and bins a checkpoint load refills.
+  void reset_for_load();
+  /// Places a loaded open bin with distinct cars `cars` (ascending) and
+  /// rebuilds the marks and recount flag the shard held for it; bins load
+  /// in ascending order.
+  void load_bin(std::int64_t bin, std::vector<std::uint64_t> keys,
+                const std::vector<std::uint32_t>& cars);
+  /// (cell id, local index) of every cell, ascending by cell id.
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>>& sorted_cells();
 
   StreamConfig config_;
   int shard_index_ = 0;
+  std::uint32_t shards_ = 1;
   bool closed_ = false;
 
   // Arrival-order total order: (start, car, cell, duration). std::greater
@@ -187,18 +260,46 @@ class ShardState {
 
   std::vector<CarState> cars_;          // indexed by car / shards
   std::vector<std::uint32_t> cars_per_day_;
-  std::unordered_map<std::uint32_t, DayBits> cell_days_;
   core::Matrix24x7 usage_;
   std::uint64_t sessions_closed_ = 0;
   stats::Accumulator session_span_;
-  struct CellDuration {
-    std::uint64_t connections = 0;
-    stats::P2Quantile median{0.5};
-  };
-  std::unordered_map<std::uint32_t, CellDuration> cell_durations_;
 
-  std::map<std::int64_t, ActiveBin> active_bins_;
+  // Per-cell state. cell_slots_ maps a cell id to its local index; the
+  // other per-cell vectors are indexed by it.
+  /// (cell << 32) | (index + 1) per cell, 0 in an empty slot.
+  std::vector<std::uint64_t> cell_slots_;
+  /// Each cell's day words: a row of cell_words_. A row is as wide as the
+  /// study horizon, or as the latest day seen when the horizon is open; a
+  /// row that must widen moves to the end.
+  struct DayRow {
+    std::size_t at = 0;
+    std::size_t words = 0;
+  };
+  std::vector<DayRow> cell_rows_;
+  std::vector<std::uint64_t> cell_words_;
+  std::vector<std::uint64_t> cell_connections_;
+  std::vector<stats::P2Quantile> cell_medians_;
+  /// Which checkpoint lists hold the cell: kDayList | kDurationList on a
+  /// live shard, either one alone only in a hand-written section.
+  std::vector<std::uint8_t> cell_lists_;
+  static constexpr std::uint8_t kDayList = 1;
+  static constexpr std::uint8_t kDurationList = 2;
+  /// (cell id, local index) of every cell: an ascending prefix, then the
+  /// cells interned since sorted_cells() last ran.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> cells_by_id_;
+  std::size_t cells_sorted_ = 0;  ///< cells_by_id_'s ascending prefix
+
+  // Open bins: bin window_first_ + i is open_bin() for i < window_size_,
+  // in a ring of power-of-two size; a bin without keys is not open.
+  std::vector<ActiveBin> window_;
+  std::size_t window_head_ = 0;
+  std::size_t window_size_ = 0;
+  std::int64_t window_first_ = 0;
+  std::int64_t top_bin_ = kNoBin;  ///< highest bin ever opened
   std::deque<BinCounts> folded_bins_;
+  /// Leading folded bins an advance completed; the rest folded inside an
+  /// advance that threw.
+  std::size_t folded_final_ = 0;
 
   std::uint64_t records_ = 0;
   std::int64_t max_day_seen_ = -1;

@@ -1,6 +1,7 @@
 #include "stream/report.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -35,7 +36,8 @@ namespace {
 /// `group(k, entries)` once per distinct key k, in ascending key order,
 /// with the entries holding k shard by shard (each shard's own in list
 /// order). That is the order a walk of the shards one after another meets
-/// them in, so sums over a group come out bit for bit as that walk's.
+/// them in, so sums over a group come out bit for bit as that walk's. A
+/// `group(k, entries, lists_of)` is also handed the list each entry is in.
 template <class Entry, class KeyFn, class GroupFn>
 void merge_ascending(const std::vector<std::span<const Entry>>& lists,
                      const KeyFn& key, const GroupFn& group) {
@@ -50,13 +52,16 @@ void merge_ascending(const std::vector<std::span<const Entry>>& lists,
   std::make_heap(heads.begin(), heads.end(), after);
 
   std::vector<const Entry*> entries;
+  std::vector<std::size_t> lists_of;
   while (!heads.empty()) {
     const Key k = heads.front().first;
     entries.clear();
+    lists_of.clear();
     while (!heads.empty() && heads.front().first == k) {
       std::pop_heap(heads.begin(), heads.end(), after);
       const std::size_t s = heads.back().second;
       entries.push_back(&lists[s][next[s]]);
+      lists_of.push_back(s);
       if (++next[s] < lists[s].size()) {
         heads.back().first = key(lists[s][next[s]]);
         std::push_heap(heads.begin(), heads.end(), after);
@@ -64,7 +69,14 @@ void merge_ascending(const std::vector<std::span<const Entry>>& lists,
         heads.pop_back();
       }
     }
-    group(k, std::span<const Entry* const>(entries));
+    const std::span<const Entry* const> group_entries(entries);
+    if constexpr (std::is_invocable_v<const GroupFn&, Key,
+                                      std::span<const Entry* const>,
+                                      std::span<const std::size_t>>) {
+      group(k, group_entries, std::span<const std::size_t>(lists_of));
+    } else {
+      group(k, group_entries);
+    }
   }
 }
 
@@ -127,9 +139,10 @@ StreamReport merge_snapshots(const Frontend& frontend,
   const auto n_days = static_cast<std::size_t>(std::max(1, study_days));
 
   // --- Presence (cars are partitioned: per-day counts add; cells span
-  // shards: a cell's day sets OR together, and it counts on every day of
-  // the union). Every shard lists its cells ascending, so the merge is one
-  // pass; days_active keeps each cell's day count for the busiest cells.
+  // shards: a cell's day words OR together, and it counts on every day of
+  // the union). Every shard lists its cells ascending with their words in
+  // one contiguous array, so the merge is one pass over flat memory;
+  // days_active keeps each cell's day count for the busiest cells.
   std::vector<std::uint64_t> cars_per_day(n_days, 0);
   for (const ShardSnapshot& shard : shards) {
     for (std::size_t d = 0; d < shard.cars_per_day.size() && d < n_days; ++d) {
@@ -138,17 +151,34 @@ StreamReport merge_snapshots(const Frontend& frontend,
   }
   std::vector<std::uint64_t> cells_per_day(n_days, 0);
   std::vector<std::pair<std::uint32_t, int>> days_active;
-  DayBits cell_bits;
+  std::vector<std::uint64_t> cell_words;
   merge_ascending(
-      shard_lists(shards, &ShardSnapshot::cell_days),
-      [](const auto& entry) { return entry.first; },
-      [&](std::uint32_t cell, auto entries) {
-        cell_bits.reset();
-        for (const auto* entry : entries) cell_bits.merge(entry->second);
-        for (std::size_t d = 0; d < n_days; ++d) {
-          if (cell_bits.test(static_cast<std::int64_t>(d))) ++cells_per_day[d];
+      shard_lists(shards, &ShardSnapshot::day_cells),
+      [](std::uint32_t cell) { return cell; },
+      [&](std::uint32_t cell, auto entries, auto lists_of) {
+        cell_words.clear();
+        for (std::size_t k = 0; k < entries.size(); ++k) {
+          const ShardSnapshot& shard = shards[lists_of[k]];
+          const auto row =
+              static_cast<std::size_t>(entries[k] - shard.day_cells.data());
+          const std::size_t first = shard.day_rows[row];
+          const std::size_t words = shard.day_rows[row + 1] - first;
+          if (words > cell_words.size()) cell_words.resize(words, 0);
+          for (std::size_t w = 0; w < words; ++w) {
+            cell_words[w] |= shard.day_words[first + w];
+          }
         }
-        days_active.emplace_back(cell, cell_bits.count());
+        int days = 0;
+        for (std::size_t w = 0; w < cell_words.size(); ++w) {
+          days += std::popcount(cell_words[w]);
+          for (std::uint64_t bits = cell_words[w]; bits != 0;
+               bits &= bits - 1) {
+            const std::size_t d =
+                64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+            if (d < n_days) ++cells_per_day[d];
+          }
+        }
+        days_active.emplace_back(cell, days);
       });
   report.presence = core::presence_from_counts(
       config.fleet_size, cars_per_day, cells_per_day, days_active.size());

@@ -6,14 +6,20 @@
 // kProtocolVersion bump and new pinned values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dist/wire.h"
 #include "dist/worker.h"
+#include "sim/simulator.h"
 #include "stream/checkpoint.h"
 #include "stream/engine.h"
+#include "stream/feed.h"
+#include "stream/frontend.h"
 #include "test_helpers.h"
 #include "util/binio.h"
 #include "util/rng.h"
@@ -118,6 +124,87 @@ TEST(CodecFormatPin, CheckpointImageSizeAndCrc) {
   EXPECT_TRUE(folded);
   EXPECT_TRUE(p2_prefix);
   EXPECT_TRUE(p2_markers);
+}
+
+/// The shard sections of a 300-car x 14-day simulated feed at 3 shards,
+/// fed Frontend batches as an engine feeds them: mid-stream, with open bins
+/// and held reorder records, and after close().
+struct SimSections {
+  std::vector<std::vector<std::uint8_t>> mid;
+  std::vector<std::vector<std::uint8_t>> closed;
+};
+
+SimSections sim_sections() {
+  sim::SimConfig config = sim::SimConfig::paper_default();
+  config.fleet.size = 300;
+  config.study_days = 14;
+  config.seed = 20170901;
+  const sim::Study study = sim::simulate(config);
+  const std::vector<cdr::Connection> arrivals =
+      stream::arrival_order(study.raw);
+
+  stream::Frontend frontend(stream::config_for(study.raw, 3));
+  std::deque<stream::ShardState> shards;
+  for (int i = 0; i < 3; ++i) shards.emplace_back(frontend.config(), i);
+  const auto deliver = [&](std::size_t shard) {
+    const stream::Batch batch = frontend.flush(shard);
+    for (const cdr::Connection& c : batch.records) shards[shard].offer(c);
+    shards[shard].advance(batch.watermark);
+  };
+  SimSections sections;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    if (i == arrivals.size() / 2) {
+      for (auto& shard : shards) sections.mid.push_back(write_shard(shard));
+    }
+    if (const auto full = frontend.offer(arrivals[i])) deliver(*full);
+  }
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    deliver(s);
+    shards[s].close();
+    sections.closed.push_back(write_shard(shards[s]));
+  }
+  return sections;
+}
+
+TEST(CodecFormatPin, SimulatedShardSectionSizesAndCrcs) {
+  const SimSections sections = sim_sections();
+  ASSERT_EQ(sections.mid.size(), 3u);
+  ASSERT_EQ(sections.closed.size(), 3u);
+  const std::vector<std::pair<std::size_t, std::uint32_t>> mid = {
+      {178008u, 526925089u}, {184928u, 57858577u}, {197248u, 2395765070u}};
+  const std::vector<std::pair<std::size_t, std::uint32_t>> closed = {
+      {237567u, 2396953824u}, {223078u, 3047905812u}, {252262u, 3826221830u}};
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(sections.mid[s].size(), mid[s].first) << "mid, shard " << s;
+    EXPECT_EQ(binio::crc32(sections.mid[s]), mid[s].second)
+        << "mid, shard " << s;
+    EXPECT_EQ(sections.closed[s].size(), closed[s].first)
+        << "closed, shard " << s;
+    EXPECT_EQ(binio::crc32(sections.closed[s]), closed[s].second)
+        << "closed, shard " << s;
+  }
+
+  // The mid-stream sections hold what the pin is meant to cover: open bins
+  // many cells wide, held records and cars seen on many days.
+  for (std::size_t s = 0; s < 3; ++s) {
+    stream::StreamConfig config = pin_config();
+    config.shards = 3;
+    stream::ShardState shard(config, static_cast<int>(s));
+    stream::load_shard(sections.mid[s], shard);
+    const stream::ShardSnapshot view = shard.snapshot();
+    EXPECT_GT(view.reorder_pending, 0u) << "shard " << s;
+    std::size_t widest_open = 0;
+    for (const stream::BinCounts& bin : view.bins) {
+      if (bin.provisional) {
+        widest_open = std::max(widest_open, bin.cells.size());
+      }
+    }
+    EXPECT_GT(widest_open, 20u) << "shard " << s;
+    EXPECT_GT(view.cell_stats.size(), 1000u) << "shard " << s;
+    int most_days = 0;
+    for (const auto& car : view.cars) most_days = std::max(most_days, car.days);
+    EXPECT_GE(most_days, 5) << "shard " << s;
+  }
 }
 
 /// A dist worker's rolling image frame: shard 1 of the pin config after a

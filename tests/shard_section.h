@@ -41,19 +41,36 @@ inline void fresh_p2(binio::Writer& w) {
   for (int i = 0; i < 8; ++i) w.u8(0);
 }
 
+/// An empty per-cell list.
+inline void no_cells(binio::Writer& w) { w.u64(0); }
+
 /// The framed SHRD section of an otherwise empty shard `index`:
 /// `cell_durations(w)` writes the per-cell duration list (its count and
-/// entries) and `bins` are its open bins.
-template <class Fn>
+/// entries), `bins` are its open bins, `cell_days(w)` writes the per-cell
+/// day list and `seen_cars` are the local indices of cars it has seen
+/// (no open session, empty runs and day sets).
+template <class Fn, class DaysFn = void (*)(binio::Writer&)>
 std::vector<std::uint8_t> shard_section(
     std::uint32_t index, Fn cell_durations,
-    const std::vector<SectionBin>& bins = {}) {
+    const std::vector<SectionBin>& bins = {}, DaysFn cell_days = no_cells,
+    const std::vector<std::uint32_t>& seen_cars = {}) {
   std::vector<std::uint8_t> payload;
   binio::Writer w(payload);
   w.u32(index);
-  w.u64(0);                                  // cars
+  w.u64(seen_cars.size());                   // cars
+  for (const std::uint32_t local : seen_cars) {
+    w.u32(local);
+    w.boolean(false);  // no open session
+    for (int run = 0; run < 2; ++run) {  // full and truncated runs
+      w.i64(0);
+      w.i64(0);
+      w.i64(0);
+      w.boolean(false);
+    }
+    w.u64(0);  // day words
+  }
   w.u64(0);                                  // cars per day
-  w.u64(0);                                  // cell day bitsets
+  cell_days(w);                              // cell day bitsets
   for (int i = 0; i < 24 * 7; ++i) w.f64(0);  // usage
   w.u64(0);                                  // sessions closed
   w.i64(0);                                  // session span: n, mean, m2,
@@ -88,8 +105,5 @@ std::vector<std::uint8_t> shard_section(
   frame.u32(binio::crc32(payload));
   return section;
 }
-
-/// An empty per-cell duration list.
-inline void no_cells(binio::Writer& w) { w.u64(0); }
 
 }  // namespace ccms::test

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -270,6 +271,81 @@ TEST(CheckpointFuzz, CountBelowTheElementFloorIsRejectedBeforeAllocating) {
   expect_rejected(damaged, "declared count between the old and true floor");
 }
 
+TEST(CheckpointFuzz, CellsInOnePerCellListOnlyWriteBackAsRead) {
+  // Cell 3 has day words but no duration entry, cell 9 the reverse; a
+  // shard lists every cell it touched in both, but keeps which list a
+  // section named a cell in, so the section writes back byte for byte.
+  const std::vector<std::uint8_t> section = test::shard_section(
+      0,
+      [](binio::Writer& w) {
+        w.u64(1);
+        w.uvarint(9);
+        w.uvarint(1);
+        test::fresh_p2(w);
+      },
+      {},
+      [](binio::Writer& w) {
+        w.u64(1);
+        w.u32(3);
+        w.vec_u64({0, 0x5});  // days 64 and 66
+      });
+  cdr::IngestReport report;
+  const auto decoded =
+      decode(image_with(section), mode(cdr::ParseMode::kStrict), report);
+  ASSERT_TRUE(decoded.has_value());
+  ShardState shard(StreamConfig{}, 0);
+  load_shard(decoded->shards[0], shard);
+  EXPECT_EQ(write_shard(shard), section);
+  const ShardSnapshot view = shard.snapshot();
+  EXPECT_EQ(view.day_cells, std::vector<std::uint32_t>{3});
+  ASSERT_EQ(view.cell_stats.size(), 1u);
+  EXPECT_EQ(view.cell_stats[0].cell, 9u);
+}
+
+TEST(CheckpointFuzz, ALongDayRowWidensOnlyItsOwnCell) {
+  // Each cell holds only the day words it was given: one row of 4000 words
+  // next to 4000 one-word rows costs 8000 words, not 4001 rows of 4000, so
+  // a section's cells cannot multiply into an allocation its bytes do not
+  // show.
+  constexpr std::uint32_t kCells = 4000;
+  const std::vector<std::uint8_t> section = test::shard_section(
+      0, test::no_cells, {}, [](binio::Writer& w) {
+        w.u64(kCells + 1);
+        for (std::uint32_t cell = 0; cell < kCells; ++cell) {
+          w.u32(cell);
+          w.vec_u64({1});
+        }
+        std::vector<std::uint64_t> long_row(kCells, 0);
+        long_row.back() = 1;
+        w.u32(kCells);
+        w.vec_u64(long_row);
+      });
+  ShardState shard(StreamConfig{}, 0);
+  load_shard(section, shard);
+  EXPECT_EQ(write_shard(shard), section);
+  const ShardSnapshot view = shard.snapshot();
+  EXPECT_EQ(view.day_cells.size(), kCells + 1);
+  EXPECT_EQ(view.day_words.size(), 2 * kCells);
+}
+
+TEST(CheckpointFuzz, CellDayWordsEndingInAZeroWordAreRejected) {
+  // A cell's words run to its highest nonzero one, the only form a shard
+  // writes: a trailing zero word would not write back.
+  const std::vector<std::uint8_t> bytes = image_with(test::shard_section(
+      0, test::no_cells, {}, [](binio::Writer& w) {
+        w.u64(1);
+        w.u32(3);
+        w.vec_u64({0x5, 0});
+      }));
+  cdr::IngestReport report;
+  EXPECT_FALSE(
+      decode(bytes, mode(cdr::ParseMode::kLenient), report).has_value());
+  EXPECT_EQ(report.count(cdr::FaultClass::kCheckpointMismatch), 1u);
+  ASSERT_EQ(report.quarantine.size(), 1u);
+  EXPECT_EQ(report.quarantine[0].reason, "cell day words end in a zero word");
+  expect_rejected(bytes, "cell day words with a trailing zero word");
+}
+
 // --- Open-bin lists a shard never writes. Two canonical bins: the first
 // holds two cars and two cells, the first cell two cars.
 
@@ -320,6 +396,27 @@ TEST(CheckpointFuzz, CanonicalActiveBinsDecode) {
   EXPECT_EQ(write_shard(shard), decoded->shards[0]);
 }
 
+TEST(CheckpointFuzz, ALoadedCarCountsInTheBinsItIsNotIn) {
+  // Car 1 is in bins 100 and 102 but not 101, a form no shard writes
+  // (a car's open bins run unbroken from the oldest). A record of car 1
+  // in bin 101 after the load must count it there.
+  const ActiveBins bins = {
+      {.bin = 100, .cars = {1}, .per_cell = {{5, {1}}}},
+      {.bin = 101, .cars = {2}, .per_cell = {{5, {2}}}},
+      {.bin = 102, .cars = {1}, .per_cell = {{5, {1}}}}};
+  ShardState shard(StreamConfig{}, 0);
+  load_shard(test::shard_section(0, test::no_cells, bins, test::no_cells,
+                                 {1, 2}),
+             shard);
+  shard.offer(test::conn(1, 5, 101 * 900 + 10, 30));
+  shard.advance(101 * 900 + 50);
+  const ShardSnapshot view = shard.snapshot();
+  ASSERT_EQ(view.bins.size(), 3u);
+  EXPECT_EQ(view.bins[0], (BinCounts{100, 1, {{5, 1}}, false}));
+  EXPECT_EQ(view.bins[1], (BinCounts{101, 2, {{5, 2}}, true}));
+  EXPECT_EQ(view.bins[2], (BinCounts{102, 1, {{5, 1}}, true}));
+}
+
 TEST(CheckpointFuzz, ActiveBinsOutOfOrderAreRejected) {
   expect_active_bins_rejected(
       [](ActiveBins& bins) { std::swap(bins[0].bin, bins[1].bin); },
@@ -355,6 +452,36 @@ TEST(CheckpointFuzz, ActiveBinEmptyMemberListIsRejected) {
   expect_active_bins_rejected(
       [](ActiveBins& bins) { bins[0].per_cell[0].second.clear(); },
       "active-bin cell with no member cars");
+}
+
+TEST(CheckpointFuzz, ActiveBinCarsOtherThanItsCellsCarsAreRejected) {
+  // The shard counts a bin's distinct cars from its keys, so a cars list
+  // that is not the set of its cells' member cars has no state to load
+  // into: a car missing from the list, and one no cell holds.
+  EXPECT_EQ(expect_active_bins_rejected(
+                [](ActiveBins& bins) { bins[0].cars = {1, 2}; },
+                "active-bin car missing from the list"),
+            "active-bin cars are not the cars of its cells");
+  EXPECT_EQ(expect_active_bins_rejected(
+                [](ActiveBins& bins) { bins[1].cars = {2, 5}; },
+                "active-bin car in no cell"),
+            "active-bin cars are not the cars of its cells");
+}
+
+TEST(CheckpointFuzz, ActiveBinsSpanningPastTheWindowAreRejected) {
+  // The open bins live in a window of at most ShardState::kMaxOpenBins
+  // bins, so two bins further apart are refused before any is placed.
+  expect_active_bins_rejected(
+      [](ActiveBins& bins) {
+        bins[1].bin = bins[0].bin + ShardState::kMaxOpenBins;
+      },
+      "active bins a window apart");
+  expect_active_bins_rejected(
+      [](ActiveBins& bins) {
+        bins[0].bin = std::numeric_limits<std::int64_t>::min();
+        bins[1].bin = std::numeric_limits<std::int64_t>::max();
+      },
+      "active bins at both ends of the index range");
 }
 
 TEST(CheckpointFuzz, ActiveBinFaultsAreNamedInReadingOrder) {

@@ -102,13 +102,20 @@ ShardSnapshot random_snapshot(int shard, const StreamConfig& config,
     count = static_cast<std::uint32_t>(rng.uniform_int(0, 12));
   }
 
+  snap.day_rows = {0};
   for (const std::uint32_t cell : random_cells(rng)) {
     DayBits bits;
     const auto n = rng.uniform_int(1, 6);
     for (std::int64_t i = 0; i < n; ++i) {
       bits.set(rng.uniform_int(0, horizon + 2));  // some past the horizon
     }
-    snap.cell_days.emplace_back(cell, bits);
+    // Rows as wide as their latest day needs, now and then a word wider,
+    // so cells merge rows of different widths.
+    snap.day_cells.push_back(cell);
+    std::vector<std::uint64_t> row = bits.words();
+    row.resize(row.size() + static_cast<std::size_t>(rng.uniform_int(0, 1)), 0);
+    snap.day_words.insert(snap.day_words.end(), row.begin(), row.end());
+    snap.day_rows.push_back(snap.day_words.size());
     if (rng.bernoulli(0.9)) {  // now and then a cell with days, no stats
       snap.cell_stats.push_back(
           {cell, static_cast<std::uint64_t>(rng.uniform_int(1, 300)),
@@ -164,8 +171,14 @@ Reference reference_merge(const StreamConfig& config,
     for (std::size_t d = 0; d < shard.cars_per_day.size() && d < n_days; ++d) {
       cars_per_day[d] += shard.cars_per_day[d];
     }
-    for (const auto& [cell, bits] : shard.cell_days) {
-      cell_days[cell].merge(bits);
+    for (std::size_t i = 0; i < shard.day_cells.size(); ++i) {
+      DayBits bits;
+      bits.assign_words(
+          {shard.day_words.begin() +
+               static_cast<std::ptrdiff_t>(shard.day_rows[i]),
+           shard.day_words.begin() +
+               static_cast<std::ptrdiff_t>(shard.day_rows[i + 1])});
+      cell_days[shard.day_cells[i]].merge(bits);
     }
     for (const auto& stat : shard.cell_stats) {
       auto& [connections, weighted] = cells[stat.cell];
