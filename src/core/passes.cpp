@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "cdr/clean.h"
@@ -82,9 +84,26 @@ void encode_runs(std::vector<V>& raw, std::vector<V>& values,
   }
 }
 
-void bump_histogram(std::vector<std::uint64_t>& hist, std::size_t value) {
-  if (value >= hist.size()) hist.resize(value + 1, 0);
-  ++hist[value];
+[[noreturn]] void throw_unknown_cell(const cdr::Connection& c,
+                                     std::size_t table_size) {
+  throw std::invalid_argument(
+      "car " + std::to_string(c.car.value) + " names cell " +
+      std::to_string(c.cell.value) + ", past the cell table of " +
+      std::to_string(table_size) + " cells");
+}
+
+/// `cells.info(c.cell)`, or std::invalid_argument for a cell past the
+/// table.
+const net::CellInfo& cell_info(const net::CellTable& cells,
+                               const cdr::Connection& c) {
+  if (c.cell.value >= cells.size()) [[unlikely]] {
+    throw_unknown_cell(c, cells.size());
+  }
+  return cells.info(c.cell);
+}
+
+bool bit(const std::uint64_t* row, std::size_t bin) {
+  return ((row[bin / 64] >> (bin % 64)) & 1U) != 0;
 }
 
 }  // namespace
@@ -228,27 +247,51 @@ DaysOnNetwork DaysAccumulator::finalize() && {
 
 // --- Busy time --------------------------------------------------------------
 
-BusyTimeAccumulator::BusyTimeAccumulator(const CellLoad* load,
-                                         double threshold)
-    : load_(load), threshold_(threshold) {}
+BusyTimeAccumulator::BusyTimeAccumulator(const BusyMap* map) : map_(map) {}
 
 void BusyTimeAccumulator::add_car(CarId car,
                                   std::span<const cdr::Connection> records) {
+  constexpr time::Seconds kBin = time::kSecondsPerBin15;
   time::Seconds busy = 0;
   time::Seconds total = 0;
   for (const cdr::Connection& c : records) {
-    time::Seconds t = c.start;
     const time::Seconds end = c.end();
-    while (t < end) {
-      const time::Seconds next_bin =
-          (t / time::kSecondsPerBin15 + 1) * time::kSecondsPerBin15;
-      const time::Seconds slice_end = std::min(next_bin, end);
-      const time::Seconds slice = slice_end - t;
-      total += slice;
-      if (load_->busy(c.cell, time::bin15_of_week(t), threshold_)) {
-        busy += slice;
+    if (end <= c.start) continue;
+    // The connection is cut into slices at 15-min bin edges. They tile
+    // [start, end), so their lengths sum to the whole span.
+    total += end - c.start;
+    const std::uint64_t* row = map_->row(c.cell);
+    if (row == nullptr) {
+      if (map_->rest()) busy += end - c.start;
+      continue;
+    }
+    if (c.start < 0) {
+      // The first slice ends at the truncating (t / 900 + 1) * 900, which
+      // for a negative t is not the next bin edge, so each slice's bin is
+      // taken from its own start.
+      for (time::Seconds t = c.start; t < end;) {
+        const time::Seconds slice_end = std::min((t / kBin + 1) * kBin, end);
+        if (bit(row, static_cast<std::size_t>(time::bin15_of_week(t)))) {
+          busy += slice_end - t;
+        }
+        t = slice_end;
       }
+      continue;
+    }
+    // From a start at or past the epoch (a Monday 00:00), bin of week is
+    // (t / 900) mod 672, and every slice after the first starts on a bin
+    // edge, so the bins step by one around the week.
+    const time::Seconds q = c.start / kBin;
+    auto bin = static_cast<std::size_t>(q % time::kBins15PerWeek);
+    time::Seconds t = c.start;
+    time::Seconds edge = (q + 1) * kBin;
+    for (;;) {
+      const time::Seconds slice_end = std::min(edge, end);
+      if (bit(row, bin)) busy += slice_end - t;
+      if (slice_end == end) break;
       t = slice_end;
+      edge += kBin;
+      if (++bin == time::kBins15PerWeek) bin = 0;
     }
   }
   CarBusyShare entry;
@@ -294,27 +337,38 @@ HandoverAccumulator::HandoverAccumulator(const net::CellTable* cells,
 
 void HandoverAccumulator::add_car(CarId /*car*/,
                                   std::span<const cdr::Connection> records) {
-  const auto sessions = cdr::aggregate_sessions(records, journey_gap_);
-  for (const cdr::Session& s : sessions) {
-    ++session_count_;
-    int handovers = 0;
+  const std::size_t n = records.size();
+  for (std::size_t i = 0; i < n;) {
+    // One journey: records [i, j).
+    const net::CellInfo* prev = &cell_info(*cells_, records[i]);
+    time::Seconds end = records[i].end();
+    std::size_t handovers = 0;
     scratch_stations_.clear();
-    for (std::size_t i = 0; i < s.legs.size(); ++i) {
-      const net::CellInfo& info = cells_->info(s.legs[i].cell);
-      scratch_stations_.push_back(info.station.value);
-      if (i == 0) continue;
-      const net::CellInfo& prev = cells_->info(s.legs[i - 1].cell);
-      const net::HandoverType type = net::classify_handover(prev, info);
+    scratch_stations_.push_back(prev->station.value);
+    std::size_t j = i + 1;
+    for (; j < n && records[j].start - end <= journey_gap_; ++j) {
+      const net::CellInfo& info = cell_info(*cells_, records[j]);
+      const net::HandoverType type = net::classify_handover(*prev, info);
       ++counts_[static_cast<std::size_t>(type)];
       if (type != net::HandoverType::kNone) ++handovers;
+      // A repeat of the previous leg's station cannot change the distinct
+      // count, so only station changes are kept for the dedup.
+      if (info.station.value != scratch_stations_.back()) {
+        scratch_stations_.push_back(info.station.value);
+      }
+      end = std::max(end, records[j].end());
+      prev = &info;
     }
-    bump_histogram(per_session_hist_, static_cast<std::size_t>(handovers));
-
-    std::sort(scratch_stations_.begin(), scratch_stations_.end());
-    scratch_stations_.erase(
-        std::unique(scratch_stations_.begin(), scratch_stations_.end()),
-        scratch_stations_.end());
-    bump_histogram(stations_hist_, scratch_stations_.size());
+    ++session_count_;
+    per_session_.add(handovers);
+    if (scratch_stations_.size() > 2) {
+      std::sort(scratch_stations_.begin(), scratch_stations_.end());
+      scratch_stations_.erase(
+          std::unique(scratch_stations_.begin(), scratch_stations_.end()),
+          scratch_stations_.end());
+    }
+    stations_.add(scratch_stations_.size());
+    i = j;
   }
 }
 
@@ -322,18 +376,8 @@ void HandoverAccumulator::merge(HandoverAccumulator&& other) {
   for (std::size_t t = 0; t < counts_.size(); ++t) {
     counts_[t] += other.counts_[t];
   }
-  if (other.per_session_hist_.size() > per_session_hist_.size()) {
-    per_session_hist_.resize(other.per_session_hist_.size(), 0);
-  }
-  for (std::size_t v = 0; v < other.per_session_hist_.size(); ++v) {
-    per_session_hist_[v] += other.per_session_hist_[v];
-  }
-  if (other.stations_hist_.size() > stations_hist_.size()) {
-    stations_hist_.resize(other.stations_hist_.size(), 0);
-  }
-  for (std::size_t v = 0; v < other.stations_hist_.size(); ++v) {
-    stations_hist_[v] += other.stations_hist_[v];
-  }
+  per_session_.merge(other.per_session_);
+  stations_.merge(other.stations_);
   session_count_ += other.session_count_;
 }
 
@@ -341,10 +385,8 @@ HandoverStats HandoverAccumulator::finalize() && {
   HandoverStats result;
   result.counts = counts_;
   result.session_count = session_count_;
-  result.per_session =
-      stats::EmpiricalDistribution::from_histogram(per_session_hist_);
-  result.stations_per_session =
-      stats::EmpiricalDistribution::from_histogram(stations_hist_);
+  result.per_session = per_session_.distribution();
+  result.stations_per_session = stations_.distribution();
   result.median = result.per_session.quantile(0.5);
   result.p70 = result.per_session.quantile(0.7);
   result.p90 = result.per_session.quantile(0.9);
@@ -361,7 +403,7 @@ void CarrierUsageAccumulator::add_car(
   ++car_count_;
   std::array<bool, net::kCarrierCount> used{};
   for (const cdr::Connection& c : records) {
-    const CarrierId carrier = cells_->info(c.cell).carrier;
+    const CarrierId carrier = cell_info(*cells_, c).carrier;
     used[carrier.value] = true;
     seconds_[carrier.value] += c.duration_s;
   }
@@ -454,11 +496,6 @@ ConcurrencyCountsAccumulator::take_counts() && {
 CellSessionsAccumulator::CellSessionsAccumulator(std::int32_t truncation_cap)
     : cap_(truncation_cap) {}
 
-void CellSessionsAccumulator::add_duration(std::int32_t duration_s) {
-  pending_.push_back(duration_s);
-  if (pending_.size() >= kPassFlushRecords) flush_pending();
-}
-
 void CellSessionsAccumulator::flush_pending() {
   if (pending_.empty()) return;
   std::vector<std::int32_t> values;
@@ -470,10 +507,20 @@ void CellSessionsAccumulator::flush_pending() {
 
 void CellSessionsAccumulator::add_car(
     CarId /*car*/, std::span<const cdr::Connection> records) {
-  for (const cdr::Connection& c : records) add_duration(c.duration_s);
+  for (const cdr::Connection& c : records) {
+    // One compare keeps both negative and too-large durations out.
+    if (static_cast<std::uint32_t>(c.duration_s) <
+        static_cast<std::uint32_t>(kDenseDurationLimit)) {
+      hist_.add(static_cast<std::size_t>(c.duration_s));
+      continue;
+    }
+    pending_.push_back(c.duration_s);
+    if (pending_.size() >= kPassFlushRecords) flush_pending();
+  }
 }
 
 void CellSessionsAccumulator::merge(CellSessionsAccumulator&& other) {
+  hist_.merge(other.hist_);
   other.flush_pending();
   flush_pending();
   merge_runs(run_values_, run_counts_, other.run_values_, other.run_counts_);
@@ -481,9 +528,30 @@ void CellSessionsAccumulator::merge(CellSessionsAccumulator&& other) {
 
 CellSessionStats CellSessionsAccumulator::finalize() && {
   flush_pending();
-  std::vector<double> values(run_values_.begin(), run_values_.end());
+  // The store holds only values below 0 or at or past the limit, so its
+  // negative runs, the histogram's non-zero bins and its remaining runs
+  // ascend end to end.
+  const auto split = static_cast<std::size_t>(
+      std::lower_bound(run_values_.begin(), run_values_.end(), 0) -
+      run_values_.begin());
+  std::vector<double> values;
+  std::vector<std::uint64_t> counts;
+  const auto take_runs = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      values.push_back(static_cast<double>(run_values_[k]));
+      counts.push_back(run_counts_[k]);
+    }
+  };
+  take_runs(0, split);
+  const std::vector<std::uint64_t>& hist = hist_.counts();
+  for (std::size_t v = 0; v < hist.size(); ++v) {
+    if (hist[v] == 0) continue;
+    values.push_back(static_cast<double>(v));
+    counts.push_back(hist[v]);
+  }
+  take_runs(split, run_values_.size());
   auto durations = stats::EmpiricalDistribution::from_sorted_runs(
-      std::move(values), std::move(run_counts_));
+      std::move(values), std::move(counts));
   CellSessionStats result = summarize_cell_sessions(durations, cap_);
   result.durations = std::move(durations);
   return result;

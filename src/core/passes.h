@@ -11,8 +11,9 @@
 //                           (other's car ids strictly after ours)
 //   finalize(...)           derive the figure struct
 //
-// Every merge is either integer addition, bitset OR, concatenation in
-// ascending car order or a merge of canonical run-length multisets, so
+// Every merge is either integer addition (counters and dense count
+// histograms), bitset OR, concatenation in ascending car order or a merge
+// of canonical run-length multisets, so
 // folding chunks on N threads and merging them in chunk order is bitwise
 // identical to the sequential fold for any N — the property run_study's
 // fold (core/study.cpp) exploits and the determinism suite asserts. The
@@ -38,13 +39,15 @@
 #include "core/load_view.h"
 #include "core/presence.h"
 #include "net/cell.h"
+#include "stats/quantile.h"
 
 namespace ccms::core {
 
-/// Unflushed-record threshold for the RLE accumulators (cell sessions,
-/// concurrency counts): pending raw values are sorted and merge-joined into
-/// the run-length store once this many pile up, bounding per-accumulator
-/// memory by O(distinct values) + O(flush window) instead of O(records).
+/// Unflushed-value threshold for the run-length stores (concurrency keys,
+/// and the cell-sessions durations outside its dense histogram): pending raw
+/// values are sorted and merge-joined into the run-length store once this
+/// many pile up, bounding per-accumulator memory by O(distinct values) +
+/// O(flush window) instead of O(records).
 inline constexpr std::size_t kPassFlushRecords = std::size_t{1} << 16;
 
 /// Fig 2 / Table 1 pass: per-day distinct-car counts (cars partition across
@@ -99,29 +102,37 @@ class DaysAccumulator {
   DayBits scratch_;
 };
 
-/// Fig 7 pass: per-car busy-time share, ascending car order.
+/// Fig 7 pass: per-car busy-time share, ascending car order. Each
+/// connection is cut at 15-min bin edges and each slice tests one bit of a
+/// BusyMap, the grid's busy predicate at the run's threshold.
 class BusyTimeAccumulator {
  public:
-  BusyTimeAccumulator(const CellLoad* load, double threshold);
+  /// `map` must outlive the accumulator.
+  explicit BusyTimeAccumulator(const BusyMap* map);
 
   void add_car(CarId car, std::span<const cdr::Connection> records);
   void merge(BusyTimeAccumulator&& other);
   [[nodiscard]] BusyTime finalize() &&;
 
  private:
-  const CellLoad* load_ = nullptr;
-  double threshold_ = kBusyPrbThreshold;
+  const BusyMap* map_ = nullptr;
   std::vector<CarBusyShare> per_car_;
 };
 
 /// §4.5 pass: handover type counts (integer adds) plus per-session handover
-/// and distinct-station counts. Both per-session statistics are small
-/// non-negative integers, so they are stored as dense count histograms
-/// indexed by value — O(max value) per accumulator instead of O(sessions),
-/// which is what lets the merged partials of a billion-session sweep fit in
-/// memory. Merging is elementwise addition (canonical multiset form, so the
-/// result is independent of the merge partition), and finalize() hands the
-/// histograms to stats::EmpiricalDistribution::from_histogram.
+/// and distinct-station counts. add_car walks the car's records in place
+/// with cdr::SessionBuilder's rule: a record joins the open journey when
+/// its start minus the journey's latest end so far is at most the journey
+/// gap. Consecutive legs are classified as they are met, and the journey's
+/// stations are deduplicated in one reused scratch vector, so no journey
+/// allocates. Both per-session statistics are small non-negative integers,
+/// counted in stats::CountHistograms — O(max value) per accumulator instead
+/// of O(sessions), which is what lets the merged partials of a
+/// billion-session sweep fit in memory. Merging is elementwise addition, and
+/// finalize() takes each histogram's distribution.
+///
+/// A record whose cell is past the CellTable throws std::invalid_argument
+/// naming the car, the cell and the table size.
 class HandoverAccumulator {
  public:
   HandoverAccumulator(const net::CellTable* cells, time::Seconds journey_gap);
@@ -134,14 +145,16 @@ class HandoverAccumulator {
   const net::CellTable* cells_ = nullptr;
   time::Seconds journey_gap_ = cdr::kJourneyGap;
   std::array<std::uint64_t, net::kHandoverTypeCount> counts_{};
-  std::vector<std::uint64_t> per_session_hist_;  ///< index = handovers/session
-  std::vector<std::uint64_t> stations_hist_;     ///< index = stations/session
+  stats::CountHistogram per_session_;  ///< value = handovers/session
+  stats::CountHistogram stations_;     ///< value = stations/session
   std::uint64_t session_count_ = 0;
   std::vector<std::uint32_t> scratch_stations_;
 };
 
 /// Table 3 pass: per-carrier car counts and connected seconds. Seconds are
-/// summed as integers, so the merge is exact and order-independent.
+/// summed as integers, so the merge is exact and order-independent. A
+/// record whose cell is past the CellTable throws std::invalid_argument, as
+/// in HandoverAccumulator.
 class CarrierUsageAccumulator {
  public:
   explicit CarrierUsageAccumulator(const net::CellTable* cells);
@@ -215,31 +228,39 @@ class ConcurrencyCountsAccumulator {
   std::vector<std::uint64_t> scratch_;
 };
 
-/// Fig 9 pass: the connection-duration multiset. Durations are kept
-/// run-length encoded (sorted unique values + multiplicities, with a
-/// pending buffer flushed every kPassFlushRecords), so the accumulator
-/// holds O(distinct durations), not O(records) — the representation
-/// stats::EmpiricalDistribution uses natively, handed over via
-/// from_sorted_runs at finalize, where summarize_cell_sessions derives the
-/// scalars.
+/// Fig 9 pass: the connection-duration multiset. A duration in
+/// [0, kDenseDurationLimit) is one increment of a stats::CountHistogram
+/// grown to the largest duration seen; the histogram is bounded because
+/// analyze_cell_sessions accepts any Dataset, raw ones included, and the
+/// clean's plausibility bound can be disabled. Any other duration goes to
+/// a run-length store (sorted unique values + multiplicities, with a
+/// pending buffer flushed every kPassFlushRecords). Either way the
+/// accumulator holds O(distinct durations), not O(records), and merging is
+/// histogram addition plus a run merge. finalize() lays the store's runs
+/// below 0, the histogram's non-zero bins and the store's runs above the
+/// limit end to end — the ascending runs of the whole multiset, which
+/// from_sorted_runs takes as they are — and summarize_cell_sessions
+/// derives the scalars.
 class CellSessionsAccumulator {
  public:
+  /// Durations below this (and not negative) are counted densely.
+  static constexpr std::int32_t kDenseDurationLimit = std::int32_t{1} << 16;
+
   explicit CellSessionsAccumulator(std::int32_t truncation_cap);
 
   /// Folds one car's durations (cell-blind: the duration multiset is all
   /// Fig 9 needs, and any car order yields the same multiset).
   void add_car(CarId car, std::span<const cdr::Connection> records);
   void merge(CellSessionsAccumulator&& other);
-  /// Sorts the pending durations into the run store now rather than at
-  /// the next merge.
+  /// Sorts the pending out-of-range durations into the run store now
+  /// rather than at the next merge.
   void flush_pending();
   [[nodiscard]] CellSessionStats finalize() &&;
 
  private:
-  void add_duration(std::int32_t duration_s);
-
   std::int32_t cap_ = 600;
-  std::vector<std::int32_t> pending_;      ///< raw durations, unflushed
+  stats::CountHistogram hist_;             ///< durations in [0, limit)
+  std::vector<std::int32_t> pending_;      ///< other durations, unflushed
   std::vector<std::int32_t> run_values_;   ///< sorted, unique
   std::vector<std::uint64_t> run_counts_;  ///< multiplicity per value
 };

@@ -70,12 +70,13 @@ struct StudySweep {
   ConcurrencyCountsAccumulator concurrency;
   CellSessionsAccumulator cell_sessions;
 
-  StudySweep(int study_days, const net::CellTable& cells, const CellLoad& load,
-             const CellMask& busy_cells, const StudyOptions& options)
+  StudySweep(int study_days, const net::CellTable& cells,
+             const BusyMap& busy_map, const CellMask& busy_cells,
+             const StudyOptions& options)
       : presence(study_days),
         connected(study_days, options.truncation_cap),
         days(study_days),
-        busy(&load, options.busy_prb_threshold),
+        busy(&busy_map),
         handovers(&cells, cdr::kJourneyGap),
         carriers(&cells),
         concurrency(study_days, &busy_cells),
@@ -186,14 +187,32 @@ class DatasetSource {
   const cdr::CleanOptions& clean_;
 };
 
+/// The options a CCDR2 input is screened (§7) with: the caller's, with the
+/// cell universe narrowed to the cell table. A record naming a cell past
+/// the table is then an unknown-cell fault (Strict throws with its byte
+/// offset, Lenient drops and counts it) instead of reaching the §4.5 and
+/// Table 3 passes' table lookups. An empty table cannot be expressed as a
+/// universe (0 disables the check), so its records reach those passes,
+/// which throw std::invalid_argument as for a Dataset.
+cdr::IngestOptions screen_options(const cdr::IngestOptions& ingest,
+                                  const net::CellTable& cells) {
+  cdr::IngestOptions screened = ingest;
+  const auto table = static_cast<std::uint32_t>(
+      std::min<std::size_t>(cells.size(), UINT32_MAX));
+  if (screened.cell_universe == 0 || screened.cell_universe > table) {
+    screened.cell_universe = table;
+  }
+  return screened;
+}
+
 /// CCDR2 source: kBlocksPerChunk car-aligned blocks per chunk, each
 /// decoded and screened (§7) before the clean; the screen/clean order and
 /// accounting mirror read_columnar + cdr::clean record for record.
 class ColumnarSource {
  public:
   ColumnarSource(const cdr::ColumnarFile& file, const StudyOptions& options,
-                 const std::string& label)
-      : file_(file), options_(options), label_(label) {
+                 cdr::IngestOptions ingest, const std::string& label)
+      : file_(file), options_(options), ingest_(ingest), label_(label) {
     file_.advise_sequential();
   }
 
@@ -202,7 +221,7 @@ class ColumnarSource {
   }
 
   void fold(StudySweep& acc, std::size_t chunk, SweepScratch& s) const {
-    cdr::RecordScreen screen(options_.ingest, acc.ingest, label_);
+    cdr::RecordScreen screen(ingest_, acc.ingest, label_);
     const std::size_t lo = chunk * kBlocksPerChunk;
     const std::size_t hi =
         std::min(file_.blocks().size(), lo + kBlocksPerChunk);
@@ -230,30 +249,39 @@ class ColumnarSource {
  private:
   const cdr::ColumnarFile& file_;
   const StudyOptions& options_;
+  const cdr::IngestOptions ingest_;
   const std::string& label_;
 };
 
-/// Fig 11's busy-radio filter as a CellMask: the cells cluster_busy_cells
-/// keeps, `load.weekly_mean(c) >= threshold`, built in parallel. Ids at or
+/// The fold's two reads of the load grid, built in one parallel pass over
+/// its rows: Fig 7's busy map at options.busy_prb_threshold, and Fig 11's
+/// busy-radio filter as a CellMask, the cells cluster_busy_cells keeps
+/// (`load.weekly_mean(c) >= options.cluster_load_threshold`). Ids at or
 /// past load.cell_count() have weekly mean 0.
-CellMask busy_cell_mask(const CellLoad& load, double threshold,
-                        exec::ThreadPool& pool) {
-  constexpr std::size_t kCellsPerTask = 4096;
-  CellMask mask;
-  mask.keep.resize(load.cell_count());
-  mask.rest = 0.0 >= threshold;
-  const std::size_t n = mask.keep.size();
-  pool.parallel_for((n + kCellsPerTask - 1) / kCellsPerTask,
-                    [&](std::size_t task) {
-                      const std::size_t end =
-                          std::min(n, (task + 1) * kCellsPerTask);
-                      for (std::size_t c = task * kCellsPerTask; c < end; ++c) {
-                        const CellId cell{static_cast<std::uint32_t>(c)};
-                        mask.keep[c] = load.weekly_mean(cell) >= threshold;
-                      }
-                    });
-  return mask;
-}
+struct GridMaps {
+  BusyMap busy;
+  CellMask busy_cells;
+
+  GridMaps(const CellLoad& load, const StudyOptions& options,
+           exec::ThreadPool& pool)
+      : busy(load, options.busy_prb_threshold) {
+    constexpr std::size_t kCellsPerTask = 4096;
+    const double threshold = options.cluster_load_threshold;
+    busy_cells.keep.resize(load.cell_count());
+    busy_cells.rest = 0.0 >= threshold;
+    const std::size_t n = busy_cells.keep.size();
+    pool.parallel_for(
+        (n + kCellsPerTask - 1) / kCellsPerTask, [&](std::size_t task) {
+          const std::size_t end = std::min(n, (task + 1) * kCellsPerTask);
+          for (std::size_t c = task * kCellsPerTask; c < end; ++c) {
+            // The row is still in cache for weekly_mean's read.
+            busy.fill_rows(load, c, c + 1);
+            const CellId cell{static_cast<std::uint32_t>(c)};
+            busy_cells.keep[c] = load.weekly_mean(cell) >= threshold;
+          }
+        });
+  }
+};
 
 /// The one fold: every chunk of `source` folded across the pool and merged
 /// in ascending order into one sweep, then finalized into the report.
@@ -271,9 +299,8 @@ StudyReport run_fold(const Source& source, int study_days,
 
   // Fig 11 is the fold's only concurrency reader, so the concurrency pass
   // counts only the cells its busy-radio filter keeps.
-  const CellMask busy_cells =
-      busy_cell_mask(load, options.cluster_load_threshold, pool);
-  StudySweep total(study_days, cells, load, busy_cells, options);
+  const GridMaps maps(load, options, pool);
+  StudySweep total(study_days, cells, maps.busy, maps.busy_cells, options);
 
   // One pass over all chunks. A thread folds its chunk into slot
   // i % window and marks it ready; then, unless another thread is merging,
@@ -307,8 +334,8 @@ StudyReport run_fold(const Source& source, int study_days,
     bool draining = false;
     try {
       Slot& slot = slots[i % window];
-      StudySweep& acc =
-          slot.sweep.emplace(study_days, cells, load, busy_cells, options);
+      StudySweep& acc = slot.sweep.emplace(study_days, cells, maps.busy,
+                                           maps.busy_cells, options);
       SweepScratch& s = scratch_for_thread();
       s.car.clear();  // a strict-mode throw can leave a car staged
       source.fold(acc, i, s);
@@ -386,17 +413,19 @@ StudyReport run_columnar_impl(const cdr::ColumnarFile& file,
                               cdr::IngestReport base,
                               const std::string& label) {
   base.mode = options.ingest.mode;
+  const cdr::IngestOptions screened = screen_options(options.ingest, cells);
   if (file.study_days() <= 0) {
     // A header without a day count (hand-built or zeroed) leaves the study
     // geometry unknown until every record is seen, which is exactly what
     // streaming cannot do. Such a file is degenerate — materialize it (its
     // finalize() derives study_days) and fold the Dataset instead.
     const cdr::Dataset raw =
-        cdr::materialize_columnar(file, options.ingest, base, label);
+        cdr::materialize_columnar(file, screened, base, label);
     return run_dataset(raw, cells, load, options, std::move(base));
   }
-  return run_fold(ColumnarSource(file, options, label), file.study_days(),
-                  file.fleet_size(), cells, load, options, std::move(base));
+  return run_fold(ColumnarSource(file, options, screened, label),
+                  file.study_days(), file.fleet_size(), cells, load, options,
+                  std::move(base));
 }
 
 }  // namespace

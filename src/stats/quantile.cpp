@@ -56,6 +56,15 @@ EmpiricalDistribution EmpiricalDistribution::from_histogram(
   return from_sorted_runs(std::move(values), std::move(counts));
 }
 
+void CountHistogram::merge(const CountHistogram& other) {
+  if (other.counts_.size() > counts_.size()) {
+    counts_.resize(other.counts_.size(), 0);
+  }
+  for (std::size_t v = 0; v < other.counts_.size(); ++v) {
+    counts_[v] += other.counts_[v];
+  }
+}
+
 double EmpiricalDistribution::at(std::uint64_t index) const {
   // First run whose inclusive prefix sum exceeds `index`.
   const auto it = std::upper_bound(cum_.begin(), cum_.end(), index);

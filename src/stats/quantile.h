@@ -16,7 +16,9 @@
 // over the sorted expansion.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace ccms::stats {
@@ -92,6 +94,37 @@ class EmpiricalDistribution {
   std::vector<std::uint64_t> counts_;   ///< per-value multiplicities
   std::vector<std::uint64_t> cum_;      ///< inclusive prefix sums of counts_
   std::uint64_t total_ = 0;
+};
+
+/// A dense count histogram of non-negative integers: counts()[v] is the
+/// multiplicity of v, grown to the largest value added. Merging adds
+/// elementwise, so every merge order gives the same counts, and
+/// distribution() is EmpiricalDistribution::from_histogram over them. The
+/// batch passes (Fig 9 durations, §4.5 per-journey counts) and the stream
+/// engine's exact duration tally all count through it.
+class CountHistogram {
+ public:
+  CountHistogram() = default;
+  explicit CountHistogram(std::vector<std::uint64_t> counts)
+      : counts_(std::move(counts)) {}
+
+  void add(std::size_t value) {
+    if (value >= counts_.size()) counts_.resize(value + 1, 0);
+    ++counts_[value];
+  }
+
+  void merge(const CountHistogram& other);
+
+  [[nodiscard]] const std::vector<std::uint64_t>& counts() const {
+    return counts_;
+  }
+
+  [[nodiscard]] EmpiricalDistribution distribution() const {
+    return EmpiricalDistribution::from_histogram(counts_);
+  }
+
+ private:
+  std::vector<std::uint64_t> counts_;
 };
 
 }  // namespace ccms::stats

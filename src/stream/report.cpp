@@ -19,15 +19,12 @@ DurationTally::DurationTally(std::int32_t cap) : cap_(cap) {}
 
 void DurationTally::add(std::int32_t duration_s) {
   if (duration_s < 0) return;
-  const auto d = static_cast<std::size_t>(duration_s);
-  if (d >= hist_.size()) hist_.resize(d + 1, 0);
-  ++hist_[d];
+  hist_.add(static_cast<std::size_t>(duration_s));
   p2_.add(static_cast<double>(duration_s));
 }
 
 core::CellSessionStats DurationTally::to_cell_stats() const {
-  return core::summarize_cell_sessions(
-      stats::EmpiricalDistribution::from_histogram(hist_), cap_);
+  return core::summarize_cell_sessions(hist_.distribution(), cap_);
 }
 
 namespace {

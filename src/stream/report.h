@@ -21,6 +21,7 @@
 #include "core/usage_matrix.h"
 #include "stats/descriptive.h"
 #include "stats/p2_quantile.h"
+#include "stats/quantile.h"
 #include "stream/config.h"
 #include "stream/operators.h"
 
@@ -29,9 +30,10 @@ namespace ccms::stream {
 /// Exact global duration statistics, maintained in the single-threaded
 /// producer so they are bit-identical for every shard count. Durations are
 /// small integers (post-clean <= the plausibility bound), so the tally is a
-/// dense count histogram indexed by duration: one increment per record.
-/// to_cell_stats() hands it to stats::EmpiricalDistribution::from_histogram
-/// and core::summarize_cell_sessions, the batch Fig 9 derivation. A P2
+/// stats::CountHistogram indexed by duration, the histogram the batch Fig 9
+/// pass counts through: one increment per record. to_cell_stats() hands its
+/// distribution to core::summarize_cell_sessions, the batch Fig 9
+/// derivation. A P2
 /// estimator runs alongside as the constant-memory cross-check the paper's
 /// full-scale (1.1 G record) input would require.
 class DurationTally {
@@ -56,15 +58,15 @@ class DurationTally {
     std::vector<std::uint64_t> hist;
     stats::P2Quantile::State p2;
   };
-  [[nodiscard]] State state() const { return {hist_, p2_.state()}; }
+  [[nodiscard]] State state() const { return {hist_.counts(), p2_.state()}; }
   void restore(const State& s) {
-    hist_ = s.hist;
+    hist_ = stats::CountHistogram(s.hist);
     p2_.restore(s.p2);
   }
 
  private:
   std::int32_t cap_ = 600;
-  std::vector<std::uint64_t> hist_;  ///< hist_[d] = multiplicity of d
+  stats::CountHistogram hist_;  ///< counts()[d] = multiplicity of d
   stats::P2Quantile p2_{0.5};
 };
 
