@@ -52,6 +52,7 @@
 #include "core/busy_time.h"
 #include "core/concurrency.h"
 #include "core/connected_time.h"
+#include "core/passes.h"
 #include "core/presence.h"
 #include "core/study.h"
 #include "sim/simulator.h"
@@ -249,6 +250,59 @@ void write_pipeline_json() {
   bench::write_bench_json(out != nullptr ? out : "BENCH_pipeline.json", json);
 }
 
+// One-thread ns per record of each of run_study's pass accumulators, each
+// run alone over the cleaned in-memory dataset with run_study's default
+// options: the per-pass stage rows behind the fold's time. The busy map
+// and the busy-cell mask are built before their passes are timed, as
+// run_study builds them once before its fold.
+std::string pass_stage_json(const sim::Study& study,
+                            const core::CellLoad& load) {
+  const core::StudyOptions options;
+  cdr::CleanReport clean_report;
+  const cdr::Dataset cleaned =
+      cdr::clean(study.raw, options.clean, clean_report);
+  const net::CellTable& cells = study.topology.cells();
+  const int days = cleaned.study_days();
+  const auto records = static_cast<double>(cleaned.size());
+  const core::BusyMap busy_map =
+      core::BusyMap::build(load, options.busy_prb_threshold);
+  core::CellMask busy_cells;
+  busy_cells.keep.resize(load.cell_count());
+  busy_cells.rest = 0.0 >= options.cluster_load_threshold;
+  for (std::size_t c = 0; c < busy_cells.keep.size(); ++c) {
+    busy_cells.keep[c] =
+        load.weekly_mean(CellId{static_cast<std::uint32_t>(c)}) >=
+        options.cluster_load_threshold;
+  }
+
+  bench::JsonObject stage;
+  std::printf("pass stage (1 thread, ns/record):");
+  const auto time_pass = [&](const char* name, auto acc) {
+    const bench::Stopwatch timer;
+    cleaned.for_each_car(
+        [&](CarId car, std::span<const cdr::Connection> conns) {
+          acc.add_car(car, conns);
+        });
+    const double ns = records > 0 ? timer.seconds() * 1e9 / records : 0;
+    benchmark::DoNotOptimize(acc);
+    std::printf(" %s %.1f", name, ns);
+    stage.add(name, ns);
+  };
+  time_pass("presence", core::PresenceAccumulator(days));
+  time_pass("connected_time",
+            core::ConnectedTimeAccumulator(days, options.truncation_cap));
+  time_pass("days_on_network", core::DaysAccumulator(days));
+  time_pass("busy_time", core::BusyTimeAccumulator(&busy_map));
+  time_pass("handovers", core::HandoverAccumulator(&cells, cdr::kJourneyGap));
+  time_pass("carrier_usage", core::CarrierUsageAccumulator(&cells));
+  time_pass("concurrency_counts",
+            core::ConcurrencyCountsAccumulator(days, &busy_cells));
+  time_pass("cell_sessions",
+            core::CellSessionsAccumulator(options.truncation_cap));
+  std::printf("\n");
+  return stage.dump();
+}
+
 // Full run_study (every §4 analysis) swept over executor widths
 // 1, 2, 4, .., max_threads, written to BENCH_batch.json. speedup_vs_1t is
 // the scaling curve CI tracks; the report is bitwise identical across rows
@@ -301,6 +355,7 @@ void write_batch_json(int max_threads) {
                static_cast<int>(std::thread::hardware_concurrency()))
           .add("peak_rss_bytes", bench::peak_rss_bytes())
           .raw("thread_runs", rows.dump())
+          .raw("pass_stage", pass_stage_json(study, load))
           .dump();
   const char* out = std::getenv("CCMS_BENCH_BATCH_OUT");
   bench::write_bench_json(out != nullptr ? out : "BENCH_batch.json", json);
