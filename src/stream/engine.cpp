@@ -1,5 +1,7 @@
 #include "stream/engine.h"
 
+#include <malloc.h>
+
 #include <exception>
 #include <string>
 #include <utility>
@@ -29,6 +31,16 @@ ShardedEngine::~ShardedEngine() {
     shard->ready.notify_one();
   }
   for (auto& shard : shards_) shard->worker.join();
+  // The shard state is most of what an engine allocates. Free it here and
+  // hand the heap's free pages back to the OS: glibc keeps freed pages
+  // resident and may later place a large block on pages that were never
+  // touched, so without the trim the footprint of a process that runs one
+  // engine after another would depend on where the allocator put blocks
+  // before (net/load.cpp releases its grids the same way).
+  shards_.clear();
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 void ShardedEngine::worker_loop(Shard& shard) {
